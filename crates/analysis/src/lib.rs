@@ -11,7 +11,7 @@
 //! | `wire-tag-freeze`      | wire tag constants match `compat/wire_tags.lock`        |
 //! | `metric-name-registry` | every metric-name literal is registered in `obs::names` |
 //! | `no-lock-across-io`    | no lock guard held across pager disk I/O                |
-//! | `panic-path`           | no `unwrap`/`expect`/`panic!` reachable from `serve_conn` |
+//! | `panic-path`           | no `unwrap`/`expect`/`panic!` reachable from request serving |
 //!
 //! Exceptions live in `compat/ndlint.allow`, one rationale per entry
 //! (see [`allow`]). The dynamic side — things a lexical lint cannot see
@@ -96,7 +96,7 @@ impl Default for Config {
             tag_lock: "compat/wire_tags.lock",
             names_file: "crates/obs/src/names.rs",
             lock_audited: vec!["crates/pager/src/pool.rs"],
-            panic_roots: vec!["serve_conn"],
+            panic_roots: vec!["serve_conn", "node_loop"],
             panic_scope: vec!["crates/wire/src/", "crates/server/src/"],
             allow_file: "compat/ndlint.allow",
         }

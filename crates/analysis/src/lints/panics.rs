@@ -1,9 +1,9 @@
 //! `panic-path`: no `unwrap`/`expect`/`panic!` in code reachable from
-//! the request-serving entry points (`serve_conn`) in `crates/wire` /
-//! `crates/server`. The PR-6 `catch_unwind` containment is a backstop
-//! against *bugs*, not a license to panic on malformed input — a panic
-//! on the serve path still tears down the connection and poisons any
-//! held locks.
+//! the request-serving entry points (a connection's `serve_conn`, a
+//! store thread's `node_loop`) in `crates/wire` / `crates/server`. The
+//! PR-6 `catch_unwind` containment is a backstop against *bugs*, not a
+//! license to panic on malformed input — a panic on the serve path
+//! still tears down the connection and poisons any held locks.
 //!
 //! Reachability is a name-based over-approximation: an identifier
 //! called as `name(…)` inside a scanned function body is an edge to

@@ -3,12 +3,15 @@
 //! Wall-clock companions to the I/O experiments: boolean merges (E15),
 //! the six stack operators (E4), aggregate selection (E5/E6), the
 //! embedded-reference joins (E7), and atomic evaluation through the
-//! indices. Run with `cargo bench --workspace`.
+//! indices — by strategy (`atomic_evaluation`) and by scope at two
+//! directory sizes (`atomic_base`, `atomic_one`, `atomic_sub_zone`,
+//! `atomic_sub_all`: the store-node layer of `benchmark/run.sh`,
+//! reproducible without a daemon). Run with `cargo bench --workspace`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netdir_bench::setup;
 use netdir_index::IndexedDirectory;
-use netdir_model::{AttrName, Dn, Entry};
+use netdir_model::{AttrName, Directory, Dn, Entry};
 use netdir_pager::{PagedList, Pager};
 use netdir_query::agg::CompiledAggFilter;
 use netdir_query::agg_simple::simple_agg_select;
@@ -190,6 +193,66 @@ fn bench_atomic(c: &mut Criterion) {
     g.finish();
 }
 
+/// `dc=bench` → 16 zones → 24 teams each → leaves, `entries` entries in
+/// all: the shape of the daemon benchmark's directory. Leaves carry a
+/// random `kind` and `weight`.
+fn zoned_dir(entries: usize) -> Directory {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(entries as u64);
+    let mut dir = Directory::new();
+    let mut add = |b: netdir_model::EntryBuilder| {
+        dir.insert(b.build().unwrap()).unwrap();
+    };
+    let dn = |s: String| Dn::parse(&s).unwrap();
+    add(Entry::builder(dn("dc=bench".into())).class("domain"));
+    let mut teams = Vec::new();
+    for z in 0..16 {
+        add(Entry::builder(dn(format!("ou=z{z:02}, dc=bench"))).class("zone"));
+        for t in 0..24 {
+            let team = dn(format!("ou=t{t:02}, ou=z{z:02}, dc=bench"));
+            add(Entry::builder(team.clone()).class("team"));
+            teams.push(team);
+        }
+    }
+    for i in 0..entries - teams.len() - 17 {
+        let rdn = netdir_model::Rdn::single("cn", format!("e{i:05}")).unwrap();
+        add(Entry::builder(teams[i % teams.len()].child(rdn))
+            .class("leaf")
+            .attr("kind", if rng.gen_bool(0.5) { "red" } else { "blue" })
+            .attr("weight", rng.gen_range(0..100i64)));
+    }
+    dir
+}
+
+fn bench_atomic_scopes(c: &mut Criterion) {
+    // As the daemon's parser hands them over: a presence filter.
+    let any = netdir_filter::parse_atomic("objectClass=*").unwrap();
+    let red = AtomicFilter::eq("kind", "red");
+    let cases = [
+        ("atomic_base", "cn=e00123, ou=t03, ou=z05, dc=bench", Scope::Base, any.clone()),
+        ("atomic_one", "ou=t03, ou=z05, dc=bench", Scope::One, any),
+        ("atomic_sub_zone", "ou=z05, dc=bench", Scope::Sub, red.clone()),
+        ("atomic_sub_all", "dc=bench", Scope::Sub, red),
+    ];
+    let indexed: Vec<(usize, IndexedDirectory)> = [5_000usize, 20_000]
+        .into_iter()
+        .map(|n| {
+            let idx = IndexedDirectory::build(&setup::pager(), &zoned_dir(n)).unwrap();
+            (n, idx)
+        })
+        .collect();
+    for (name, base, scope, filter) in cases {
+        let base = Dn::parse(base).unwrap();
+        let mut g = c.benchmark_group(name);
+        for (n, idx) in &indexed {
+            g.bench_with_input(BenchmarkId::from_parameter(n), n, |b, _| {
+                b.iter(|| idx.evaluate_atomic(&base, scope, &filter).unwrap());
+            });
+        }
+        g.finish();
+    }
+}
+
 criterion_group!(
     benches,
     bench_boolean,
@@ -197,6 +260,7 @@ criterion_group!(
     bench_hs_scaling,
     bench_agg,
     bench_er,
-    bench_atomic
+    bench_atomic,
+    bench_atomic_scopes
 );
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! A bulk-loaded, paged, static B+-tree over `(i64, EntryId)` pairs.
+//! A bulk-loaded, paged, static B+-tree over `(i64, Posting)` pairs.
 //!
 //! One tree per integer attribute turns the paper's integer comparison
 //! filters (`SLARulePriority < 3`) into a descent plus a leaf-range scan:
@@ -16,7 +16,7 @@
 //! convention), then fixed-width pairs; internal and leaf pages share the
 //! shape, distinguished by level.
 
-use netdir_model::EntryId;
+use crate::Posting;
 use netdir_pager::{PagerError, PagerResult, Pager, PAGE_HEADER_BYTES};
 
 const PAIR_BYTES: usize = 16;
@@ -28,12 +28,16 @@ pub struct StaticBTree {
     /// Levels bottom-up: `levels[0]` = leaf pages, last = root level
     /// (single page). Page ids per level, in key order.
     levels: Vec<Vec<netdir_pager::PageId>>,
+    /// First key of each leaf (in-memory metadata, like the DN table's
+    /// keys): sizes a key interval without reading a page.
+    leaf_first_keys: Vec<i64>,
+    per_page: usize,
     len: u64,
 }
 
 impl StaticBTree {
     /// Bulk-load from pairs sorted by `(key, id)`.
-    pub fn build(pager: &Pager, pairs: &[(i64, EntryId)]) -> PagerResult<StaticBTree> {
+    pub fn build(pager: &Pager, pairs: &[(i64, Posting)]) -> PagerResult<StaticBTree> {
         debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]), "input must be sorted");
         let per_page = (pager.payload_size() / PAIR_BYTES).max(2);
 
@@ -53,6 +57,7 @@ impl StaticBTree {
             }
             levels.push(leaf_pages);
         }
+        let leaf_first_keys = current.iter().map(|&(k, _)| k).collect();
 
         // Internal levels until one page remains.
         while current.len() > 1 {
@@ -74,6 +79,8 @@ impl StaticBTree {
         Ok(StaticBTree {
             pager: pager.clone(),
             levels,
+            leaf_first_keys,
+            per_page,
             len: pairs.len() as u64,
         })
     }
@@ -97,8 +104,24 @@ impl StaticBTree {
         }
     }
 
+    /// An upper bound on `range(lo, hi).len()` from in-memory metadata
+    /// alone: the capacity of the leaves the interval can touch.
+    pub fn range_bound(&self, lo: i64, hi: i64) -> u64 {
+        if lo > hi {
+            return 0;
+        }
+        // Duplicates of `lo` may start on the leaf before the first one
+        // whose first key reaches it.
+        let first = self
+            .leaf_first_keys
+            .partition_point(|&k| k < lo)
+            .saturating_sub(1);
+        let end = self.leaf_first_keys.partition_point(|&k| k <= hi);
+        (end.saturating_sub(first) as u64 * self.per_page as u64).min(self.len)
+    }
+
     /// All ids whose key lies in `[lo, hi]` (inclusive), in key order.
-    pub fn range(&self, lo: i64, hi: i64) -> PagerResult<Vec<EntryId>> {
+    pub fn range(&self, lo: i64, hi: i64) -> PagerResult<Vec<Posting>> {
         let mut out = Vec::new();
         if self.len == 0 || lo > hi {
             return Ok(out);
@@ -148,29 +171,6 @@ impl StaticBTree {
             }
         }
         Ok(out)
-    }
-
-    /// Ids with key exactly `key`.
-    pub fn lookup(&self, key: i64) -> PagerResult<Vec<EntryId>> {
-        self.range(key, key)
-    }
-
-    /// Ids with key `< key` / `<= key` / `> key` / `>= key`.
-    pub fn below(&self, key: i64, inclusive: bool) -> PagerResult<Vec<EntryId>> {
-        let hi = if inclusive { key } else { key.saturating_sub(1) };
-        if !inclusive && key == i64::MIN {
-            return Ok(Vec::new());
-        }
-        self.range(i64::MIN, hi)
-    }
-
-    /// Ids with key `> key` (or `>= key` when `inclusive`).
-    pub fn above(&self, key: i64, inclusive: bool) -> PagerResult<Vec<EntryId>> {
-        let lo = if inclusive { key } else { key.saturating_add(1) };
-        if !inclusive && key == i64::MAX {
-            return Ok(Vec::new());
-        }
-        self.range(lo, i64::MAX)
     }
 }
 
@@ -222,7 +222,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn build(pairs: &[(i64, EntryId)]) -> (StaticBTree, Pager) {
+    fn build(pairs: &[(i64, Posting)]) -> (StaticBTree, Pager) {
         let pager = tiny_pager();
         let t = StaticBTree::build(&pager, pairs).unwrap();
         (t, pager)
@@ -240,13 +240,11 @@ mod tests {
     fn small_lookups() {
         let pairs: Vec<(i64, u64)> = vec![(1, 10), (2, 20), (2, 21), (5, 50)];
         let (t, _) = build(&pairs);
-        assert_eq!(t.lookup(2).unwrap(), vec![20, 21]);
-        assert_eq!(t.lookup(3).unwrap(), Vec::<u64>::new());
+        assert_eq!(t.range(2, 2).unwrap(), vec![20, 21]);
+        assert_eq!(t.range(3, 3).unwrap(), Vec::<u64>::new());
         assert_eq!(t.range(2, 5).unwrap(), vec![20, 21, 50]);
-        assert_eq!(t.below(2, false).unwrap(), vec![10]);
-        assert_eq!(t.below(2, true).unwrap(), vec![10, 20, 21]);
-        assert_eq!(t.above(2, false).unwrap(), vec![50]);
-        assert_eq!(t.above(2, true).unwrap(), vec![20, 21, 50]);
+        assert_eq!(t.range(i64::MIN, 1).unwrap(), vec![10]);
+        assert_eq!(t.range(3, i64::MAX).unwrap(), vec![50]);
     }
 
     #[test]
@@ -265,6 +263,10 @@ mod tests {
                 .map(|&(_, id)| id)
                 .collect();
             assert_eq!(t.range(lo, hi).unwrap(), expect, "range [{lo},{hi}]");
+            // The in-memory bound holds and is tight to a leaf or two.
+            let bound = t.range_bound(lo, hi);
+            assert!(bound >= expect.len() as u64, "bound [{lo},{hi}]");
+            assert!(bound <= expect.len() as u64 + 3 * t.per_page as u64);
         }
     }
 
@@ -305,7 +307,8 @@ mod tests {
                 .filter(|&&(k, _)| k == key)
                 .map(|&(_, id)| id)
                 .collect();
-            assert_eq!(t.lookup(key).unwrap(), expect, "key {key}");
+            assert_eq!(t.range(key, key).unwrap(), expect, "key {key}");
+            assert!(t.range_bound(key, key) >= expect.len() as u64);
         }
         let expect_3_5 = pairs.iter().filter(|&&(k, _)| (3..=5).contains(&k)).count();
         assert_eq!(t.range(3, 5).unwrap().len(), expect_3_5);
@@ -317,9 +320,9 @@ mod tests {
         let pairs = vec![(i64::MIN, 1u64), (0, 2), (i64::MAX, 3)];
         let (t, _) = build(&pairs);
         assert_eq!(t.range(i64::MIN, i64::MAX).unwrap(), vec![1, 2, 3]);
-        assert_eq!(t.below(i64::MIN, false).unwrap(), Vec::<u64>::new());
-        assert_eq!(t.above(i64::MAX, false).unwrap(), Vec::<u64>::new());
-        assert_eq!(t.below(i64::MIN, true).unwrap(), vec![1]);
-        assert_eq!(t.above(i64::MAX, true).unwrap(), vec![3]);
+        assert_eq!(t.range(i64::MIN, i64::MIN).unwrap(), vec![1]);
+        assert_eq!(t.range(i64::MAX, i64::MAX).unwrap(), vec![3]);
+        assert_eq!(t.range_bound(i64::MIN, i64::MAX), 3);
+        assert_eq!(t.range_bound(1, 0), 0);
     }
 }

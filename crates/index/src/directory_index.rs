@@ -6,28 +6,47 @@
 //! `(base ? scope ? filter)` into reverse-DN-sorted entry lists — the
 //! inputs of every L0–L3 operator.
 //!
-//! Two strategies, matching how real servers plan:
+//! Evaluation is **scope first**. Lists are sorted by reverse DN, so a
+//! scope is one contiguous range of table positions, found by binary
+//! search over in-memory keys ([`DnTable::scope_range`]); and every
+//! posting list holds table *positions*, so cutting a filter's
+//! candidates to the scope is two more binary searches. One core
+//! ([`IndexedDirectory::visit_atomic`]) then reads the surviving
+//! positions in table (= DN = page) order as undecoded on-page images
+//! and hands them to a visitor; an entry is decoded only to *verify* a
+//! candidate the index cannot vouch for. The cost is
+//! `O(log N + |scope ∩ candidates|)` — independent of the directory's
+//! size for a point lookup.
 //!
-//! * **Index probe** — look up candidate entry ids in the matching index,
-//!   keep those whose sort key falls in scope, fetch their entries from
-//!   the DN table (random page reads, amortized by the buffer pool), and
-//!   emit in key order. Good for selective filters.
-//! * **Scope scan** — sequentially read exactly the pages covering the
-//!   base's subtree and filter. Good for broad filters and small scopes,
-//!   and the predictable-cost path used by the I/O experiments.
+//! Where do candidates come from?
 //!
-//! [`IndexedDirectory::evaluate_atomic`] picks a strategy; both are also
-//! exposed directly.
+//! * **Postings held in memory, sorted by position** (presence,
+//!   equality): sliced to the range, exact, never decoded.
+//! * **Postings that must be materialized** (an integer interval from
+//!   the paged B+-tree, a substring fragment from the suffix array) cost
+//!   work proportional to their size whatever the scope. Both indices
+//!   can bound that size from memory; when the scope range is no larger
+//!   than the bound, the node reads the range instead and verifies each
+//!   record against the filter — at most `|range|` records, where the
+//!   probe would have produced at least as many postings to sift.
+//! * **No index** (a composite filter, a pattern with no fragment): the
+//!   range, verified. `objectClass=*` needs no verification at all.
+//!
+//! The rule compares two sizes already in memory; there is nothing to
+//! tune (DESIGN.md §3c).
 
 use crate::btree::StaticBTree;
-use crate::dn_table::DnTable;
+use crate::dn_table::{DnTable, RawHit, ScopeRange};
 use crate::suffix::SuffixIndex;
 use crate::trie::Trie;
-use netdir_filter::{AtomicFilter, CompositeFilter, LdapQuery, Scope};
+use crate::Posting;
 use netdir_filter::atomic::IntOp;
-use netdir_model::{AttrName, Directory, Dn, Entry, EntryId, SortKey, Value};
+use netdir_filter::{AtomicFilter, CompositeFilter, LdapQuery, Scope};
+use netdir_model::{AttrName, Directory, Dn, Entry, Value};
 use netdir_pager::{ListWriter, PagedList, Pager, PagerResult};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A directory bulk-loaded into the paged DN table plus attribute indices.
 pub struct IndexedDirectory {
@@ -35,9 +54,39 @@ pub struct IndexedDirectory {
     int_trees: BTreeMap<AttrName, StaticBTree>,
     tries: BTreeMap<AttrName, Trie>,
     suffixes: BTreeMap<AttrName, SuffixIndex>,
-    presence: BTreeMap<AttrName, Vec<EntryId>>,
-    /// id → sort key for scope filtering of index hits.
-    keys: BTreeMap<EntryId, SortKey>,
+    /// Positions of the entries holding each attribute, ascending.
+    presence: BTreeMap<AttrName, Vec<Posting>>,
+    examined: AtomicU64,
+    decoded: AtomicU64,
+}
+
+/// Work the evaluation core has done since the index was built, in
+/// records — counts, not times, so they repeat exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AtomicCost {
+    /// Candidate positions looked at (a key check or a record read).
+    pub examined: u64,
+    /// Records decoded to verify a candidate.
+    pub decoded: u64,
+}
+
+/// The positions an atomic query may match within its scope range.
+enum Candidates<'a> {
+    /// Every position of the range.
+    Range,
+    /// These positions of the range, ascending and distinct.
+    Postings(Cow<'a, [Posting]>),
+}
+
+/// The inclusive key interval `op rhs` selects, or `None` when empty.
+fn int_interval(op: IntOp, rhs: i64) -> Option<(i64, i64)> {
+    match op {
+        IntOp::Lt => rhs.checked_sub(1).map(|hi| (i64::MIN, hi)),
+        IntOp::Le => Some((i64::MIN, rhs)),
+        IntOp::Gt => rhs.checked_add(1).map(|lo| (lo, i64::MAX)),
+        IntOp::Ge => Some((rhs, i64::MAX)),
+        IntOp::Eq => Some((rhs, rhs)),
+    }
 }
 
 impl IndexedDirectory {
@@ -45,32 +94,33 @@ impl IndexedDirectory {
     pub fn build(pager: &Pager, dir: &Directory) -> PagerResult<IndexedDirectory> {
         let table = DnTable::build(pager, dir.iter_sorted())?;
 
-        let mut int_pairs: BTreeMap<AttrName, Vec<(i64, EntryId)>> = BTreeMap::new();
+        let mut int_pairs: BTreeMap<AttrName, Vec<(i64, Posting)>> = BTreeMap::new();
         let mut tries: BTreeMap<AttrName, Trie> = BTreeMap::new();
-        let mut string_occurrences: BTreeMap<AttrName, Vec<(String, EntryId)>> =
+        let mut string_occurrences: BTreeMap<AttrName, Vec<(String, Posting)>> =
             BTreeMap::new();
-        let mut presence: BTreeMap<AttrName, Vec<EntryId>> = BTreeMap::new();
-        let mut keys = BTreeMap::new();
+        let mut presence: BTreeMap<AttrName, Vec<Posting>> = BTreeMap::new();
 
-        for e in dir.iter_sorted() {
-            keys.insert(e.id(), e.dn().sort_key().clone());
-            let mut seen_attrs: Vec<&AttrName> = Vec::new();
+        // Entries arrive in table order, so every posting list below is
+        // born sorted by position.
+        for (pos, e) in dir.iter_sorted().enumerate() {
+            let pos = pos as Posting;
             for (a, v) in e.pairs() {
-                if seen_attrs.last() != Some(&a) {
-                    presence.entry(a.clone()).or_default().push(e.id());
-                    seen_attrs.push(a);
+                let holders = presence.entry(a.clone()).or_default();
+                if holders.last() != Some(&pos) {
+                    holders.push(pos);
                 }
                 let canonical = v.canonical();
-                tries
-                    .entry(a.clone())
-                    .or_default()
-                    .insert(&canonical, e.id());
+                let trie = tries.entry(a.clone()).or_default();
+                // Two spellings of one canonical value post once.
+                if trie.postings(&canonical).last() != Some(&pos) {
+                    trie.insert(&canonical, pos);
+                }
                 string_occurrences
                     .entry(a.clone())
                     .or_default()
-                    .push((canonical, e.id()));
+                    .push((canonical, pos));
                 if let Value::Int(i) = v {
-                    int_pairs.entry(a.clone()).or_default().push((*i, e.id()));
+                    int_pairs.entry(a.clone()).or_default().push((*i, pos));
                 }
             }
         }
@@ -84,7 +134,7 @@ impl IndexedDirectory {
             .into_iter()
             .map(|(a, occ)| {
                 let idx =
-                    SuffixIndex::build(occ.iter().map(|(s, id)| (s.as_str(), *id)));
+                    SuffixIndex::build(occ.iter().map(|(s, pos)| (s.as_str(), *pos)));
                 (a, idx)
             })
             .collect();
@@ -95,7 +145,8 @@ impl IndexedDirectory {
             tries,
             suffixes,
             presence,
-            keys,
+            examined: AtomicU64::new(0),
+            decoded: AtomicU64::new(0),
         })
     }
 
@@ -114,123 +165,212 @@ impl IndexedDirectory {
         self.table.is_empty()
     }
 
-    /// Candidate entry ids for `filter` from the indices, or `None` when
-    /// no index applies (e.g. [`AtomicFilter::True`]).
-    pub fn probe(&self, filter: &AtomicFilter) -> Option<Vec<EntryId>> {
-        match filter {
-            AtomicFilter::True => None,
-            // Constant false: the empty candidate list, no scan needed.
-            AtomicFilter::False => Some(Vec::new()),
-            AtomicFilter::Present(a) => {
-                Some(self.presence.get(a.canonical()).cloned().unwrap_or_default())
-            }
-            AtomicFilter::Eq(a, v) => Some(
-                self.tries
-                    .get(a.canonical())
-                    .map(|t| t.lookup_exact(v))
-                    .unwrap_or_default(),
+    /// Records examined and decoded by every evaluation so far.
+    pub fn cost(&self) -> AtomicCost {
+        AtomicCost {
+            examined: self.examined.load(Ordering::Relaxed),
+            decoded: self.decoded.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The candidates of `filter` within `range`, and whether each is a
+    /// certain match (`true`) or must be verified against the filter.
+    fn candidates<'a>(
+        &'a self,
+        filter: &AtomicFilter,
+        range: &ScopeRange,
+    ) -> PagerResult<(Candidates<'a>, bool)> {
+        let within = range.positions();
+        // A position-sorted posting list held in memory, cut to the range.
+        let held = |postings: Option<&'a [Posting]>| {
+            let postings = postings.unwrap_or_default();
+            let lo = postings.partition_point(|&p| p < within.start);
+            let hi = postings.partition_point(|&p| p < within.end);
+            Candidates::Postings(Cow::Borrowed(&postings[lo..hi]))
+        };
+        let none = Candidates::Postings(Cow::Borrowed(&[]));
+        Ok(match filter {
+            AtomicFilter::True => (Candidates::Range, true),
+            AtomicFilter::False => (none, true),
+            AtomicFilter::Present(a) => (
+                held(self.presence.get(a.canonical()).map(Vec::as_slice)),
+                true,
             ),
-            AtomicFilter::DnEq(a, dn) => Some(
-                self.tries
-                    .get(a.canonical())
-                    .map(|t| t.lookup_exact(&dn.canonical()))
-                    .unwrap_or_default(),
+            AtomicFilter::Eq(a, v) => (
+                held(self.tries.get(a.canonical()).map(|t| t.postings(v))),
+                true,
+            ),
+            // The trie also posts string values that merely spell the
+            // DN; only a DN-typed value matches.
+            AtomicFilter::DnEq(a, dn) => (
+                held(
+                    self.tries
+                        .get(a.canonical())
+                        .map(|t| t.postings(&dn.canonical())),
+                ),
+                false,
             ),
             AtomicFilter::Substring(a, pat) => {
                 // Pull candidates on the most selective fragment, verify
-                // the full pattern during fetch.
-                let frag = pat
+                // the full pattern on each.
+                let Some(frag) = pat
                     .initial
                     .as_deref()
                     .into_iter()
                     .chain(pat.any.iter().map(String::as_str))
                     .chain(pat.final_.as_deref())
-                    .max_by_key(|s| s.len())?;
-                Some(
-                    self.suffixes
-                        .get(a.canonical())
-                        .map(|s| s.contains(frag))
-                        .unwrap_or_default(),
-                )
-            }
-            AtomicFilter::IntCmp(a, op, v) => {
-                let tree = self.int_trees.get(a.canonical())?;
-                let ids = match op {
-                    IntOp::Lt => tree.below(*v, false),
-                    IntOp::Le => tree.below(*v, true),
-                    IntOp::Gt => tree.above(*v, false),
-                    IntOp::Ge => tree.above(*v, true),
-                    IntOp::Eq => tree.lookup(*v),
+                    .max_by_key(|s| s.len())
+                else {
+                    return Ok((Candidates::Range, false));
                 };
-                match ids {
-                    Ok(mut ids) => {
-                        ids.sort_unstable();
-                        ids.dedup();
-                        Some(ids)
-                    }
-                    Err(_) => None,
+                let Some(index) = self.suffixes.get(a.canonical()) else {
+                    return Ok((none, true));
+                };
+                if range.len() <= index.occurrences(frag) as u64 {
+                    return Ok((Candidates::Range, false));
                 }
+                let mut postings = index.contains(frag);
+                postings.retain(|p| within.contains(p));
+                (Candidates::Postings(Cow::Owned(postings)), false)
             }
-        }
+            AtomicFilter::IntCmp(a, op, rhs) => {
+                let (Some(tree), Some((lo, hi))) =
+                    (self.int_trees.get(a.canonical()), int_interval(*op, *rhs))
+                else {
+                    return Ok((none, true));
+                };
+                if range.len() <= tree.range_bound(lo, hi) {
+                    return Ok((Candidates::Range, false));
+                }
+                // Key order, not position order; an entry with several
+                // values in the interval posts once per value.
+                let mut postings = tree.range(lo, hi)?;
+                postings.retain(|p| within.contains(p));
+                postings.sort_unstable();
+                postings.dedup();
+                (Candidates::Postings(Cow::Owned(postings)), true)
+            }
+        })
     }
 
-    /// Evaluate an atomic query via index probe, falling back to a scope
-    /// scan when no index applies.
+    /// Read `candidates` of `range` in table order and hand those in
+    /// scope — and, when `verify` is given, passing it once decoded — to
+    /// `visit`. The single place records leave the table.
+    fn visit_candidates(
+        &self,
+        range: &ScopeRange,
+        candidates: Candidates<'_>,
+        verify: Option<&dyn Fn(&Entry) -> bool>,
+        mut visit: impl FnMut(RawHit<'_>) -> PagerResult<()>,
+    ) -> PagerResult<()> {
+        let ctx = self.table.pager().ctx();
+        let mut examined = 0u64;
+        let mut decoded = 0u64;
+        let in_scope = |&pos: &Posting| {
+            examined += 1;
+            self.table.in_scope(range, pos)
+        };
+        let read = |hit: RawHit<'_>| {
+            if let Some(verify) = verify {
+                decoded += 1;
+                if !verify(&hit.decode(&ctx)?) {
+                    return Ok(());
+                }
+            }
+            visit(hit)
+        };
+        let done = match candidates {
+            Candidates::Range => self.table.read_raw(range.positions().filter(in_scope), read),
+            Candidates::Postings(postings) => self
+                .table
+                .read_raw(postings.iter().copied().filter(in_scope), read),
+        };
+        self.examined.fetch_add(examined, Ordering::Relaxed);
+        self.decoded.fetch_add(decoded, Ordering::Relaxed);
+        done
+    }
+
+    /// Evaluate an atomic query, handing each matching entry to `visit`
+    /// in reverse-DN order as an undecoded [`RawHit`] — the core both
+    /// [`IndexedDirectory::evaluate_atomic`] and a store node's answer
+    /// path wrap.
+    pub fn visit_atomic(
+        &self,
+        base: &Dn,
+        scope: Scope,
+        filter: &AtomicFilter,
+        visit: impl FnMut(RawHit<'_>) -> PagerResult<()>,
+    ) -> PagerResult<()> {
+        let range = self.table.scope_range(base, scope);
+        if range.is_empty() {
+            return Ok(());
+        }
+        let (candidates, exact) = self.candidates(filter, &range)?;
+        let matches = |e: &Entry| filter.matches(e);
+        let verify: Option<&dyn Fn(&Entry) -> bool> = if exact { None } else { Some(&matches) };
+        self.visit_candidates(&range, candidates, verify, visit)
+    }
+
+    /// Without the attribute indices: the scope range, every record
+    /// verified against `matches`.
+    fn visit_scan(
+        &self,
+        base: &Dn,
+        scope: Scope,
+        matches: &dyn Fn(&Entry) -> bool,
+        visit: impl FnMut(RawHit<'_>) -> PagerResult<()>,
+    ) -> PagerResult<()> {
+        let range = self.table.scope_range(base, scope);
+        self.visit_candidates(&range, Candidates::Range, Some(matches), visit)
+    }
+
+    /// As [`IndexedDirectory::visit_atomic`] for a composite filter,
+    /// which no index serves.
+    pub fn visit_composite(
+        &self,
+        base: &Dn,
+        scope: Scope,
+        filter: &CompositeFilter,
+        visit: impl FnMut(RawHit<'_>) -> PagerResult<()>,
+    ) -> PagerResult<()> {
+        self.visit_scan(base, scope, &|e| filter.matches(e), visit)
+    }
+
+    /// Collect a visit into a result list on the table's pager.
+    fn collect(
+        &self,
+        run: impl FnOnce(&mut dyn FnMut(RawHit<'_>) -> PagerResult<()>) -> PagerResult<()>,
+    ) -> PagerResult<PagedList<Entry>> {
+        let mut w = ListWriter::new(self.table.pager());
+        run(&mut |hit| hit.push_to(&mut w))?;
+        w.finish()
+    }
+
+    /// Evaluate an atomic query into a sorted list.
     pub fn evaluate_atomic(
         &self,
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
     ) -> PagerResult<PagedList<Entry>> {
-        match self.probe(filter) {
-            Some(mut ids) => {
-                // Scope-filter by key, order by key.
-                let base_key = base.sort_key().clone();
-                ids.sort_unstable();
-                ids.dedup();
-                let mut hits: Vec<(&SortKey, EntryId)> = ids
-                    .into_iter()
-                    .filter_map(|id| self.keys.get(&id).map(|k| (k, id)))
-                    .filter(|(k, _)| match scope {
-                        Scope::Base => **k == base_key,
-                        Scope::Sub => base_key.subsumes(k),
-                        Scope::One => {
-                            base_key.subsumes(k)
-                                && k.depth() <= base_key.depth() + 1
-                        }
-                    })
-                    .collect();
-                hits.sort_by(|a, b| a.0.cmp(b.0));
-                let mut w = ListWriter::new(self.table.pager());
-                for (_, id) in hits {
-                    if let Some(e) = self.table.fetch(id)? {
-                        // Verify (substring candidates are approximate).
-                        if filter.matches(&e) {
-                            w.push(&e)?;
-                        }
-                    }
-                }
-                w.finish()
-            }
-            None => self.evaluate_scan(base, scope, filter),
-        }
+        self.collect(|visit| self.visit_atomic(base, scope, filter, visit))
     }
 
-    /// Evaluate an atomic query by scanning the scope's pages.
+    /// Evaluate an atomic query without consulting the attribute
+    /// indices: the scope range, every record verified. The baseline the
+    /// ablation experiments compare the indexed path against.
     pub fn evaluate_scan(
         &self,
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
     ) -> PagerResult<PagedList<Entry>> {
-        self.table.select_scope(base, scope, |e| filter.matches(e))
+        self.collect(|visit| self.visit_scan(base, scope, &|e| filter.matches(e), visit))
     }
 
-    /// Evaluate a composite-filter LDAP query (the baseline language) by
-    /// scope scan.
+    /// Evaluate a composite-filter LDAP query (the baseline language).
     pub fn evaluate_ldap(&self, q: &LdapQuery) -> PagerResult<PagedList<Entry>> {
-        self.table
-            .select_scope(&q.base, q.scope, |e| q.filter.matches(e))
+        self.evaluate_composite(&q.base, q.scope, &q.filter)
     }
 
     /// Evaluate a composite filter at (base, scope) — like
@@ -241,7 +381,7 @@ impl IndexedDirectory {
         scope: Scope,
         filter: &CompositeFilter,
     ) -> PagerResult<PagedList<Entry>> {
-        self.table.select_scope(base, scope, |e| filter.matches(e))
+        self.collect(|visit| self.visit_composite(base, scope, filter, visit))
     }
 }
 

@@ -1,26 +1,107 @@
 //! The paged DN table.
 //!
-//! All entries, serialized in reverse-DN order onto pages, plus an
-//! in-memory *fence key* (the first entry's sort key) per page. Because a
-//! subtree is a contiguous key range (see `netdir_model::dn`), resolving a
-//! scope is: binary-search the fences for the first relevant page, then
-//! scan pages sequentially until the keys leave the subtree. The I/O cost
-//! is `O(pages(scope) + log)` — this is the "distinguishedName B-tree" of
-//! Section 4.1 in bulk-loaded form.
+//! All entries, serialized in reverse-DN order onto pages, plus every
+//! entry's sort key kept in memory in the same order. Because a subtree
+//! is a contiguous key range (see `netdir_model::dn`), resolving a scope
+//! touches no page: two binary searches over the keys turn
+//! `(base, scope)` into a [`ScopeRange`] of table *positions*, and a
+//! position is a page and a slot by arithmetic on the list's per-page
+//! counts. Reading `t` of those positions costs the pages they lie on —
+//! `O(log N)` to find the range plus `O(pages(hits))` I/O. This is the
+//! "distinguishedName B-tree" of Section 4.1 in bulk-loaded form, with
+//! the key level held in memory.
+//!
+//! Records come back as [`RawHit`]s: the undecoded on-page image plus
+//! the in-memory key, so a consumer that only forwards entries (into a
+//! result list, onto the wire) never decodes one.
 
-use netdir_model::{Dn, Entry, EntryId};
 use netdir_filter::Scope;
+use netdir_model::dn::KEY_SEPARATOR;
+use netdir_model::{Dn, Entry};
+use netdir_pager::record::{PageCtx, Record};
 use netdir_pager::{ListWriter, PagedList, Pager, PagerResult};
 
-/// A static, sorted, paged table of entries with per-page fence keys.
+/// A static, sorted, paged table of entries with in-memory sort keys.
 pub struct DnTable {
     pager: Pager,
     list: PagedList<Entry>,
-    /// First sort key on each page (in-memory metadata).
-    fences: Vec<Vec<u8>>,
-    /// entry id → position in sorted order (for id-based fetch).
-    id_to_pos: Vec<u32>,
-    len: u64,
+    /// Every record's sort key, concatenated in table order (in-memory
+    /// metadata, like a B-tree's inner levels: not charged I/O).
+    key_bytes: Vec<u8>,
+    /// `key_ends[pos]` = end of record `pos`'s key within `key_bytes`.
+    key_ends: Vec<usize>,
+}
+
+/// The table positions a `(base, scope)` pair can match, resolved from
+/// the in-memory keys alone.
+///
+/// `positions()` is the base's whole subtree for `sub` **and** `one`;
+/// under `one` only the records passing [`DnTable::in_scope`] (the base
+/// and its children) belong to the scope.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScopeRange {
+    lo: u64,
+    hi: u64,
+    /// Scope `one` only: the length of the base's key. A record of the
+    /// range is in scope iff its key continues it by at most one
+    /// component.
+    one_prefix: Option<usize>,
+}
+
+impl ScopeRange {
+    /// The candidate positions, ascending.
+    pub fn positions(&self) -> std::ops::Range<u64> {
+        self.lo..self.hi
+    }
+
+    /// Number of candidate positions.
+    pub fn len(&self) -> u64 {
+        self.hi - self.lo
+    }
+
+    /// True iff no record can be in scope.
+    pub fn is_empty(&self) -> bool {
+        self.lo == self.hi
+    }
+}
+
+/// One record lifted off the table undecoded: its sort key (borrowed
+/// from the table's memory) and its on-page image.
+pub struct RawHit<'a> {
+    key: &'a [u8],
+    body: Vec<u8>,
+    /// True when `body` is a v2 [`Record::encode_body`] image; false when
+    /// it is the full v1 [`Record::encode`] image — the wire format.
+    split: bool,
+}
+
+impl RawHit<'_> {
+    /// Fully decode the entry.
+    pub fn decode(&self, ctx: &PageCtx) -> PagerResult<Entry> {
+        if self.split {
+            Entry::decode_body(self.key, &self.body, ctx)
+        } else {
+            Entry::decode(&self.body)
+        }
+    }
+
+    /// The entry's frozen [`Record::encode`] image. A v1 page stores
+    /// exactly that, so it leaves verbatim; a v2 body is decoded and
+    /// re-encoded.
+    pub fn into_encoded(self, ctx: &PageCtx) -> PagerResult<Vec<u8>> {
+        if !self.split {
+            return Ok(self.body);
+        }
+        let mut out = Vec::new();
+        self.decode(ctx)?.encode(&mut out);
+        Ok(out)
+    }
+
+    /// Append the record to `w` (bytes pass through when the image
+    /// matches the writer's page format).
+    pub fn push_to(&self, w: &mut ListWriter<Entry>) -> PagerResult<()> {
+        w.push_raw_parts(self.key, &self.body, self.split)
+    }
 }
 
 impl DnTable {
@@ -31,49 +112,37 @@ impl DnTable {
     where
         I: IntoIterator<Item = &'a Entry>,
     {
-        // Write pages one at a time, recording each page's first key.
-        // We reuse ListWriter and recompute fences from a scan: simpler and
-        // build-time only. First pass: write the list.
         let mut w: ListWriter<Entry> = ListWriter::new(pager);
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        let mut max_id: EntryId = 0;
-        let mut ids: Vec<EntryId> = Vec::new();
+        let mut key_bytes: Vec<u8> = Vec::new();
+        let mut key_ends: Vec<usize> = Vec::new();
+        let mut prev_start = 0;
         for e in entries {
+            let key = e.dn().sort_key().as_bytes();
             debug_assert!(
-                keys.last()
-                    .is_none_or(|k| k[..] <= *e.dn().sort_key().as_bytes()),
+                key_bytes[prev_start..] <= *key,
                 "DnTable::build requires sorted input"
             );
-            keys.push(e.dn().sort_key().as_bytes().to_vec());
-            ids.push(e.id());
-            max_id = max_id.max(e.id());
+            prev_start = key_bytes.len();
+            key_bytes.extend_from_slice(key);
+            key_ends.push(key_bytes.len());
             w.push(e)?;
-        }
-        let list = w.finish()?;
-
-        let fences = page_fences(&list, &keys);
-
-        let mut id_to_pos = vec![u32::MAX; (max_id as usize) + 1];
-        for (pos, id) in ids.iter().enumerate() {
-            id_to_pos[*id as usize] = pos as u32;
         }
         Ok(DnTable {
             pager: pager.clone(),
-            len: list.len(),
-            list,
-            fences,
-            id_to_pos,
+            list: w.finish()?,
+            key_bytes,
+            key_ends,
         })
     }
 
     /// Number of entries.
     pub fn len(&self) -> u64 {
-        self.len
+        self.list.len()
     }
 
     /// True iff empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.list.is_empty()
     }
 
     /// Number of pages.
@@ -91,98 +160,75 @@ impl DnTable {
         self.list.iter()
     }
 
-    /// Entries within `scope` of `base`, in sorted order.
-    ///
-    /// Reads only pages that can intersect the subtree's key range (plus
-    /// at most one boundary page), then filters exactly.
-    pub fn scan_scope<'a>(
-        &'a self,
-        base: &Dn,
-        scope: Scope,
-    ) -> impl Iterator<Item = PagerResult<Entry>> + 'a {
-        let base = base.clone();
-        let prefix = base.sort_key().as_bytes().to_vec();
-        // First page whose *successor* fence exceeds the prefix start —
-        // i.e. the last page with fence <= prefix (the subtree may start
-        // mid-page).
-        let start_page = match self.fences.binary_search_by(|f| f[..].cmp(&prefix)) {
-            Ok(p) => p,
-            Err(0) => 0,
-            Err(p) => p - 1,
-        };
-        let prefix2 = prefix.clone();
-        self.list
-            .iter_from_page(start_page)
-            .skip_while(move |r| {
-                // Records before the subtree range on the boundary page.
-                match r {
-                    Ok(e) => e.dn().sort_key().as_bytes() < &prefix[..],
-                    Err(_) => false,
-                }
-            })
-            .take_while(move |r| match r {
-                Ok(e) => e.dn().sort_key().as_bytes().starts_with(&prefix2),
-                Err(_) => true,
-            })
-            .filter(move |r| match r {
-                Ok(e) => scope.contains(&base, e.dn()),
-                Err(_) => true,
-            })
+    /// The sort key of the record at `pos` (which must be `< len`).
+    fn key(&self, pos: u64) -> &[u8] {
+        let pos = pos as usize;
+        let start = if pos == 0 { 0 } else { self.key_ends[pos - 1] };
+        &self.key_bytes[start..self.key_ends[pos]]
     }
 
-    /// Fetch one entry by id (one page read if cold).
-    pub fn fetch(&self, id: EntryId) -> PagerResult<Option<Entry>> {
-        let Some(&pos) = self.id_to_pos.get(id as usize) else {
-            return Ok(None);
-        };
-        if pos == u32::MAX {
-            return Ok(None);
-        }
-        self.list.get(pos as u64)
-    }
-
-    /// Fetch several ids, in the order given.
-    pub fn fetch_many(&self, ids: &[EntryId]) -> PagerResult<Vec<Entry>> {
-        let mut out = Vec::with_capacity(ids.len());
-        for &id in ids {
-            if let Some(e) = self.fetch(id)? {
-                out.push(e);
+    /// First position in `lo..hi` whose key fails `pred` (keys passing
+    /// it must form a prefix of the span, as for `partition_point`).
+    fn partition(&self, mut lo: u64, mut hi: u64, pred: impl Fn(&[u8]) -> bool) -> u64 {
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.key(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
-        Ok(out)
+        lo
     }
 
-    /// Export a scope's entries satisfying `pred` as a fresh sorted
-    /// [`PagedList`] — the atomic-query result format.
-    pub fn select_scope(
+    /// Resolve `(base, scope)` to table positions: `O(log N)` key
+    /// comparisons, no I/O. The base need not be stored; its descendants
+    /// still form the range.
+    pub fn scope_range(&self, base: &Dn, scope: Scope) -> ScopeRange {
+        let prefix = base.sort_key().as_bytes();
+        let lo = self.partition(0, self.len(), |k| k < prefix);
+        let hi = match scope {
+            // The base itself sorts at the head of its subtree.
+            Scope::Base => lo + u64::from(lo < self.len() && self.key(lo) == prefix),
+            Scope::One | Scope::Sub => self.partition(lo, self.len(), |k| k.starts_with(prefix)),
+        };
+        ScopeRange {
+            lo,
+            hi,
+            one_prefix: (scope == Scope::One).then_some(prefix.len()),
+        }
+    }
+
+    /// Is the record at `pos` (a position of `range`) within the scope
+    /// `range` was resolved for? Agrees with [`Scope::contains`]; reads
+    /// only the in-memory key.
+    pub fn in_scope(&self, range: &ScopeRange, pos: u64) -> bool {
+        debug_assert!(range.positions().contains(&pos));
+        match range.one_prefix {
+            None => true,
+            Some(n) => {
+                let beyond = &self.key(pos)[n..];
+                beyond.iter().filter(|&&b| b == KEY_SEPARATOR).count() <= 1
+            }
+        }
+    }
+
+    /// Lift the records at `positions` (ascending) off their pages,
+    /// undecoded, in table order: each touched page is read once and
+    /// parsed only up to the last wanted slot.
+    pub fn read_raw(
         &self,
-        base: &Dn,
-        scope: Scope,
-        mut pred: impl FnMut(&Entry) -> bool,
-    ) -> PagerResult<PagedList<Entry>> {
-        let mut w = ListWriter::new(&self.pager);
-        for r in self.scan_scope(base, scope) {
-            let e = r?;
-            if pred(&e) {
-                w.push(&e)?;
-            }
-        }
-        w.finish()
+        positions: impl IntoIterator<Item = u64>,
+        mut f: impl FnMut(RawHit<'_>) -> PagerResult<()>,
+    ) -> PagerResult<()> {
+        self.list.raw_at(positions, |pos, _, body, split| {
+            f(RawHit {
+                key: self.key(pos),
+                body,
+                split,
+            })
+        })
     }
-}
-
-/// Fence keys: the first record's sort key on each page, derived from the
-/// writer's per-page record counts (metadata; no I/O).
-fn page_fences(list: &PagedList<Entry>, keys: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    let counts = list.page_record_counts();
-    debug_assert_eq!(counts.iter().map(|&c| c as usize).sum::<usize>(), keys.len());
-    let mut fences = Vec::with_capacity(counts.len());
-    let mut pos = 0usize;
-    for c in counts {
-        fences.push(keys[pos].clone());
-        pos += c as usize;
-    }
-    fences
 }
 
 #[cfg(test)]
@@ -207,10 +253,8 @@ mod tests {
             "dc=org",
             "dc=ieee, dc=org",
         ] {
-            d.insert(
-                Entry::builder(dn(s)).class("thing").build().unwrap(),
-            )
-            .unwrap();
+            d.insert(Entry::builder(dn(s)).class("thing").build().unwrap())
+                .unwrap();
         }
         d
     }
@@ -222,89 +266,130 @@ mod tests {
         (t, d)
     }
 
+    /// DNs in scope, read through the range + raw path.
+    fn in_scope(t: &DnTable, base: &str, scope: Scope) -> Vec<String> {
+        let base = if base.is_empty() {
+            Dn::root()
+        } else {
+            dn(base)
+        };
+        let range = t.scope_range(&base, scope);
+        let ctx = t.pager().ctx();
+        let mut out = Vec::new();
+        t.read_raw(
+            range.positions().filter(|&p| t.in_scope(&range, p)),
+            |hit| {
+                out.push(hit.decode(&ctx)?.dn().to_string());
+                Ok(())
+            },
+        )
+        .unwrap();
+        out
+    }
+
     #[test]
     fn build_and_full_scan() {
         let (t, d) = table();
         assert_eq!(t.len(), 8);
-        let got: Vec<String> = t
-            .scan()
-            .map(|r| r.unwrap().dn().to_string())
-            .collect();
+        let got: Vec<String> = t.scan().map(|r| r.unwrap().dn().to_string()).collect();
         let expect: Vec<String> = d.iter_sorted().map(|e| e.dn().to_string()).collect();
         assert_eq!(got, expect);
+        // The in-memory keys are the entries' keys, in table order.
+        for (pos, e) in d.iter_sorted().enumerate() {
+            assert_eq!(t.key(pos as u64), e.dn().sort_key().as_bytes());
+        }
     }
 
     #[test]
-    fn scope_scans() {
+    fn scope_ranges() {
         let (t, _) = table();
-        let sub: Vec<String> = t
-            .scan_scope(&dn("ou=people, dc=att, dc=com"), Scope::Sub)
-            .map(|r| r.unwrap().dn().to_string())
-            .collect();
         assert_eq!(
-            sub,
+            in_scope(&t, "ou=people, dc=att, dc=com", Scope::Sub),
             vec![
                 "ou=people, dc=att, dc=com",
                 "uid=a, ou=people, dc=att, dc=com",
                 "uid=b, ou=people, dc=att, dc=com",
             ]
         );
-        let one: Vec<String> = t
-            .scan_scope(&dn("dc=att, dc=com"), Scope::One)
-            .map(|r| r.unwrap().dn().to_string())
-            .collect();
         assert_eq!(
-            one,
+            in_scope(&t, "dc=att, dc=com", Scope::One),
             vec![
                 "dc=att, dc=com",
                 "ou=people, dc=att, dc=com",
                 "ou=policies, dc=att, dc=com",
             ]
         );
-        let base: Vec<String> = t
-            .scan_scope(&dn("dc=org"), Scope::Base)
-            .map(|r| r.unwrap().dn().to_string())
-            .collect();
-        assert_eq!(base, vec!["dc=org"]);
+        assert_eq!(in_scope(&t, "dc=org", Scope::Base), vec!["dc=org"]);
+        // One position resolved for a base lookup, wherever it sorts.
+        assert_eq!(t.scope_range(&dn("dc=org"), Scope::Base).len(), 1);
     }
 
     #[test]
-    fn scope_scan_of_missing_base() {
+    fn missing_base() {
         let (t, _) = table();
-        assert_eq!(t.scan_scope(&dn("dc=net"), Scope::Sub).count(), 0);
+        for scope in [Scope::Base, Scope::One, Scope::Sub] {
+            assert!(t.scope_range(&dn("dc=net"), scope).is_empty());
+        }
+        // An absent base still scopes its stored descendants.
+        assert!(t
+            .scope_range(&dn("ou=ghost, dc=org"), Scope::Sub)
+            .is_empty());
+        let mut d = dir();
+        d.insert(
+            Entry::builder(dn("cn=x, ou=ghost, dc=org"))
+                .class("thing")
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let t = DnTable::build(&tiny_pager(), d.iter_sorted()).unwrap();
+        assert_eq!(
+            in_scope(&t, "ou=ghost, dc=org", Scope::Sub),
+            vec!["cn=x, ou=ghost, dc=org"]
+        );
+        assert_eq!(
+            in_scope(&t, "ou=ghost, dc=org", Scope::One),
+            vec!["cn=x, ou=ghost, dc=org"]
+        );
+        assert!(in_scope(&t, "ou=ghost, dc=org", Scope::Base).is_empty());
+        // Grandchildren of an absent base are not its children.
+        assert_eq!(in_scope(&t, "dc=org", Scope::One).len(), 2);
     }
 
     #[test]
     fn root_scope_is_everything() {
         let (t, _) = table();
-        assert_eq!(t.scan_scope(&Dn::root(), Scope::Sub).count(), 8);
+        assert_eq!(in_scope(&t, "", Scope::Sub).len(), 8);
+        assert_eq!(in_scope(&t, "", Scope::One), vec!["dc=com", "dc=org"]);
+        assert!(in_scope(&t, "", Scope::Base).is_empty());
     }
 
     #[test]
-    fn fetch_by_id() {
-        let (t, d) = table();
-        for e in d.iter_sorted() {
-            let got = t.fetch(e.id()).unwrap().unwrap();
-            assert_eq!(got.dn(), e.dn());
-        }
-        assert!(t.fetch(999).unwrap().is_none());
-    }
-
-    #[test]
-    fn select_scope_writes_sorted_list() {
-        let (t, _) = table();
-        let list = t
-            .select_scope(&dn("dc=att, dc=com"), Scope::Sub, |e| {
-                e.dn().to_string().contains("uid=")
+    fn raw_hits_encode_to_the_wire_image() {
+        for pager in [tiny_pager(), Pager::compressed(256, 8)] {
+            let d = dir();
+            let t = DnTable::build(&pager, d.iter_sorted()).unwrap();
+            let ctx = pager.ctx();
+            let mut got = Vec::new();
+            t.read_raw(0..t.len(), |hit| {
+                got.push(hit.into_encoded(&ctx)?);
+                Ok(())
             })
             .unwrap();
-        assert_eq!(list.len(), 2);
-        let v = list.to_vec().unwrap();
-        assert!(v[0].dn() < v[1].dn());
+            let want: Vec<Vec<u8>> = d
+                .iter_sorted()
+                .map(|e| {
+                    let mut buf = Vec::new();
+                    e.encode(&mut buf);
+                    buf
+                })
+                .collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]
-    fn scoped_scan_reads_fewer_pages_than_full_scan() {
+    fn scoped_read_touches_fewer_pages_than_full_scan() {
         // Build a bigger directory so it spans many pages.
         let mut d = Directory::new();
         for i in 0..50 {
@@ -330,15 +415,17 @@ mod tests {
         pager.flush().unwrap();
         pager.pool().clear_cache().unwrap();
         pager.reset_io();
-        let n = t
-            .scan_scope(&dn("dc=d025"), Scope::Sub)
-            .count();
-        assert_eq!(n, 21);
+        assert_eq!(in_scope(&t, "dc=d025", Scope::Sub).len(), 21);
         let scoped_reads = pager.io().reads;
         assert!(
             scoped_reads * 4 < t.num_pages(),
             "scoped scan read {scoped_reads} of {} pages",
             t.num_pages()
         );
+        // A base lookup reads the one page its record lies on.
+        pager.pool().clear_cache().unwrap();
+        pager.reset_io();
+        assert_eq!(in_scope(&t, "cn=c07, dc=d031", Scope::Base).len(), 1);
+        assert_eq!(pager.io().reads, 1);
     }
 }

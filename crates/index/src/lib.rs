@@ -8,21 +8,22 @@
 //! implementation too:
 //!
 //! * [`dn_table`] — the paged **DN table**: every entry, sorted by
-//!   reverse-DN key, with in-memory fence keys per page. Scope resolution
-//!   (`base`/`one`/`sub`) is a binary search plus a sequential page range
-//!   scan, because subtrees are contiguous in this order.
+//!   reverse-DN key, with the sort keys kept in memory in table order.
+//!   Scope resolution (`base`/`one`/`sub`) is a binary search yielding a
+//!   contiguous *position range*, because subtrees are contiguous in this
+//!   order.
 //! * [`btree`] — a bulk-loaded, paged, static **B+-tree** over
-//!   `(i64, EntryId)` pairs, one per integer attribute; integer comparison
+//!   `(i64, Posting)` pairs, one per integer attribute; integer comparison
 //!   filters become leaf-range scans with `O(log_B N + t/B)` page reads.
 //! * [`trie`] — an in-memory **trie** for exact and prefix string lookup.
 //! * [`suffix`] — an in-memory **suffix array** standing in for McCreight
 //!   suffix trees \[23\]; substring filters (`cn=*jag*`) become binary
 //!   searches over suffixes (see DESIGN.md §5 for the substitution note).
 //! * [`directory_index`] — [`directory_index::IndexedDirectory`] ties it
-//!   together: atomic queries `(base ? scope ? filter)` evaluated either
-//!   by scope scan or through the attribute indices, always producing
-//!   reverse-DN-sorted [`netdir_pager::PagedList`]s of entries — the form
-//!   the L0–L3 operators consume.
+//!   together: atomic queries `(base ? scope ? filter)` resolve the scope
+//!   to a position range first, cut the filter's posting list to it, and
+//!   read the hits in page order as undecoded on-page images — always in
+//!   reverse-DN order, the form the L0–L3 operators consume.
 
 pub mod btree;
 pub mod directory_index;
@@ -32,8 +33,14 @@ pub mod suffix;
 pub mod trie;
 
 pub use btree::StaticBTree;
-pub use directory_index::IndexedDirectory;
-pub use dn_table::DnTable;
+pub use directory_index::{AtomicCost, IndexedDirectory};
+pub use dn_table::{DnTable, RawHit, ScopeRange};
 pub use live::{LiveIntIndex, LiveSuffixIndex};
 pub use suffix::SuffixIndex;
 pub use trie::Trie;
+
+/// What an attribute index stores per key. The static
+/// [`IndexedDirectory`] posts DN-table **positions** (so a scope is a
+/// range of postings); the journal's live indexes post entry ids. The
+/// index structures only ever sort and compare them.
+pub type Posting = u64;

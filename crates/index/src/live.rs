@@ -9,11 +9,10 @@
 //! outgrows a threshold the base is rebuilt from scratch (amortizing the
 //! rebuild over many mutations, the classical LSM compromise).
 //!
-//! Probe results feed the same verify-at-fetch pipeline as the static
-//! indexes ([`crate::IndexedDirectory::evaluate_atomic`] re-checks the
-//! filter against each fetched entry), so the overlay only has to be
-//! *exact enough*: no live association may be missed; stale candidates
-//! are filtered downstream. Both overlays here are in fact exact — the
+//! Probe results feed a verify-at-fetch pipeline (the journal's
+//! snapshots re-check the filter against each fetched entry), so the
+//! overlay only has to be *exact enough*: no live association may be
+//! missed; stale candidates are filtered downstream. Both overlays here are in fact exact — the
 //! tests assert set equality with a from-scratch rebuild after every
 //! mutation pattern.
 

@@ -11,9 +11,9 @@
 //! (which cannot appear in canonical strings); each suffix remembers the
 //! document (value occurrence) it starts in; suffixes are sorted once.
 
-use netdir_model::EntryId;
+use crate::Posting;
 
-/// Substring index over a set of (value, entry-id) occurrences.
+/// Substring index over a set of (value, posting) occurrences.
 #[derive(Debug)]
 pub struct SuffixIndex {
     /// Concatenated text with sentinels.
@@ -22,21 +22,22 @@ pub struct SuffixIndex {
     suffixes: Vec<u32>,
     /// `doc_of[i]` = document index for text position `i`.
     doc_of: Vec<u32>,
-    /// Document → entry id.
-    doc_ids: Vec<EntryId>,
+    /// Document → posting.
+    doc_ids: Vec<Posting>,
 }
 
 const SENTINEL: u8 = 0x01;
 
 impl SuffixIndex {
-    /// Build from `(canonical value, entry id)` occurrences.
+    /// Build from `(canonical value, posting)` occurrences.
     pub fn build<'a, I>(occurrences: I) -> SuffixIndex
     where
-        I: IntoIterator<Item = (&'a str, EntryId)>,
+        I: IntoIterator<Item = (&'a str, Posting)>,
     {
         let mut text = Vec::new();
         let mut doc_of = Vec::new();
         let mut doc_ids = Vec::new();
+        let mut doc_ends = Vec::new();
         for (value, id) in occurrences {
             let doc = doc_ids.len() as u32;
             doc_ids.push(id);
@@ -46,9 +47,16 @@ impl SuffixIndex {
             }
             text.push(SENTINEL);
             doc_of.push(doc);
+            doc_ends.push(text.len());
         }
+        // Order suffixes by their text up to and including their own
+        // document's sentinel. A pattern holds no sentinel, so that is
+        // all a probe ever compares — and it bounds each comparison by
+        // one value's length, where whole-text suffixes of a thousand
+        // equal values (`objectClass=leaf`) compare a thousand values deep.
+        let within_doc = |s: u32| &text[s as usize..doc_ends[doc_of[s as usize] as usize]];
         let mut suffixes: Vec<u32> = (0..text.len() as u32).collect();
-        suffixes.sort_unstable_by(|&a, &b| text[a as usize..].cmp(&text[b as usize..]));
+        suffixes.sort_unstable_by(|&a, &b| within_doc(a).cmp(within_doc(b)));
         SuffixIndex {
             text,
             suffixes,
@@ -62,21 +70,9 @@ impl SuffixIndex {
         self.doc_ids.len()
     }
 
-    /// Entry ids having at least one indexed value that *contains*
-    /// `pattern` (sorted, deduplicated). The empty pattern matches every
-    /// document.
-    pub fn contains(&self, pattern: &str) -> Vec<EntryId> {
-        if pattern.is_empty() {
-            let mut out = self.doc_ids.clone();
-            out.sort_unstable();
-            out.dedup();
-            return out;
-        }
-        let pat = pattern.as_bytes();
-        if pat.contains(&SENTINEL) {
-            return Vec::new();
-        }
-        // Binary search for the range of suffixes having `pat` as prefix.
+    /// The interval of the sorted suffixes having `pat` (non-empty,
+    /// sentinel-free) as a prefix.
+    fn interval(&self, pat: &[u8]) -> std::ops::Range<usize> {
         use std::cmp::Ordering;
         let cmp_prefix = |s: u32| -> Ordering {
             let suf = &self.text[s as usize..];
@@ -92,10 +88,38 @@ impl SuffixIndex {
             .partition_point(|&s| cmp_prefix(s) == Ordering::Less);
         let hi = lo
             + self.suffixes[lo..].partition_point(|&s| cmp_prefix(s) == Ordering::Equal);
-        let mut out: Vec<EntryId> = self.suffixes[lo..hi]
-            .iter()
-            .map(|&s| self.doc_ids[self.doc_of[s as usize] as usize])
-            .collect();
+        lo..hi
+    }
+
+    /// An upper bound on `contains(pattern).len()`, from two binary
+    /// searches and no materialization: the number of *occurrences* of
+    /// the pattern (a posting with several counts once per occurrence).
+    pub fn occurrences(&self, pattern: &str) -> usize {
+        let pat = pattern.as_bytes();
+        if pat.is_empty() {
+            self.doc_ids.len()
+        } else if pat.contains(&SENTINEL) {
+            0
+        } else {
+            self.interval(pat).len()
+        }
+    }
+
+    /// Postings having at least one indexed value that *contains*
+    /// `pattern` (sorted, deduplicated). The empty pattern matches every
+    /// document.
+    pub fn contains(&self, pattern: &str) -> Vec<Posting> {
+        let pat = pattern.as_bytes();
+        let mut out: Vec<Posting> = if pat.is_empty() {
+            self.doc_ids.clone()
+        } else if pat.contains(&SENTINEL) {
+            Vec::new()
+        } else {
+            self.suffixes[self.interval(pat)]
+                .iter()
+                .map(|&s| self.doc_ids[self.doc_of[s as usize] as usize])
+                .collect()
+        };
         out.sort_unstable();
         out.dedup();
         out
@@ -127,6 +151,17 @@ mod tests {
     }
 
     #[test]
+    fn occurrences_bound_the_hits() {
+        let s = sample();
+        for pat in ["jag", "a", "zz", "", "laks", "h jagadish"] {
+            assert!(s.occurrences(pat) >= s.contains(pat).len(), "pattern {pat:?}");
+        }
+        assert_eq!(s.occurrences("jag"), 2);
+        assert_eq!(s.occurrences("laks"), 2); // twice in one value
+        assert_eq!(s.occurrences("zz"), 0);
+    }
+
+    #[test]
     fn no_cross_document_matches() {
         // "sh" ends doc 1 and "la" starts doc 2; "shla" must not match.
         let s = SuffixIndex::build([("jagadish", 1), ("laks", 2)]);
@@ -148,8 +183,23 @@ mod tests {
     }
 
     #[test]
+    fn many_equal_values() {
+        // Equal values tie in the within-document order; every probe
+        // still finds all of them, and a neighbour in between.
+        let values: Vec<(&str, Posting)> = (0..300)
+            .map(|i| (if i == 150 { "leap" } else { "leaf" }, i))
+            .collect();
+        let s = SuffixIndex::build(values);
+        assert_eq!(s.contains("leaf").len(), 299);
+        assert_eq!(s.contains("ea").len(), 300);
+        assert_eq!(s.contains("eap"), vec![150]);
+        assert_eq!(s.occurrences("lea"), 300);
+        assert_eq!(s.contains("fl"), Vec::<u64>::new());
+    }
+
+    #[test]
     fn empty_index() {
-        let s = SuffixIndex::build(std::iter::empty::<(&str, EntryId)>());
+        let s = SuffixIndex::build(std::iter::empty::<(&str, Posting)>());
         assert_eq!(s.num_docs(), 0);
         assert_eq!(s.contains("x"), Vec::<u64>::new());
         assert_eq!(s.contains(""), Vec::<u64>::new());

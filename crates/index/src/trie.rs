@@ -6,10 +6,10 @@
 //! paper treats atomic-query efficiency as an assumption, and the I/O
 //! experiments measure the *operators*, not index probes (DESIGN.md §5).
 
-use netdir_model::EntryId;
+use crate::Posting;
 use std::collections::BTreeMap;
 
-/// A byte-wise trie mapping strings to sets of entry ids.
+/// A byte-wise trie mapping strings to posting lists.
 #[derive(Debug, Default)]
 pub struct Trie {
     root: Node,
@@ -20,7 +20,7 @@ pub struct Trie {
 struct Node {
     children: BTreeMap<u8, Node>,
     /// Ids whose value terminates at this node.
-    ids: Vec<EntryId>,
+    ids: Vec<Posting>,
 }
 
 impl Trie {
@@ -40,7 +40,7 @@ impl Trie {
     }
 
     /// Associate `id` with `key` (callers pass canonical strings).
-    pub fn insert(&mut self, key: &str, id: EntryId) {
+    pub fn insert(&mut self, key: &str, id: Posting) {
         let mut node = &mut self.root;
         for b in key.bytes() {
             node = node.children.entry(b).or_default();
@@ -53,8 +53,8 @@ impl Trie {
     /// empty. Returns `true` iff the association existed. Duplicate
     /// associations are removed one at a time (mirroring `insert`, which
     /// counts them individually).
-    pub fn remove(&mut self, key: &str, id: EntryId) -> bool {
-        fn rec(node: &mut Node, key: &[u8], id: EntryId) -> Option<bool> {
+    pub fn remove(&mut self, key: &str, id: Posting) -> bool {
+        fn rec(node: &mut Node, key: &[u8], id: Posting) -> Option<bool> {
             match key.split_first() {
                 None => {
                     let pos = node.ids.iter().position(|&i| i == id)?;
@@ -88,15 +88,19 @@ impl Trie {
         Some(node)
     }
 
+    /// Postings whose value equals `key` exactly, in insertion order,
+    /// borrowed (a probe costs the descent, not the list).
+    pub fn postings(&self, key: &str) -> &[Posting] {
+        self.descend(key).map_or(&[], |n| &n.ids)
+    }
+
     /// Ids whose value equals `key` exactly.
-    pub fn lookup_exact(&self, key: &str) -> Vec<EntryId> {
-        self.descend(key)
-            .map(|n| n.ids.clone())
-            .unwrap_or_default()
+    pub fn lookup_exact(&self, key: &str) -> Vec<Posting> {
+        self.postings(key).to_vec()
     }
 
     /// Ids whose value starts with `prefix` (includes exact matches).
-    pub fn lookup_prefix(&self, prefix: &str) -> Vec<EntryId> {
+    pub fn lookup_prefix(&self, prefix: &str) -> Vec<Posting> {
         let mut out = Vec::new();
         if let Some(node) = self.descend(prefix) {
             collect(node, &mut out);
@@ -107,7 +111,7 @@ impl Trie {
     }
 }
 
-fn collect(node: &Node, out: &mut Vec<EntryId>) {
+fn collect(node: &Node, out: &mut Vec<Posting>) {
     out.extend_from_slice(&node.ids);
     for child in node.children.values() {
         collect(child, out);

@@ -135,7 +135,7 @@ impl LiveIndexes {
     }
 
     /// Candidate entry ids for `filter`, or `None` when no index
-    /// applies — same semantics as `IndexedDirectory::probe`.
+    /// applies. Candidates are verified against the filter at fetch.
     pub fn probe(&self, filter: &AtomicFilter) -> Option<Vec<EntryId>> {
         match filter {
             AtomicFilter::True => None,

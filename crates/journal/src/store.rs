@@ -520,8 +520,9 @@ fn storage_invariant(e: ModelError) -> PagerError {
     }
 }
 
-/// Scope-scan `list` (with `fences` as page lower bounds) exactly like
-/// `DnTable::scan_scope`, writing matches to a fresh result list.
+/// Scope-scan `list` (with `fences` as page lower bounds): start at the
+/// last page whose fence does not exceed the base's key, stop when the
+/// keys leave the subtree, writing matches to a fresh result list.
 fn select_scope(
     pager: &Pager,
     list: &PagedList<Entry>,

@@ -82,15 +82,17 @@ fn parse_header(page: PageId, data: &[u8]) -> PagerResult<(bool, usize)> {
     }
 }
 
-/// Walk every record on a page, either format, calling
-/// `f(slot, key, body, split)`. For v1 pages `key` is empty and `split`
-/// false (the body is a full [`Record::encode`] image); for v2 pages the
-/// key is materialized from the prefix deltas and `split` is true (the
-/// body is a [`Record::encode_body`] image).
+/// Walk the records on a page in slot order, either format, calling
+/// `f(slot, key, body, split)` until it returns `Ok(false)` (positional
+/// readers stop at their slot instead of parsing the rest of the page).
+/// For v1 pages `key` is empty and `split` false (the body is a full
+/// [`Record::encode`] image); for v2 pages the key is materialized from
+/// the prefix deltas and `split` is true (the body is a
+/// [`Record::encode_body`] image).
 fn walk_records<'a>(
     page: PageId,
     data: &'a [u8],
-    mut f: impl FnMut(usize, &[u8], &'a [u8], bool) -> PagerResult<()>,
+    mut f: impl FnMut(usize, &[u8], &'a [u8], bool) -> PagerResult<bool>,
 ) -> PagerResult<()> {
     let (v2, count) = parse_header(page, data)?;
     if v2 {
@@ -108,7 +110,9 @@ fn walk_records<'a>(
             }
             key.truncate(shared);
             key.extend_from_slice(suffix);
-            f(idx, &key, body, true)?;
+            if !f(idx, &key, body, true)? {
+                break;
+            }
         }
     } else {
         let mut pos = PAGE_HEADER_BYTES;
@@ -127,7 +131,9 @@ fn walk_records<'a>(
                     detail: "record body past page end".into(),
                 });
             }
-            f(idx, &[], &data[pos..pos + len], false)?;
+            if !f(idx, &[], &data[pos..pos + len], false)? {
+                break;
+            }
             pos += len;
         }
     }
@@ -147,7 +153,7 @@ pub fn read_page_records<T: Record>(pager: &Pager, page: PageId) -> PagerResult<
             } else {
                 T::decode(body)?
             });
-            Ok(())
+            Ok(true)
         })?;
         Ok(out)
     })
@@ -354,45 +360,88 @@ impl<T: Record> PagedList<T> {
             .collect()
     }
 
-    /// Positional access: the record at index `pos` (one page read if
-    /// cold), or `None` past the end. Decodes only the requested record —
-    /// the index-probe path fetches thousands of single entries, and
-    /// decoding whole pages for each would dominate probe cost.
-    pub fn get(&self, pos: u64) -> PagerResult<Option<T>> {
-        if pos >= self.len {
-            return Ok(None);
-        }
+    /// The page holding position `pos` (which must be `< len`), as
+    /// `(index into the page table, position of the page's first record)`.
+    fn page_of(&self, pos: u64) -> (usize, u64) {
         let page_idx = self.cum_counts.partition_point(|&c| c <= pos);
-        let first_on_page = if page_idx == 0 {
+        let first = if page_idx == 0 {
             0
         } else {
             self.cum_counts[page_idx - 1]
         };
-        let slot = (pos - first_on_page) as usize;
-        let page = self.pages[page_idx];
-        let guard = self.pager.pool().fetch(page)?;
+        (page_idx, first)
+    }
+
+    /// Positional access: the record at index `pos` (one page read if
+    /// cold), or `None` past the end. Decodes only the requested record
+    /// and stops walking the page at its slot.
+    pub fn get(&self, pos: u64) -> PagerResult<Option<T>> {
         let ctx = self.pager.ctx();
-        guard.with(|data| -> PagerResult<Option<T>> {
-            let (_, count) = parse_header(page, data)?;
-            if slot >= count {
+        let mut found = None;
+        self.raw_at([pos], |_, key, body, split| {
+            found = Some(if split {
+                T::decode_body(key, &body, &ctx)?
+            } else {
+                T::decode(&body)?
+            });
+            Ok(())
+        })?;
+        Ok(found)
+    }
+
+    /// Positional raw access: lift the on-page images of the records at
+    /// `positions` and hand each to `f(pos, key, body, split)`; the walk
+    /// ends at the first position past the end.
+    ///
+    /// Given ascending positions, each touched page is fetched once and
+    /// parsed only up to the last wanted slot on it; nothing is decoded.
+    /// `key` is the on-page sort key of a v2 record and **empty on v1
+    /// pages**, which store none — deriving it there means parsing the
+    /// body ([`Record::page_key_of_encoded`]), exactly the cost positional
+    /// callers that keep keys in memory (the DN table) come here to
+    /// avoid. `split` says which image `body` is, as in [`RawRecord`].
+    /// No frame stays pinned while `f` runs.
+    pub fn raw_at(
+        &self,
+        positions: impl IntoIterator<Item = u64>,
+        mut f: impl FnMut(u64, &[u8], Vec<u8>, bool) -> PagerResult<()>,
+    ) -> PagerResult<()> {
+        let mut positions = positions.into_iter().peekable();
+        // (pos, key, body) images of the current page, copied out so the
+        // frame is released before the caller sees them.
+        let mut lifted: Vec<(u64, Vec<u8>, Vec<u8>)> = Vec::new();
+        while let Some(&next) = positions.peek() {
+            if next >= self.len {
+                break;
+            }
+            let (page_idx, first) = self.page_of(next);
+            let end = self.cum_counts[page_idx];
+            let page = self.pages[page_idx];
+            let mut split_page = false;
+            let guard = self.pager.pool().fetch(page)?;
+            guard.with(|data| {
+                walk_records(page, data, |slot, key, body, split| {
+                    split_page = split;
+                    let pos = first + slot as u64;
+                    if positions.peek() == Some(&pos) {
+                        lifted.push((pos, key.to_vec(), body.to_vec()));
+                        positions.next();
+                    }
+                    Ok(positions.peek().is_some_and(|&p| p > pos && p < end))
+                })
+            })?;
+            drop(guard);
+            if lifted.is_empty() {
                 return Err(PagerError::CorruptPage {
                     page,
-                    detail: format!("slot {slot} of {count} records"),
+                    detail: format!("no record at list position {next}"),
                 });
             }
-            let mut found = None;
-            walk_records(page, data, |idx, key, body, split| {
-                if idx == slot {
-                    found = Some(if split {
-                        T::decode_body(key, body, &ctx)?
-                    } else {
-                        T::decode(body)?
-                    });
-                }
-                Ok(())
-            })?;
-            Ok(found)
-        })
+            for (pos, key, body) in lifted.drain(..) {
+                f(pos, &key, body, split_page)?;
+            }
+        }
+        Ok(())
     }
 
     /// Materialize the whole list in memory (test/debug helper — not for
@@ -552,17 +601,23 @@ impl PageBuilder {
         }
     }
 
-    /// Add an undecoded record. When the raw image's encoding matches the
-    /// page format its bytes pass through verbatim (no decode); otherwise
-    /// it is transparently decoded and re-encoded.
-    pub fn push_raw<T: Record>(&mut self, raw: &RawRecord<T>, ctx: &PageCtx) -> PagerResult<bool> {
-        match (self.format, raw.split) {
-            (PageFormat::V1, false) => self.append_v1(&raw.body),
-            (PageFormat::V2, true) => self.append_frame(&raw.key, &raw.body),
-            _ => {
-                let item = raw.decode(ctx)?;
-                self.push(&item, ctx)
-            }
+    /// Add an undecoded record from its parts (`split` as in
+    /// [`RawRecord`]). When the raw image's encoding matches the page
+    /// format its bytes pass through verbatim (no decode); otherwise it is
+    /// transparently decoded and re-encoded. `key` is read only where the
+    /// image or the page is v2.
+    pub fn push_raw_parts<T: Record>(
+        &mut self,
+        key: &[u8],
+        body: &[u8],
+        split: bool,
+        ctx: &PageCtx,
+    ) -> PagerResult<bool> {
+        match (self.format, split) {
+            (PageFormat::V1, false) => self.append_v1(body),
+            (PageFormat::V2, true) => self.append_frame(key, body),
+            (_, true) => self.push(&T::decode_body(key, body, ctx)?, ctx),
+            (_, false) => self.push(&T::decode(body)?, ctx),
         }
     }
 
@@ -635,8 +690,15 @@ impl<T: Record> ListWriter<T> {
     /// Append an undecoded record (byte passthrough when the raw image
     /// matches the pager's format — the lazy merge paths' fast lane).
     pub fn push_raw(&mut self, raw: &RawRecord<T>) -> PagerResult<()> {
+        self.push_raw_parts(&raw.key, &raw.body, raw.split)
+    }
+
+    /// [`ListWriter::push_raw`] from borrowed parts, as
+    /// [`PagedList::raw_at`] hands them out.
+    pub fn push_raw_parts(&mut self, key: &[u8], body: &[u8], split: bool) -> PagerResult<()> {
         loop {
-            if self.builder.push_raw(raw, &self.pager.ctx())? {
+            let ctx = self.pager.ctx();
+            if self.builder.push_raw_parts::<T>(key, body, split, &ctx)? {
                 self.len += 1;
                 return Ok(());
             }
@@ -697,7 +759,7 @@ impl<T: Record> ListReader<T> {
                     } else {
                         T::decode(body)?
                     });
-                    Ok(())
+                    Ok(true)
                 })
             })?;
             if !items.is_empty() {
@@ -758,7 +820,7 @@ impl<T: Record> RawListReader<T> {
                         split,
                         _marker: PhantomData,
                     });
-                    Ok(())
+                    Ok(true)
                 })
             })?;
             if !items.is_empty() {
@@ -1008,6 +1070,70 @@ mod tests {
             let copy = w.finish().unwrap();
             assert_eq!(copy.to_vec().unwrap(), items);
             assert_eq!(copy.num_pages(), src.num_pages());
+        }
+    }
+
+    #[test]
+    fn raw_at_lifts_the_images_iter_raw_sees() {
+        for pager in [tiny_pager(), tiny_compressed()] {
+            let list = PagedList::from_iter(&pager, keyed_items(300)).unwrap();
+            let all: Vec<RawRecord<Keyed>> =
+                list.iter_raw().collect::<PagerResult<_>>().unwrap();
+            // Page edges, a sparse stride, a dense run, and past the end.
+            let edges = list.cum_counts.iter().flat_map(|&c| [c - 1, c]);
+            let mut wanted: Vec<u64> = edges.chain((0..300).step_by(7)).chain(40..60).collect();
+            wanted.sort_unstable();
+            wanted.dedup();
+            let mut seen = Vec::new();
+            list.raw_at(wanted.iter().copied().chain([300, 999]), |pos, key, body, split| {
+                let raw = &all[pos as usize];
+                assert_eq!(body, raw.body, "body at {pos}");
+                assert_eq!(split, raw.split);
+                // v1 pages store no key.
+                assert_eq!(key, if split { raw.key() } else { &[] }, "key at {pos}");
+                seen.push(pos);
+                Ok(())
+            })
+            .unwrap();
+            wanted.retain(|&p| p < 300);
+            assert_eq!(seen, wanted);
+        }
+    }
+
+    #[test]
+    fn raw_at_reads_each_touched_page_once() {
+        for pager in [tiny_pager(), tiny_compressed()] {
+            let list = PagedList::from_iter(&pager, keyed_items(300)).unwrap();
+            pager.flush().unwrap();
+            let cold_reads = |positions: Vec<u64>| {
+                pager.pool().clear_cache().unwrap();
+                pager.reset_io();
+                list.raw_at(positions, |_, _, _, _| Ok(())).unwrap();
+                pager.io().reads
+            };
+            assert_eq!(cold_reads((0..300).collect()), list.num_pages());
+            let on_first_page = list.cum_counts[0];
+            assert_eq!(cold_reads((0..on_first_page).collect()), 1);
+            assert_eq!(cold_reads(vec![0, 299]), 2);
+            assert_eq!(cold_reads(vec![]), 0);
+        }
+    }
+
+    #[test]
+    fn push_raw_parts_copies_across_formats() {
+        for src_pager in [tiny_pager(), tiny_compressed()] {
+            for dst_pager in [tiny_pager(), tiny_compressed()] {
+                let items = keyed_items(120);
+                let src = PagedList::from_iter(&src_pager, items.clone()).unwrap();
+                let mut w: ListWriter<Keyed> = ListWriter::new(&dst_pager);
+                src.raw_at(0..120, |pos, _, body, split| {
+                    // The caller's own key, as a table holding keys in
+                    // memory supplies it.
+                    w.push_raw_parts(items[pos as usize].name.as_bytes(), &body, split)
+                })
+                .unwrap();
+                assert_eq!(w.finish().unwrap().to_vec().unwrap(), items);
+            }
         }
     }
 

@@ -7,10 +7,10 @@
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use netdir_filter::{AtomicFilter, CompositeFilter, Scope};
-use netdir_index::IndexedDirectory;
+use netdir_index::{IndexedDirectory, RawHit};
 use netdir_model::{Directory, Dn, Entry};
 use netdir_pager::record::Record;
-use netdir_pager::{Pager, PagerError};
+use netdir_pager::{Pager, PagerError, PagerResult};
 use std::thread::JoinHandle;
 
 /// Configuration of one server.
@@ -73,6 +73,7 @@ pub struct ServerNode {
     /// Number of entries this node stores.
     pub num_entries: usize,
     sender: Sender<Request>,
+    pager: Pager,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -82,17 +83,25 @@ impl ServerNode {
     pub fn spawn(config: ServerConfig, entries: Vec<Entry>) -> ServerNode {
         let num_entries = entries.len();
         let (sender, receiver) = unbounded::<Request>();
-        let cfg = config.clone();
+        let pager = Pager::new(config.page_size, config.frames);
+        let store_pager = pager.clone();
         let handle = std::thread::Builder::new()
             .name(format!("dsa-{}", config.name))
-            .spawn(move || node_loop(cfg, entries, receiver))
+            .spawn(move || node_loop(store_pager, entries, receiver))
             .expect("spawn server thread");
         ServerNode {
             config,
             num_entries,
             sender,
+            pager,
             handle: Some(handle),
         }
+    }
+
+    /// The pager under the node's local store (its I/O ledger and page
+    /// count are the node's storage footprint).
+    pub fn pager(&self) -> &Pager {
+        &self.pager
     }
 
     /// The request channel.
@@ -152,15 +161,43 @@ impl Drop for ServerNode {
     }
 }
 
-fn node_loop(config: ServerConfig, entries: Vec<Entry>, receiver: Receiver<Request>) {
-    // Build the local store.
-    let pager = Pager::new(config.page_size, config.frames);
+/// Build the node's local store; the error is what every request is
+/// answered with if it cannot be built.
+fn build_store(pager: &Pager, entries: Vec<Entry>) -> Result<IndexedDirectory, String> {
     let mut dir = Directory::new();
     for e in entries {
-        // Partitioned input is disjoint; duplicates impossible.
-        dir.insert(e).expect("cluster partitioning yields valid disjoint entries");
+        // Partitioned input is disjoint; a duplicate is a builder bug.
+        dir.insert(e)
+            .map_err(|e| format!("store build failed: invalid partition: {e}"))?;
     }
-    let idx = IndexedDirectory::build(&pager, &dir).expect("index build");
+    IndexedDirectory::build(pager, &dir).map_err(|e| format!("store build failed: {e}"))
+}
+
+/// One request's answer: the entries `visit` yields, in their frozen
+/// wire encoding — on a v1 store the on-page image verbatim, so
+/// answering decodes nothing and writes no page.
+fn answer(
+    store: &Result<IndexedDirectory, String>,
+    visit: impl FnOnce(
+        &IndexedDirectory,
+        &mut dyn FnMut(RawHit<'_>) -> PagerResult<()>,
+    ) -> PagerResult<()>,
+) -> Result<Vec<Vec<u8>>, String> {
+    let idx = store.as_ref().map_err(String::clone)?;
+    let ctx = idx.table().pager().ctx();
+    let mut out = Vec::new();
+    visit(idx, &mut |hit| {
+        out.push(hit.into_encoded(&ctx)?);
+        Ok(())
+    })
+    .map_err(|e| e.to_string())?;
+    Ok(out)
+}
+
+fn node_loop(pager: Pager, entries: Vec<Entry>, receiver: Receiver<Request>) {
+    // A store that fails to build keeps the thread serving: each request
+    // is answered with the build error rather than a dead channel.
+    let store = build_store(&pager, entries);
 
     while let Ok(req) = receiver.recv() {
         match req {
@@ -171,10 +208,9 @@ fn node_loop(config: ServerConfig, entries: Vec<Entry>, receiver: Receiver<Reque
                 filter,
                 reply,
             } => {
-                let result = idx
-                    .evaluate_atomic(&base, scope, &filter)
-                    .and_then(|list| encode_list(&list))
-                    .map_err(|e| e.to_string());
+                let result = answer(&store, |idx, visit| {
+                    idx.visit_atomic(&base, scope, &filter, visit)
+                });
                 let _ = reply.send(result);
             }
             Request::Ldap {
@@ -183,27 +219,13 @@ fn node_loop(config: ServerConfig, entries: Vec<Entry>, receiver: Receiver<Reque
                 filter,
                 reply,
             } => {
-                let result = idx
-                    .evaluate_composite(&base, scope, &filter)
-                    .and_then(|list| encode_list(&list))
-                    .map_err(|e| e.to_string());
+                let result = answer(&store, |idx, visit| {
+                    idx.visit_composite(&base, scope, &filter, visit)
+                });
                 let _ = reply.send(result);
             }
         }
     }
-}
-
-fn encode_list(
-    list: &netdir_pager::PagedList<Entry>,
-) -> Result<Vec<Vec<u8>>, PagerError> {
-    let mut out = Vec::new();
-    for e in list.iter() {
-        let e = e?;
-        let mut buf = Vec::new();
-        e.encode(&mut buf);
-        out.push(buf);
-    }
-    Ok(out)
 }
 
 /// Decode wire-format entries.
@@ -266,6 +288,75 @@ mod tests {
         let f = netdir_filter::parse_composite("(&(surName=jagadish)(uid=a))").unwrap();
         let hits = node.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap();
         assert_eq!(hits.len(), 1);
+    }
+
+    #[test]
+    fn shipped_bytes_are_the_frozen_entry_encoding() {
+        let node = ServerNode::spawn(
+            ServerConfig::new("att", dn("dc=att, dc=com")),
+            entries(),
+        );
+        let mut dir = Directory::new();
+        for e in entries() {
+            dir.insert(e).unwrap();
+        }
+        let want: Vec<Vec<u8>> = dir
+            .subtree(&dn("ou=p, dc=att, dc=com"))
+            .map(|e| {
+                let mut buf = Vec::new();
+                e.encode(&mut buf);
+                buf
+            })
+            .collect();
+        let (reply, rx) = unbounded();
+        node.sender()
+            .send(Request::Atomic {
+                base: dn("ou=p, dc=att, dc=com"),
+                scope: Scope::Sub,
+                filter: AtomicFilter::present("surName"),
+                reply,
+            })
+            .unwrap();
+        assert_eq!(rx.recv().unwrap().unwrap(), want);
+    }
+
+    #[test]
+    fn answering_allocates_no_pages() {
+        // Regression: every answer used to be materialised as a fresh
+        // list on the node's never-freeing device, a page or more each.
+        let node = ServerNode::spawn(
+            ServerConfig::new("att", dn("dc=att, dc=com")),
+            entries(),
+        );
+        let ask = |scope, filter: &AtomicFilter| {
+            node.atomic(&dn("dc=att, dc=com"), scope, filter).unwrap().len()
+        };
+        assert_eq!(ask(Scope::Sub, &AtomicFilter::True), 3);
+        let pages = node.pager().pool().num_pages();
+        for i in 0..1000 {
+            let scope = [Scope::Base, Scope::One, Scope::Sub][i % 3];
+            ask(scope, &AtomicFilter::eq("surName", "jagadish"));
+            ask(scope, &AtomicFilter::True);
+        }
+        let f = netdir_filter::parse_composite("(surName=jagadish)").unwrap();
+        assert_eq!(node.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap().len(), 3);
+        assert_eq!(node.pager().pool().num_pages(), pages);
+    }
+
+    #[test]
+    fn failed_store_build_answers_every_request_with_the_cause() {
+        let mut twice = entries();
+        twice.push(twice[0].clone());
+        let node = ServerNode::spawn(ServerConfig::new("att", dn("dc=att, dc=com")), twice);
+        for _ in 0..2 {
+            let err = node
+                .atomic(&dn("dc=att, dc=com"), Scope::Sub, &AtomicFilter::True)
+                .unwrap_err();
+            assert!(err.contains("store build failed"), "{err}");
+        }
+        let f = netdir_filter::parse_composite("(uid=a)").unwrap();
+        let err = node.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap_err();
+        assert!(err.contains("store build failed"), "{err}");
     }
 
     #[test]

@@ -11,7 +11,12 @@
 #   scripts/check.sh --bench-smoke  gate + the instrumented benchmark
 #                                   smoke suite: emits target/
 #                                   BENCH_smoke.json and validates its
-#                                   schema and tracked-metric coverage
+#                                   schema and tracked-metric coverage;
+#                                   then the tests of the repository's
+#                                   benchmark (benchmark/, a package of
+#                                   its own: manifest equality, seeded
+#                                   inputs, a quick run of every
+#                                   workload against a real netdird)
 #   scripts/check.sh --par-smoke    gate + the parallel-evaluation
 #                                   guards run explicitly: determinism
 #                                   property tests, the buffer-pool
@@ -113,6 +118,9 @@ if [ "$bench_smoke" = 1 ]; then
     --smoke --json target/BENCH_smoke.json
   cargo run --release -q -p netdir-bench --bin run_experiments -- \
     --validate target/BENCH_smoke.json
+  # Into the root's target directory, where run.sh builds too.
+  (cd benchmark && CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/../target}" \
+    cargo test --release --offline)
 fi
 
 if [ "$par_smoke" = 1 ]; then
