@@ -96,7 +96,7 @@ impl Default for Config {
             tag_lock: "compat/wire_tags.lock",
             names_file: "crates/obs/src/names.rs",
             lock_audited: vec!["crates/pager/src/pool.rs"],
-            panic_roots: vec!["serve_conn", "node_loop"],
+            panic_roots: vec!["serve_conn"],
             panic_scope: vec!["crates/wire/src/", "crates/server/src/"],
             allow_file: "compat/ndlint.allow",
         }

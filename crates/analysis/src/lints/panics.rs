@@ -1,6 +1,10 @@
 //! `panic-path`: no `unwrap`/`expect`/`panic!` in code reachable from
-//! the request-serving entry points (a connection's `serve_conn`, a
-//! store thread's `node_loop`) in `crates/wire` / `crates/server`. The
+//! the request-serving entry point (a connection's `serve_conn`) in
+//! `crates/wire` / `crates/server`. Zones are answered on the serving
+//! thread, through `dyn Transport`: a call `transport.atomic(…)` is an
+//! edge to every `fn atomic`, the in-process transport's included, so
+//! the local store visit is on the walked path without a root of its
+//! own. The
 //! PR-6 `catch_unwind` containment is a backstop against *bugs*, not a
 //! license to panic on malformed input — a panic on the serve path
 //! still tears down the connection and poisons any held locks.

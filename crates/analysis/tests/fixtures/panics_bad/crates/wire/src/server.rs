@@ -1,7 +1,12 @@
-//! panic-path fixture: panic sites two calls deep from `serve_conn`.
+//! panic-path fixture: panic sites two calls deep from `serve_conn`, one
+//! of them behind a trait object.
 
-pub fn serve_conn(req: &[u8]) -> Vec<u8> {
-    decode(req)
+use netdir_server::Transport;
+
+pub fn serve_conn(req: &[u8], transport: &dyn Transport) -> Vec<u8> {
+    let mut out = decode(req);
+    out.extend(transport.atomic(req));
+    out
 }
 
 fn decode(req: &[u8]) -> Vec<u8> {

@@ -7,8 +7,8 @@
 //! cargo run --release -p netdir-bench --bin exp_distributed -- --faults
 //! ```
 //!
-//! By default zones are in-process store threads and shipped bytes are
-//! the encoded-entry payloads the channel transport would frame. With
+//! By default zones are in-process stores reached by function call, and
+//! shipped bytes are the encoded-entry payloads a remote zone returns. With
 //! `--wire`, every zone is a real TCP daemon on loopback and the
 //! shipped-byte column counts actual response frames (header included)
 //! read off the sockets. With `--faults`, the transport is wrapped in a
@@ -21,8 +21,8 @@ use netdir_model::{Directory, Dn};
 use netdir_pager::Pager;
 use netdir_query::{parse_query, Query};
 use netdir_server::{
-    BreakerConfig, ChannelTransport, ClusterBuilder, ConsistencyMode, FaultConfig,
-    FaultTransport, NetSnapshot, RetryPolicy, Router, ServerNode,
+    BreakerConfig, ClusterBuilder, ConsistencyMode, FaultConfig, FaultTransport,
+    LocalTransport, NetSnapshot, RetryPolicy, Router,
 };
 use netdir_wire::WireCluster;
 use netdir_workloads::{dns_tree, synth_forest, SynthParams};
@@ -36,7 +36,7 @@ fn zone_roots(dir: &Directory, depth: usize, count: usize) -> Vec<Dn> {
 }
 
 /// Evaluate `q` as posed to `root` on a cluster built from `builder`,
-/// over channels or over loopback TCP. Returns (servers, net, answers).
+/// in process or over loopback TCP. Returns (servers, net, answers).
 fn run_once(
     builder: ClusterBuilder,
     dir: &Directory,
@@ -97,20 +97,13 @@ fn run_faults() {
             for (i, z) in zone_roots(&dir, 2, 7).into_iter().enumerate() {
                 builder = builder.server(format!("z{i}"), z);
             }
-            let parts = builder.into_parts(&dir);
-            let nodes: Vec<ServerNode> = parts
-                .configs
-                .into_iter()
-                .zip(parts.partitions)
-                .map(|(cfg, entries)| ServerNode::spawn(cfg, entries))
-                .collect();
-            let channel = ChannelTransport::new(nodes.iter().map(|n| n.sender()).collect());
+            let (delegation, stores) = builder.into_parts(&dir).into_stores();
             let fault = FaultTransport::new(
-                Box::new(channel),
+                Box::new(LocalTransport::new(stores)),
                 FaultConfig::seeded(97).with_drop_rate(drop),
             );
             let fault_stats = fault.stats();
-            let router = Router::new(parts.delegation, Box::new(fault))
+            let router = Router::new(delegation, Box::new(fault))
                 .with_retry(RetryPolicy::immediate(3))
                 .with_breaker(BreakerConfig {
                     // Weather, not outage: keep probing every zone.

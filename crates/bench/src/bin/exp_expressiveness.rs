@@ -13,6 +13,7 @@ use netdir_bench::{cells, table};
 use netdir_model::{Directory, Dn, Entry};
 use netdir_pager::Pager;
 use netdir_query::{classify, parse_query};
+use netdir_server::node::decode_entries;
 use netdir_server::ClusterBuilder;
 use netdir_filter::{parse_composite, Scope};
 
@@ -74,14 +75,11 @@ fn main() {
         // LDAP baseline: the application (client) runs two searches
         // against the servers and differences them itself.
         let filter = parse_composite("(surName=jagadish)").unwrap();
-        let att = cluster
-            .node(cluster.server_id("att").unwrap())
-            .ldap(&dn("dc=att, dc=com"), Scope::Sub, &filter)
-            .unwrap();
-        let research = cluster
-            .node(cluster.server_id("research").unwrap())
-            .ldap(&dn("dc=research, dc=att, dc=com"), Scope::Sub, &filter)
-            .unwrap();
+        let search = |base: &str| {
+            decode_entries(&cluster.ldap(&dn(base), Scope::Sub, &filter).unwrap()).unwrap()
+        };
+        let att = search("dc=att, dc=com");
+        let research = search("dc=research, dc=att, dc=com");
         let ldap_shipped = att.len() + research.len();
         let answer: Vec<&Entry> = att
             .iter()

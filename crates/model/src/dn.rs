@@ -233,6 +233,32 @@ impl Dn {
         Ok(Dn::from_rdns(rdns))
     }
 
+    /// Would [`Dn::parse`] accept `input`? The same walk, building
+    /// nothing and allocating nothing — for checking DN renderings inside
+    /// bytes received from elsewhere before anything is decoded.
+    pub fn is_valid(input: &str) -> bool {
+        let trimmed = input.trim();
+        if trimmed.is_empty() {
+            return true;
+        }
+        // A NUL anywhere ends up in some pair's canonical rendering
+        // (trimming and unescaping never remove one), which `Rdn::new`
+        // rejects.
+        if trimmed.contains('\0') {
+            return false;
+        }
+        split_unescaped(trimmed, ',').all(|comp| {
+            let comp = comp.trim();
+            !comp.is_empty()
+                && split_unescaped(comp, '+').all(|pair| {
+                    let pair = pair.trim();
+                    // `unescape` leaves nothing of exactly "" and "\".
+                    find_unescaped(pair, '=')
+                        .is_some_and(|eq| !matches!(pair[..eq].trim(), "" | "\\"))
+                })
+        })
+    }
+
     /// Number of RDNs. The forest root has depth 0.
     pub fn depth(&self) -> usize {
         self.rdns.len()
@@ -303,22 +329,25 @@ impl Dn {
     }
 }
 
-fn split_unescaped(s: &str, sep: char) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == sep {
-            parts.push(&s[start..i]);
-            start = i + c.len_utf8();
+/// The pieces of `s` between unescaped `sep`s (at least one).
+fn split_unescaped(s: &str, sep: char) -> impl Iterator<Item = &str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let s = rest?;
+        let mut escaped = false;
+        for (i, c) in s.char_indices() {
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == sep {
+                rest = Some(&s[i + c.len_utf8()..]);
+                return Some(&s[..i]);
+            }
         }
-    }
-    parts.push(&s[start..]);
-    parts
+        rest = None;
+        Some(s)
+    })
 }
 
 fn find_unescaped(s: &str, target: char) -> Option<usize> {

@@ -187,6 +187,58 @@ impl Entry {
     pub fn approx_size(&self) -> usize {
         self.encoded_len()
     }
+
+    /// Walk a frozen [`Record::encode`] image without building the
+    /// entry: `Ok` with its DN rendering exactly when [`Entry::decode`]
+    /// accepts `bytes`, otherwise the first rule broken.
+    ///
+    /// Total and allocation-free — every length is checked against the
+    /// bytes that remain before it is used — so images received from
+    /// another server can be vetted and forwarded as they are.
+    pub fn validate_encoded(bytes: &[u8]) -> Result<&str, &'static str> {
+        fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], &'static str> {
+            if rest.len() < n {
+                return Err("truncated image");
+            }
+            let (head, tail) = rest.split_at(n);
+            *rest = tail;
+            Ok(head)
+        }
+        fn u32_at(rest: &mut &[u8]) -> Result<usize, &'static str> {
+            let b = take(rest, 4)?;
+            Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+        }
+        fn str_at<'a>(rest: &mut &'a [u8]) -> Result<&'a str, &'static str> {
+            let n = u32_at(rest)?;
+            std::str::from_utf8(take(rest, n)?).map_err(|_| "invalid utf-8")
+        }
+        fn dn_at<'a>(rest: &mut &'a [u8]) -> Result<&'a str, &'static str> {
+            let s = str_at(rest)?;
+            if Dn::is_valid(s) {
+                Ok(s)
+            } else {
+                Err("bad DN")
+            }
+        }
+
+        let mut rest = bytes;
+        take(&mut rest, 8)?; // id
+        let dn = dn_at(&mut rest)?;
+        for _ in 0..u32_at(&mut rest)? {
+            str_at(&mut rest)?;
+            match take(&mut rest, 1)?[0] {
+                0 => _ = str_at(&mut rest)?,
+                1 => _ = take(&mut rest, 8)?,
+                2 => _ = dn_at(&mut rest)?,
+                _ => return Err("unknown value tag"),
+            }
+        }
+        if rest.is_empty() {
+            Ok(dn)
+        } else {
+            Err("trailing bytes")
+        }
+    }
 }
 
 /// Builder for [`Entry`].
@@ -286,7 +338,9 @@ impl Record for Entry {
             detail: format!("bad DN in entry record: {e}"),
         })?;
         let n = r.get_u32()? as usize;
-        let mut attrs = Vec::with_capacity(n);
+        // A pair takes at least 9 bytes; a corrupt count must not size
+        // the allocation.
+        let mut attrs = Vec::with_capacity(n.min(r.remaining() / 9));
         for _ in 0..n {
             let a = AttrName::new(r.get_str()?);
             let v = match r.get_u8()? {

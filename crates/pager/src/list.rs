@@ -449,6 +449,31 @@ impl<T: Record> PagedList<T> {
     pub fn to_vec(&self) -> PagerResult<Vec<T>> {
         self.iter().collect()
     }
+
+    /// Every record's frozen [`Record::encode`] image, in order — the
+    /// bytes a caller ships. A v1 page stores exactly that image, so it
+    /// is copied out undecoded; a v2 body is decoded and re-encoded. The
+    /// same I/O as [`PagedList::iter`]: each page read once.
+    pub fn to_encoded(&self) -> PagerResult<Vec<Vec<u8>>> {
+        let ctx = self.pager.ctx();
+        let mut out = Vec::with_capacity(self.len as usize);
+        for &page in self.pages.iter() {
+            let guard = self.pager.pool().fetch(page)?;
+            guard.with(|data| {
+                walk_records(page, data, |_, key, body, split| {
+                    out.push(if split {
+                        let mut image = Vec::new();
+                        T::decode_body(key, body, &ctx)?.encode(&mut image);
+                        image
+                    } else {
+                        body.to_vec()
+                    });
+                    Ok(true)
+                })
+            })?;
+        }
+        Ok(out)
+    }
 }
 
 /// Incremental builder of one page image in the pager's format.
@@ -1039,6 +1064,28 @@ mod tests {
         pager.reset_io();
         let _ = list.to_vec().unwrap();
         assert_eq!(pager.io().reads, list.num_pages());
+    }
+
+    #[test]
+    fn encoded_images_match_encode_with_the_io_of_a_scan() {
+        for pager in [tiny_pager(), tiny_compressed()] {
+            let items = keyed_items(300);
+            let list = PagedList::from_iter(&pager, items.clone()).unwrap();
+            pager.flush().unwrap();
+            pager.pool().clear_cache().unwrap();
+            pager.reset_io();
+            let got = list.to_encoded().unwrap();
+            assert_eq!(pager.io().reads, list.num_pages());
+            let want: Vec<Vec<u8>> = items
+                .iter()
+                .map(|it| {
+                    let mut buf = Vec::new();
+                    it.encode(&mut buf);
+                    buf
+                })
+                .collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

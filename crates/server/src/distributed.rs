@@ -14,23 +14,36 @@
 //! the disjoint sorted responses, and the ordinary [`Evaluator`] runs
 //! the operator tree locally.
 //!
-//! [`Cluster`] is the in-process packaging: running [`ServerNode`]
-//! threads plus a [`Router`] over the channel transport. The
-//! `netdir-wire` crate builds the same [`Router`] over TCP sockets.
+//! [`Cluster`] is the in-process packaging: every server's
+//! [`ZoneStore`] plus a [`Router`] over the [`LocalTransport`], so a
+//! zone — the queried server's own or another's — is a function call on
+//! the querying thread. The `netdir-wire` crate builds the same
+//! [`Router`] over TCP sockets.
+//!
+//! Entries stay in their frozen `Entry::encode` encoding from page to
+//! answer. A zone's response is a list of images, vetted by
+//! [`Entry::validate_encoded`] without building an entry; zones merge by
+//! the images' sort keys straight into the queried server's scratch
+//! list; and the final list is read back as images
+//! ([`QueryOutcome::entries`]), the bytes an answer frame carries.
+//! In-process callers that want [`Entry`]s decode at their own edge
+//! ([`Router::query`], [`Cluster::query_from`]).
 
 use crate::delegation::{Delegation, ServerId};
 use crate::health::{BreakerConfig, HealthTracker};
 use crate::net::NetStats;
-use crate::node::{decode_entries, ServerConfig, ServerNode};
+use crate::node::{decode_entries, ServerConfig, ZoneStore};
 use crate::retry::{RetryPolicy, RetryStats};
-use crate::transport::{ChannelTransport, Transport};
-use netdir_filter::{AtomicFilter, Scope};
+use crate::transport::{LocalTransport, Transport};
+use netdir_filter::{AtomicFilter, CompositeFilter, Scope};
 use netdir_model::{Directory, Dn, Entry};
 use netdir_obs::{Clock, MonotonicClock};
+use netdir_pager::record::Record;
 use netdir_pager::{parallel_map, ListWriter, PagedList, Pager, PagerError, PagerResult};
 use netdir_query::eval::{AtomicSource, Evaluator};
 use netdir_query::planner::{ObservingSource, Planner};
 use netdir_query::{Query, QueryError, QueryResult};
+use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
 
 /// How a distributed query treats unreachable partitions.
@@ -75,8 +88,10 @@ impl std::fmt::Display for PartitionError {
 /// (always empty under [`ConsistencyMode::Strict`]).
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    /// Sorted result entries from the reachable partitions.
-    pub entries: Vec<Entry>,
+    /// Sorted result entries from the reachable partitions, each as its
+    /// frozen `Entry::encode` image — what an answer frame carries.
+    /// Decode with [`decode_entries`] where [`Entry`]s are wanted.
+    pub entries: Vec<Vec<u8>>,
     /// Zones skipped by graceful degradation, in first-failure order.
     pub partial: Vec<PartitionError>,
 }
@@ -89,8 +104,9 @@ impl QueryOutcome {
 }
 
 /// Builder for a [`Cluster`]: declare contexts, then partition a
-/// directory across them.
-#[derive(Default)]
+/// directory across them. Cloneable, so a daemon keeps one as the shape
+/// every new generation is built to.
+#[derive(Default, Clone)]
 pub struct ClusterBuilder {
     configs: Vec<ServerConfig>,
     /// Indices of configs that are secondaries (replicas) of an earlier
@@ -103,9 +119,9 @@ pub struct ClusterBuilder {
 }
 
 /// The outcome of partitioning a directory across declared contexts,
-/// before any server has been started. [`ClusterBuilder::build`] spawns
-/// in-process nodes from this; `netdir-wire` launches TCP daemons from
-/// the same parts so both deployments share one partitioning rule.
+/// before any store exists. [`ClusterBuilder::build`] makes in-process
+/// zones from this; `netdir-wire` launches TCP daemons over the same
+/// zones, so both deployments share one partitioning rule.
 pub struct ClusterParts {
     /// One config per declared server, in declaration order.
     pub configs: Vec<ServerConfig>,
@@ -115,6 +131,20 @@ pub struct ClusterParts {
     pub partitions: Vec<Vec<Entry>>,
     /// Entries that matched no declared context.
     pub orphaned: usize,
+}
+
+impl ClusterParts {
+    /// One unbuilt [`ZoneStore`] per server (server `i` is element `i`),
+    /// with the delegation table that routes to them.
+    pub fn into_stores(self) -> (Delegation, Arc<[ZoneStore]>) {
+        let stores = self
+            .configs
+            .into_iter()
+            .zip(self.partitions)
+            .map(|(cfg, entries)| ZoneStore::new(cfg, entries))
+            .collect();
+        (self.delegation, stores)
+    }
 }
 
 impl ClusterBuilder {
@@ -159,8 +189,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Partition `dir` by longest-matching context without spawning
-    /// anything.
+    /// Partition `dir` by longest-matching context without making any
+    /// store.
     ///
     /// Entries matching no context are dropped with a count returned in
     /// [`ClusterParts::orphaned`] (a real deployment would reject them
@@ -199,28 +229,25 @@ impl ClusterBuilder {
         }
     }
 
-    /// Partition `dir` by longest-matching context and spawn the nodes.
+    /// Partition `dir` by longest-matching context into a cluster. No
+    /// thread starts and no store is built: each zone builds its store
+    /// when a query first reaches it.
     pub fn build(mut self, dir: &Directory) -> Cluster {
         let eval_threads = self.eval_threads.max(1);
         let planner = self.planner.take();
         let parts = self.into_parts(dir);
-        let nodes: Vec<ServerNode> = parts
-            .configs
-            .into_iter()
-            .zip(parts.partitions)
-            .map(|(cfg, entries)| ServerNode::spawn(cfg, entries))
-            .collect();
-        let transport =
-            ChannelTransport::new(nodes.iter().map(|n| n.sender()).collect());
+        let orphaned = parts.orphaned;
+        let (delegation, stores) = parts.into_stores();
+        let transport = LocalTransport::new(stores.clone());
         let mut router =
-            Router::new(parts.delegation, Box::new(transport)).with_eval_threads(eval_threads);
+            Router::new(delegation, Box::new(transport)).with_eval_threads(eval_threads);
         if let Some(p) = planner {
             router = router.with_planner(p);
         }
         Cluster {
+            stores,
             router,
-            nodes,
-            orphaned: parts.orphaned,
+            orphaned,
         }
     }
 }
@@ -366,31 +393,25 @@ impl Router {
         self.health.force_down(id, down);
     }
 
-    /// **Deprecated** — use [`Router::force_down`], which no longer
-    /// needs `&mut` now that liveness lives behind interior mutability.
-    /// Kept as a shim so pre-breaker callers compile unchanged.
-    pub fn set_down(&mut self, id: ServerId, down: bool) {
-        self.force_down(id, down);
-    }
-
     /// Is the server currently unavailable (forced down or breaker
     /// open)?
     pub fn is_down(&self, id: ServerId) -> bool {
         !self.health.available(id)
     }
 
-    /// Evaluate `query` as posed to server `home`. Operator evaluation
-    /// happens on `pager` (the queried server's scratch space); remote
-    /// atomic results are counted on the transport's [`NetStats`].
+    /// Evaluate `query` as posed to server `home` and decode the answer
+    /// (the in-process caller's edge; [`Router::query_with`] hands out
+    /// the images). Operator evaluation happens on `pager` (the queried
+    /// server's scratch space); remote atomic results are counted on the
+    /// transport's [`NetStats`].
     pub fn query(
         &self,
         home: ServerId,
         pager: &Pager,
         query: &Query,
     ) -> QueryResult<Vec<Entry>> {
-        Ok(self
-            .query_with(home, pager, query, ConsistencyMode::Strict)?
-            .entries)
+        let outcome = self.query_with(home, pager, query, ConsistencyMode::Strict)?;
+        Ok(decode_entries(&outcome.entries)?)
     }
 
     /// Evaluate `query` as posed to server `home` under an explicit
@@ -435,9 +456,8 @@ impl Router {
                 }
             }
         };
-        let entries = out.to_vec().map_err(QueryError::from)?;
         Ok(QueryOutcome {
-            entries,
+            entries: out.to_encoded()?,
             partial: source.into_partial(),
         })
     }
@@ -476,10 +496,9 @@ impl Router {
         if let Some(p) = &self.planner {
             p.observe_trace(query, &trace);
         }
-        let entries = out.to_vec().map_err(QueryError::from)?;
         Ok((
             QueryOutcome {
-                entries,
+                entries: out.to_encoded()?,
                 partial: source.into_partial(),
             },
             trace,
@@ -487,8 +506,9 @@ impl Router {
     }
 
     /// Evaluate one atomic query as posed to server `home`: ship it to
-    /// every zone intersecting its scope and merge the sorted responses.
-    /// This is the building block wire daemons expose directly.
+    /// every zone intersecting its scope and merge the sorted responses,
+    /// as entry images. This is the building block wire daemons expose
+    /// directly.
     pub fn atomic(
         &self,
         home: ServerId,
@@ -496,7 +516,7 @@ impl Router {
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
-    ) -> PagerResult<Vec<Entry>> {
+    ) -> PagerResult<Vec<Vec<u8>>> {
         let source = RoutingSource {
             router: self,
             home,
@@ -504,7 +524,7 @@ impl Router {
             mode: ConsistencyMode::Strict,
             partial: Mutex::new(Vec::new()),
         };
-        source.evaluate_atomic(base, scope, filter)?.to_vec()
+        source.evaluate_atomic(base, scope, filter)?.to_encoded()
     }
 
     /// Fetch one zone's share of an atomic query, with failover across
@@ -514,7 +534,10 @@ impl Router {
     /// feed the circuit breakers); between rounds the shared
     /// [`RetryPolicy`] sleeps. Fatal errors (protocol violations, remote
     /// evaluation failures, mis-addressing) abort immediately — retrying
-    /// reproduces them.
+    /// reproduces them. A response holding an image
+    /// [`Entry::decode`] would reject is a corrupt payload: it charges
+    /// the server and is fetched again. The images are vetted, never
+    /// decoded.
     fn fetch_zone(
         &self,
         zone: &Dn,
@@ -523,7 +546,7 @@ impl Router {
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
-    ) -> Result<Vec<Entry>, PartitionError> {
+    ) -> Result<Vec<Vec<u8>>, PartitionError> {
         let fail = |detail: String| PartitionError {
             zone: zone.clone(),
             servers: group.to_vec(),
@@ -544,10 +567,14 @@ impl Router {
             for id in candidates {
                 self.retry_stats.record_attempt();
                 match self.transport.atomic(id, home, base, scope, filter) {
-                    Ok(resp) => match decode_entries(&resp.encoded) {
-                        Ok(entries) => {
+                    Ok(resp) => match resp
+                        .encoded
+                        .iter()
+                        .try_for_each(|image| Entry::validate_encoded(image).map(|_dn| ()))
+                    {
+                        Ok(()) => {
                             self.health.record_success(id);
-                            return Ok(entries);
+                            return Ok(resp.encoded);
                         }
                         Err(e) => {
                             // Corrupt payload: charge the server and let
@@ -576,9 +603,10 @@ impl Router {
     }
 }
 
-/// A running cluster of in-process directory servers.
+/// A cluster of in-process directory servers: one [`ZoneStore`] per
+/// server and a [`Router`] reaching them through a [`LocalTransport`].
 pub struct Cluster {
-    nodes: Vec<ServerNode>,
+    stores: Arc<[ZoneStore]>,
     router: Router,
     orphaned: usize,
 }
@@ -606,26 +634,17 @@ impl Cluster {
 
     /// Number of servers.
     pub fn num_servers(&self) -> usize {
-        self.nodes.len()
+        self.stores.len()
     }
 
     /// Server id by name.
     pub fn server_id(&self, name: &str) -> Option<ServerId> {
-        self.nodes.iter().position(|n| n.config.name == name)
+        self.stores.iter().position(|s| s.config.name == name)
     }
 
-    /// Direct handle to a node (tests, baseline measurements).
-    pub fn node(&self, id: ServerId) -> &ServerNode {
-        &self.nodes[id]
-    }
-
-    /// Simulate an outage of `server` (by name): subsequent routing
-    /// skips it, falling back to secondaries of its zones.
-    ///
-    /// **Deprecated** — use [`Cluster::force_down`], which no longer
-    /// needs `&mut`. Kept as a shim for pre-breaker callers.
-    pub fn set_down(&mut self, server: &str, down: bool) {
-        self.force_down(server, down);
+    /// Server `id`'s zone (tests, baseline measurements).
+    pub fn store(&self, id: ServerId) -> &ZoneStore {
+        &self.stores[id]
     }
 
     /// Force an outage of `server` (by name): subsequent routing skips
@@ -643,16 +662,43 @@ impl Cluster {
         self.router.is_down(id)
     }
 
-    /// Evaluate `query` as posed to server `home` (by name).
+    /// A baseline LDAP search — one base, one scope, a composite filter
+    /// — answered by the live server managing `base` (its primary, else
+    /// a secondary) from its own zone, as entry images. The baseline
+    /// language ships nothing between servers.
+    pub fn ldap(
+        &self,
+        base: &Dn,
+        scope: Scope,
+        filter: &CompositeFilter,
+    ) -> Result<Vec<Vec<u8>>, String> {
+        let group = self
+            .delegation()
+            .owner_group_of(base)
+            .ok_or_else(|| format!("no server manages {base}"))?;
+        let owner = group
+            .iter()
+            .find(|&&id| !self.is_down(id))
+            .ok_or_else(|| format!("no live server for {base}"))?;
+        self.stores[*owner].ldap(base, scope, filter)
+    }
+
+    fn home_id(&self, home: &str) -> QueryResult<ServerId> {
+        self.server_id(home).ok_or_else(|| QueryError::Parse {
+            input: home.into(),
+            detail: "no such server".into(),
+        })
+    }
+
+    /// Evaluate `query` as posed to server `home` (by name) and decode
+    /// the answer.
     pub fn query_from(
         &self,
         home: &str,
         pager: &Pager,
         query: &Query,
     ) -> QueryResult<Vec<Entry>> {
-        Ok(self
-            .query_from_with(home, pager, query, ConsistencyMode::Strict)?
-            .entries)
+        self.router.query(self.home_id(home)?, pager, query)
     }
 
     /// Evaluate `query` as posed to server `home` (by name) under an
@@ -664,11 +710,7 @@ impl Cluster {
         query: &Query,
         mode: ConsistencyMode,
     ) -> QueryResult<QueryOutcome> {
-        let home = self.server_id(home).ok_or_else(|| QueryError::Parse {
-            input: home.into(),
-            detail: "no such server".into(),
-        })?;
-        self.router.query_with(home, pager, query, mode)
+        self.router.query_with(self.home_id(home)?, pager, query, mode)
     }
 
     /// Evaluate `query` as posed to server `home` (by name) and return
@@ -680,11 +722,7 @@ impl Cluster {
         query: &Query,
         mode: ConsistencyMode,
     ) -> QueryResult<(QueryOutcome, netdir_obs::QueryTrace)> {
-        let home = self.server_id(home).ok_or_else(|| QueryError::Parse {
-            input: home.into(),
-            detail: "no such server".into(),
-        })?;
-        self.router.query_analyzed(home, pager, query, mode)
+        self.router.query_analyzed(self.home_id(home)?, pager, query, mode)
     }
 }
 
@@ -734,15 +772,14 @@ impl AtomicSource for RoutingSource<'_> {
         // merged bytes, the Strict-mode first error, and the Partial-mode
         // skip accounting are identical to the sequential loop.
         let degree = self.router.eval_threads;
-        let outcomes: Vec<Result<Vec<Entry>, PartitionError>> =
+        let outcomes: Vec<Result<Vec<Vec<u8>>, PartitionError>> =
             if degree > 1 && zones.len() > 1 {
-                let (outcomes, _reports) =
+                let Ok((outcomes, _reports)) =
                     parallel_map(degree, zones, |_, (zone, group)| {
-                        Ok::<_, std::convert::Infallible>(self.router.fetch_zone(
+                        Ok::<_, Infallible>(self.router.fetch_zone(
                             zone, group, self.home, base, scope, filter,
                         ))
-                    })
-                    .expect("zone fetch outcomes are data, not errors");
+                    });
                 outcomes
             } else {
                 zones
@@ -753,10 +790,11 @@ impl AtomicSource for RoutingSource<'_> {
                     })
                     .collect()
             };
-        let mut responses: Vec<Vec<Entry>> = Vec::with_capacity(outcomes.len());
+        let mut responses: Vec<Vec<Vec<u8>>> = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
             match outcome {
-                Ok(entries) => responses.push(entries),
+                Ok(images) if images.is_empty() => {}
+                Ok(images) => responses.push(images),
                 Err(err) => match self.mode {
                     ConsistencyMode::Strict => {
                         return Err(PagerError::CorruptRecord {
@@ -767,23 +805,22 @@ impl AtomicSource for RoutingSource<'_> {
                 },
             }
         }
-        let mut pos: Vec<usize> = vec![0; responses.len()];
+        let mut images: Vec<&[u8]> = responses.iter().flatten().map(Vec::as_slice).collect();
+        if responses.len() > 1 {
+            // Zones interleave in key order (a carved-out subzone sorts
+            // inside its parent zone's range), so merge by the images'
+            // sort keys. Zones are disjoint; the stable sort keeps
+            // delegation order on a tie all the same.
+            let mut keyed = images
+                .into_iter()
+                .map(|image| Ok((Entry::page_key_of_encoded(image)?, image)))
+                .collect::<PagerResult<Vec<_>>>()?;
+            keyed.sort_by(|a, b| a.0.cmp(&b.0));
+            images = keyed.into_iter().map(|(_, image)| image).collect();
+        }
         let mut out = ListWriter::new(&self.pager);
-        loop {
-            let mut best: Option<usize> = None;
-            for (i, resp) in responses.iter().enumerate() {
-                let Some(e) = resp.get(pos[i]) else { continue };
-                let better = match best {
-                    None => true,
-                    Some(b) => e.dn() < responses[b][pos[b]].dn(),
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-            let Some(b) = best else { break };
-            out.push(&responses[b][pos[b]])?;
-            pos[b] += 1;
+        for image in images {
+            out.push_raw_parts(&[], image, false)?;
         }
         out.finish()
     }
@@ -835,10 +872,10 @@ mod tests {
     fn partitioning_respects_zone_cuts() {
         let c = cluster();
         assert_eq!(c.orphaned(), 0);
-        assert_eq!(c.node(0).num_entries, 1); // dc=com only
-        assert_eq!(c.node(1).num_entries, 3); // att minus research zone
-        assert_eq!(c.node(2).num_entries, 3); // research zone
-        assert_eq!(c.node(3).num_entries, 1); // org
+        assert_eq!(c.store(0).num_entries, 1); // dc=com only
+        assert_eq!(c.store(1).num_entries, 3); // att minus research zone
+        assert_eq!(c.store(2).num_entries, 3); // research zone
+        assert_eq!(c.store(3).num_entries, 1); // org
     }
 
     #[test]
@@ -980,40 +1017,40 @@ mod tests {
 
     #[test]
     fn secondary_takes_over_when_primary_is_down() {
-        let mut c = ClusterBuilder::new()
+        let c = ClusterBuilder::new()
             .server("root", dn("dc=com"))
             .server("att", dn("dc=att, dc=com"))
             .secondary("att-backup", dn("dc=att, dc=com"))
             .build(&dir());
         // The replica holds the same zone data.
         assert_eq!(
-            c.node(c.server_id("att").unwrap()).num_entries,
-            c.node(c.server_id("att-backup").unwrap()).num_entries
+            c.store(c.server_id("att").unwrap()).num_entries,
+            c.store(c.server_id("att-backup").unwrap()).num_entries
         );
         let q = parse_query("(dc=att, dc=com ? sub ? surName=jagadish)").unwrap();
         let pager = netdir_pager::default_pager();
         let before = c.query_from("root", &pager, &q).unwrap();
         assert_eq!(before.len(), 2);
         // Primary down → the secondary answers; results identical.
-        c.set_down("att", true);
+        c.force_down("att", true);
         let after = c.query_from("root", &pager, &q).unwrap();
         assert_eq!(
             before.iter().map(|e| e.dn().to_string()).collect::<Vec<_>>(),
             after.iter().map(|e| e.dn().to_string()).collect::<Vec<_>>()
         );
         // Both replicas down → the zone is unreachable.
-        c.set_down("att-backup", true);
+        c.force_down("att-backup", true);
         assert!(c.query_from("root", &pager, &q).is_err());
         // Recovery.
-        c.set_down("att", false);
+        c.force_down("att", false);
         assert_eq!(c.query_from("root", &pager, &q).unwrap().len(), 2);
     }
 
     #[test]
     fn concurrent_clients_get_consistent_answers() {
         // Many clients hammer the cluster in parallel; every one must see
-        // the same answer (server nodes serialize on their channels, but
-        // nothing else is shared mutable).
+        // the same answer (each zone's store is shared by every caller and
+        // built by whichever asks first).
         let c = cluster();
         let q = parse_query("(null-dn ? sub ? surName=jagadish)").unwrap();
         let expected: Vec<String> = {
@@ -1147,14 +1184,15 @@ mod tests {
         assert!(!out.is_complete());
         assert_eq!(out.entries.len(), 5, "8 entries minus research's 3");
         let research_zone = dn("dc=research, dc=att, dc=com");
-        for e in &out.entries {
+        let entries = decode_entries(&out.entries).unwrap();
+        for e in &entries {
             assert!(
                 !research_zone.sort_key().subsumes(e.dn().sort_key()),
                 "entry {} belongs to the dead zone",
                 e.dn()
             );
         }
-        for w in out.entries.windows(2) {
+        for w in entries.windows(2) {
             assert!(w[0].dn() < w[1].dn(), "partial results must stay sorted");
         }
         assert_eq!(out.partial.len(), 1, "one zone skipped, reported once");
@@ -1184,7 +1222,7 @@ mod tests {
         let names = |v: &[Entry]| -> Vec<String> {
             v.iter().map(|e| e.dn().to_string()).collect()
         };
-        assert_eq!(names(&strict), names(&out.entries));
+        assert_eq!(names(&strict), names(&decode_entries(&out.entries).unwrap()));
     }
 
     /// A cluster whose transport is wrapped in a seeded [`FaultTransport`].
@@ -1192,32 +1230,27 @@ mod tests {
         cfg: crate::FaultConfig,
         retry: crate::RetryPolicy,
         breaker: crate::BreakerConfig,
-    ) -> (Vec<ServerNode>, Router, crate::FaultStats) {
-        let parts = ClusterBuilder::new()
+    ) -> (Router, crate::FaultStats) {
+        let (delegation, stores) = ClusterBuilder::new()
             .server("root", dn("dc=com"))
             .server("att", dn("dc=att, dc=com"))
             .server("research", dn("dc=research, dc=att, dc=com"))
             .server("org", dn("dc=org"))
-            .into_parts(&dir());
-        let nodes: Vec<ServerNode> = parts
-            .configs
-            .into_iter()
-            .zip(parts.partitions)
-            .map(|(cfg, entries)| ServerNode::spawn(cfg, entries))
-            .collect();
-        let channel = ChannelTransport::new(nodes.iter().map(|n| n.sender()).collect());
-        let fault = crate::FaultTransport::new(Box::new(channel), cfg);
+            .into_parts(&dir())
+            .into_stores();
+        let fault =
+            crate::FaultTransport::new(Box::new(LocalTransport::new(stores)), cfg);
         let stats = fault.stats();
-        let router = Router::new(parts.delegation, Box::new(fault))
+        let router = Router::new(delegation, Box::new(fault))
             .with_retry(retry)
             .with_breaker(breaker);
-        (nodes, router, stats)
+        (router, stats)
     }
 
     #[test]
     fn breaker_trips_on_hard_outage_and_short_circuits_later_fetches() {
         use crate::{BreakerConfig, BreakerState, FaultConfig, RetryPolicy};
-        let (_nodes, router, stats) = faulty_cluster(
+        let (router, stats) = faulty_cluster(
             FaultConfig::seeded(11).with_server_fail(2, 1.0), // research dead
             RetryPolicy::immediate(2),
             BreakerConfig {
@@ -1261,7 +1294,7 @@ mod tests {
         use crate::{BreakerConfig, FaultConfig, RetryPolicy};
         // Call 0 (the first zone fetch) returns a truncated payload;
         // the retry layer re-fetches and the query still succeeds.
-        let (_nodes, router, stats) = faulty_cluster(
+        let (router, stats) = faulty_cluster(
             FaultConfig::seeded(5).with_truncate_nth(0),
             RetryPolicy::immediate(3),
             BreakerConfig::default(),

@@ -259,8 +259,8 @@ impl Transport for FaultTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{ServerConfig, ServerNode};
-    use crate::transport::ChannelTransport;
+    use crate::node::{ServerConfig, ZoneStore};
+    use crate::transport::LocalTransport;
     use crate::TransportErrorKind;
     use netdir_model::Entry;
 
@@ -268,7 +268,7 @@ mod tests {
         Dn::parse(s).unwrap()
     }
 
-    fn wrapped(cfg: FaultConfig) -> (Vec<ServerNode>, FaultTransport) {
+    fn wrapped(cfg: FaultConfig) -> FaultTransport {
         let mk = |s: &str| {
             Entry::builder(dn(s))
                 .class("thing")
@@ -276,15 +276,15 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let nodes = vec![
-            ServerNode::spawn(
+        let stores = vec![
+            ZoneStore::new(
                 ServerConfig::new("a", dn("dc=a")),
                 vec![mk("dc=a"), mk("ou=p, dc=a")],
             ),
-            ServerNode::spawn(ServerConfig::new("b", dn("dc=b")), vec![mk("dc=b")]),
+            ZoneStore::new(ServerConfig::new("b", dn("dc=b")), vec![mk("dc=b")]),
         ];
-        let inner = ChannelTransport::new(nodes.iter().map(|n| n.sender()).collect());
-        (nodes, FaultTransport::new(Box::new(inner), cfg))
+        let inner = LocalTransport::new(Arc::from(stores));
+        FaultTransport::new(Box::new(inner), cfg)
     }
 
     fn run_calls(t: &FaultTransport, n: usize) -> Vec<Result<usize, TransportError>> {
@@ -298,7 +298,7 @@ mod tests {
 
     #[test]
     fn zero_config_is_transparent() {
-        let (_nodes, t) = wrapped(FaultConfig::seeded(1));
+        let t = wrapped(FaultConfig::seeded(1));
         for r in run_calls(&t, 5) {
             assert_eq!(r.unwrap(), 2);
         }
@@ -316,14 +316,14 @@ mod tests {
             .with_drop_rate(0.3)
             .with_error_rate(0.1)
             .with_server_fail(0, 0.2);
-        let (_n1, t1) = wrapped(cfg.clone());
-        let (_n2, t2) = wrapped(cfg);
+        let t1 = wrapped(cfg.clone());
+        let t2 = wrapped(cfg);
         let a = run_calls(&t1, 50);
         let b = run_calls(&t2, 50);
         assert_eq!(a, b, "fault schedule must be a pure function of seed+index");
         assert_eq!(t1.stats().snapshot(), t2.stats().snapshot());
         // And with a different seed the schedule differs.
-        let (_n3, t3) = wrapped(
+        let t3 = wrapped(
             FaultConfig::seeded(43)
                 .with_drop_rate(0.3)
                 .with_error_rate(0.1)
@@ -335,7 +335,7 @@ mod tests {
     #[test]
     fn fault_kinds_classify_correctly() {
         // Hard per-server outage → retryable injected error.
-        let (_nodes, t) = wrapped(FaultConfig::seeded(7).with_server_fail(0, 1.0));
+        let t = wrapped(FaultConfig::seeded(7).with_server_fail(0, 1.0));
         let err = run_calls(&t, 1).pop().unwrap().unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Injected);
         assert!(err.kind.is_retryable());
@@ -345,7 +345,7 @@ mod tests {
             .is_ok());
 
         // Certain error rate → fatal remote error.
-        let (_nodes, t) = wrapped(FaultConfig::seeded(7).with_error_rate(1.0));
+        let t = wrapped(FaultConfig::seeded(7).with_error_rate(1.0));
         let err = run_calls(&t, 1).pop().unwrap().unwrap_err();
         assert_eq!(err.kind, TransportErrorKind::Remote);
         assert!(!err.kind.is_retryable());
@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn truncate_nth_corrupts_exactly_one_call() {
-        let (_nodes, t) = wrapped(FaultConfig::seeded(9).with_truncate_nth(1));
+        let t = wrapped(FaultConfig::seeded(9).with_truncate_nth(1));
         let ok = t
             .atomic(0, 1, &dn("dc=a"), Scope::Sub, &AtomicFilter::True)
             .unwrap();
@@ -375,7 +375,7 @@ mod tests {
 
     #[test]
     fn counters_pass_through_to_inner_transport() {
-        let (_nodes, t) = wrapped(FaultConfig::seeded(3));
+        let t = wrapped(FaultConfig::seeded(3));
         t.atomic(1, 0, &dn("dc=b"), Scope::Sub, &AtomicFilter::True)
             .unwrap();
         assert_eq!(t.net().snapshot().requests, 1);

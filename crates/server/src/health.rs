@@ -26,9 +26,8 @@
 //! Everything is interior-mutable (an `AtomicBool` plus one small mutex
 //! per server), so the router's query path stays `&self` and concurrent
 //! clients share one view of cluster health. A separate **forced-down**
-//! flag preserves the old operator-controlled `set_down` semantics: a
-//! forced-down server is unavailable regardless of breaker state and
-//! never recovers on its own.
+//! flag is the operator's switch: a forced-down server is unavailable
+//! regardless of breaker state and never recovers on its own.
 //!
 //! Time comes from an injected [`Clock`] — monotonic in production,
 //! manually advanced in tests — so cooldown behaviour is testable
@@ -225,8 +224,7 @@ impl HealthTracker {
     }
 
     /// Operator-forced outage: unavailable regardless of breaker state,
-    /// until forced back up. This is the §3.3 "simulated outage" switch
-    /// the old `set_down` API flipped.
+    /// until forced back up — the §3.3 "simulated outage" switch.
     pub fn force_down(&self, id: ServerId, down: bool) {
         if let Some(s) = self.servers.get(id) {
             s.forced_down.store(down, Ordering::SeqCst);

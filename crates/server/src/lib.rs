@@ -11,9 +11,11 @@
 //!   results come back and the operator tree is evaluated locally at the
 //!   queried server ([`distributed`]), exactly the plan of Section 8.3.
 //!
-//! Servers run as real threads answering requests over channels
-//! ([`node`]); the "network" counts every message and shipped byte
-//! ([`net`]), which is what experiment E12 measures. The paper's
+//! Each server's zone is a store answering on the caller's thread
+//! ([`node`]); sub-queries reach it through a [`Transport`] — a function
+//! call in process, a socket between daemons — and the "network" counts
+//! every message and shipped byte that crosses from one server to
+//! another ([`net`]), which is what experiment E12 measures. The paper's
 //! DNS-based server location is an in-process longest-prefix match — the
 //! resolution mechanism is not part of any theorem (DESIGN.md §5).
 
@@ -39,9 +41,9 @@ pub use distributed::{
 pub use fault::{FaultConfig, FaultSnapshot, FaultStats, FaultTransport};
 pub use health::{BreakerConfig, BreakerState, BreakerTransitions, HealthTracker};
 pub use net::{NetSnapshot, NetStats};
-pub use node::{ServerConfig, ServerNode};
+pub use node::{ServerConfig, ZoneStore};
 pub use retry::{RetryPolicy, RetrySnapshot, RetryStats, Retryable};
 pub use transport::{
-    AtomicResponse, ChannelTransport, Transport, TransportError, TransportErrorKind,
+    AtomicResponse, LocalTransport, Transport, TransportError, TransportErrorKind,
     TransportResult,
 };

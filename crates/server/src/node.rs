@@ -1,17 +1,26 @@
-//! A directory server node: one thread, one naming context, one indexed
-//! store.
+//! One directory server's zone: its configuration and its indexed store.
 //!
-//! Nodes answer atomic queries (and baseline LDAP queries) over a
-//! crossbeam channel. Entries cross the "wire" in their on-page encoding,
-//! so shipped bytes are measured with the same codec the pager uses.
+//! A [`ZoneStore`] holds the entries partitioned to one server and
+//! answers atomic queries (and baseline LDAP searches) on the caller's
+//! thread — there is no store thread and no channel. Hits leave the
+//! table undecoded ([`IndexedDirectory::visit_atomic`]) and are handed
+//! out as their frozen [`Entry::encode`] images ([`RawHit::into_encoded`];
+//! on a v1 store the on-page bytes verbatim), so answering decodes
+//! nothing and writes no page, and shipped bytes are measured with the
+//! same codec the pager uses.
+//!
+//! The store is built **on first use**, by whichever request needs it
+//! first, and the build consumes the partition, so a zone never holds its
+//! entries twice. Building is the expensive part of a zone (every index
+//! over every entry); a cluster generation that is replaced before anyone
+//! reads it — a mutation published on top of another — never pays it.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use netdir_filter::{AtomicFilter, CompositeFilter, Scope};
 use netdir_index::{IndexedDirectory, RawHit};
 use netdir_model::{Directory, Dn, Entry};
 use netdir_pager::record::Record;
 use netdir_pager::{Pager, PagerError, PagerResult};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, OnceLock};
 
 /// Configuration of one server.
 #[derive(Debug, Clone)]
@@ -38,131 +47,101 @@ impl ServerConfig {
     }
 }
 
-/// A request to a server node.
-pub enum Request {
-    /// Evaluate an atomic query; respond with encoded sorted entries.
-    Atomic {
-        /// Base DN.
-        base: Dn,
-        /// Scope.
-        scope: Scope,
-        /// Filter.
-        filter: AtomicFilter,
-        /// Reply channel.
-        reply: Sender<Result<Vec<Vec<u8>>, String>>,
-    },
-    /// Evaluate a baseline LDAP query (single base/scope/composite filter).
-    Ldap {
-        /// Base DN.
-        base: Dn,
-        /// Scope.
-        scope: Scope,
-        /// Composite filter.
-        filter: CompositeFilter,
-        /// Reply channel.
-        reply: Sender<Result<Vec<Vec<u8>>, String>>,
-    },
-    /// Stop the node thread.
-    Shutdown,
-}
-
-/// Handle to a running server node.
-pub struct ServerNode {
-    /// The node's configuration.
+/// One server's zone: the entries it owns and, once first asked, the
+/// indexed store built from them.
+pub struct ZoneStore {
+    /// The server's configuration.
     pub config: ServerConfig,
-    /// Number of entries this node stores.
+    /// Number of entries the server owns.
     pub num_entries: usize,
-    sender: Sender<Request>,
     pager: Pager,
-    handle: Option<JoinHandle<()>>,
+    /// The partition, until the store is built from it.
+    partition: Mutex<Vec<Entry>>,
+    /// The store, or the reason it could not be built (which every
+    /// request is then answered with).
+    store: OnceLock<Result<IndexedDirectory, String>>,
 }
 
-impl ServerNode {
-    /// Spawn a node owning `entries` (they must belong to the node's
-    /// context; the cluster builder partitions accordingly).
-    pub fn spawn(config: ServerConfig, entries: Vec<Entry>) -> ServerNode {
-        let num_entries = entries.len();
-        let (sender, receiver) = unbounded::<Request>();
-        let pager = Pager::new(config.page_size, config.frames);
-        let store_pager = pager.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("dsa-{}", config.name))
-            .spawn(move || node_loop(store_pager, entries, receiver))
-            .expect("spawn server thread");
-        ServerNode {
+impl ZoneStore {
+    /// A zone owning `entries` (they must belong to the server's context;
+    /// the cluster builder partitions accordingly). Nothing is built yet.
+    pub fn new(config: ServerConfig, entries: Vec<Entry>) -> ZoneStore {
+        ZoneStore {
+            num_entries: entries.len(),
+            pager: Pager::new(config.page_size, config.frames),
             config,
-            num_entries,
-            sender,
-            pager,
-            handle: Some(handle),
+            partition: Mutex::new(entries),
+            store: OnceLock::new(),
         }
     }
 
-    /// The pager under the node's local store (its I/O ledger and page
-    /// count are the node's storage footprint).
+    /// The pager under the zone's store (its I/O ledger and page count
+    /// are the server's storage footprint; no pages until first use).
     pub fn pager(&self) -> &Pager {
         &self.pager
     }
 
-    /// The request channel.
-    pub fn sender(&self) -> Sender<Request> {
-        self.sender.clone()
+    /// The store, built by the first caller; later callers wait for that
+    /// build rather than start their own.
+    fn store(&self) -> Result<&IndexedDirectory, String> {
+        let built = self.store.get_or_init(|| {
+            let entries = std::mem::take(
+                &mut *self.partition.lock().unwrap_or_else(|e| e.into_inner()),
+            );
+            // A build that panicked took the partition with it; serving
+            // an empty zone instead would be a silent wrong answer.
+            if entries.len() != self.num_entries {
+                return Err("store build failed: an earlier build did not finish".into());
+            }
+            build_store(&self.pager, entries)
+        });
+        built.as_ref().map_err(String::clone)
     }
 
-    /// Synchronously run an atomic query against this node, returning
-    /// decoded entries (test/convenience path; the distributed evaluator
-    /// speaks the channel protocol directly).
+    /// The entries `visit` yields, in their frozen wire encoding.
+    fn answer(
+        &self,
+        visit: impl FnOnce(
+            &IndexedDirectory,
+            &mut dyn FnMut(RawHit<'_>) -> PagerResult<()>,
+        ) -> PagerResult<()>,
+    ) -> Result<Vec<Vec<u8>>, String> {
+        let idx = self.store()?;
+        let ctx = idx.table().pager().ctx();
+        let mut out = Vec::new();
+        visit(idx, &mut |hit| {
+            out.push(hit.into_encoded(&ctx)?);
+            Ok(())
+        })
+        .map_err(|e| e.to_string())?;
+        Ok(out)
+    }
+
+    /// Evaluate an atomic query: the matching entries' images, sorted by
+    /// reverse DN.
     pub fn atomic(
         &self,
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
-    ) -> Result<Vec<Entry>, String> {
-        let (reply, rx) = unbounded();
-        self.sender
-            .send(Request::Atomic {
-                base: base.clone(),
-                scope,
-                filter: filter.clone(),
-                reply,
-            })
-            .map_err(|e| e.to_string())?;
-        let encoded = rx.recv().map_err(|e| e.to_string())??;
-        decode_entries(&encoded).map_err(|e| e.to_string())
+    ) -> Result<Vec<Vec<u8>>, String> {
+        self.answer(|idx, visit| idx.visit_atomic(base, scope, filter, visit))
     }
 
-    /// Synchronously run a baseline LDAP query against this node.
+    /// Evaluate a baseline LDAP query (one base, one scope, a composite
+    /// filter) against this zone alone.
     pub fn ldap(
         &self,
         base: &Dn,
         scope: Scope,
         filter: &CompositeFilter,
-    ) -> Result<Vec<Entry>, String> {
-        let (reply, rx) = unbounded();
-        self.sender
-            .send(Request::Ldap {
-                base: base.clone(),
-                scope,
-                filter: filter.clone(),
-                reply,
-            })
-            .map_err(|e| e.to_string())?;
-        let encoded = rx.recv().map_err(|e| e.to_string())??;
-        decode_entries(&encoded).map_err(|e| e.to_string())
+    ) -> Result<Vec<Vec<u8>>, String> {
+        self.answer(|idx, visit| idx.visit_composite(base, scope, filter, visit))
     }
 }
 
-impl Drop for ServerNode {
-    fn drop(&mut self) {
-        let _ = self.sender.send(Request::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Build the node's local store; the error is what every request is
-/// answered with if it cannot be built.
+/// Build a zone's store; the error is what every request is answered
+/// with if it cannot be built.
 fn build_store(pager: &Pager, entries: Vec<Entry>) -> Result<IndexedDirectory, String> {
     let mut dir = Directory::new();
     for e in entries {
@@ -171,61 +150,6 @@ fn build_store(pager: &Pager, entries: Vec<Entry>) -> Result<IndexedDirectory, S
             .map_err(|e| format!("store build failed: invalid partition: {e}"))?;
     }
     IndexedDirectory::build(pager, &dir).map_err(|e| format!("store build failed: {e}"))
-}
-
-/// One request's answer: the entries `visit` yields, in their frozen
-/// wire encoding — on a v1 store the on-page image verbatim, so
-/// answering decodes nothing and writes no page.
-fn answer(
-    store: &Result<IndexedDirectory, String>,
-    visit: impl FnOnce(
-        &IndexedDirectory,
-        &mut dyn FnMut(RawHit<'_>) -> PagerResult<()>,
-    ) -> PagerResult<()>,
-) -> Result<Vec<Vec<u8>>, String> {
-    let idx = store.as_ref().map_err(String::clone)?;
-    let ctx = idx.table().pager().ctx();
-    let mut out = Vec::new();
-    visit(idx, &mut |hit| {
-        out.push(hit.into_encoded(&ctx)?);
-        Ok(())
-    })
-    .map_err(|e| e.to_string())?;
-    Ok(out)
-}
-
-fn node_loop(pager: Pager, entries: Vec<Entry>, receiver: Receiver<Request>) {
-    // A store that fails to build keeps the thread serving: each request
-    // is answered with the build error rather than a dead channel.
-    let store = build_store(&pager, entries);
-
-    while let Ok(req) = receiver.recv() {
-        match req {
-            Request::Shutdown => break,
-            Request::Atomic {
-                base,
-                scope,
-                filter,
-                reply,
-            } => {
-                let result = answer(&store, |idx, visit| {
-                    idx.visit_atomic(&base, scope, &filter, visit)
-                });
-                let _ = reply.send(result);
-            }
-            Request::Ldap {
-                base,
-                scope,
-                filter,
-                reply,
-            } => {
-                let result = answer(&store, |idx, visit| {
-                    idx.visit_composite(&base, scope, &filter, visit)
-                });
-                let _ = reply.send(result);
-            }
-        }
-    }
 }
 
 /// Decode wire-format entries.
@@ -259,19 +183,20 @@ mod tests {
             .collect()
     }
 
+    fn zone() -> ZoneStore {
+        ZoneStore::new(ServerConfig::new("att", dn("dc=att, dc=com")), entries())
+    }
+
     #[test]
-    fn node_answers_atomic_queries() {
-        let node = ServerNode::spawn(
-            ServerConfig::new("att", dn("dc=att, dc=com")),
-            entries(),
-        );
-        let hits = node
+    fn zone_answers_atomic_queries() {
+        let hits = zone()
             .atomic(
                 &dn("dc=att, dc=com"),
                 Scope::Sub,
                 &AtomicFilter::eq("surName", "jagadish"),
             )
             .unwrap();
+        let hits = decode_entries(&hits).unwrap();
         assert_eq!(hits.len(), 3);
         // Sorted on the wire.
         for w in hits.windows(2) {
@@ -280,22 +205,14 @@ mod tests {
     }
 
     #[test]
-    fn node_answers_ldap_queries() {
-        let node = ServerNode::spawn(
-            ServerConfig::new("att", dn("dc=att, dc=com")),
-            entries(),
-        );
+    fn zone_answers_ldap_queries() {
         let f = netdir_filter::parse_composite("(&(surName=jagadish)(uid=a))").unwrap();
-        let hits = node.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap();
+        let hits = zone().ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap();
         assert_eq!(hits.len(), 1);
     }
 
     #[test]
     fn shipped_bytes_are_the_frozen_entry_encoding() {
-        let node = ServerNode::spawn(
-            ServerConfig::new("att", dn("dc=att, dc=com")),
-            entries(),
-        );
         let mut dir = Directory::new();
         for e in entries() {
             dir.insert(e).unwrap();
@@ -308,60 +225,74 @@ mod tests {
                 buf
             })
             .collect();
-        let (reply, rx) = unbounded();
-        node.sender()
-            .send(Request::Atomic {
-                base: dn("ou=p, dc=att, dc=com"),
-                scope: Scope::Sub,
-                filter: AtomicFilter::present("surName"),
-                reply,
-            })
+        let got = zone()
+            .atomic(
+                &dn("ou=p, dc=att, dc=com"),
+                Scope::Sub,
+                &AtomicFilter::present("surName"),
+            )
             .unwrap();
-        assert_eq!(rx.recv().unwrap().unwrap(), want);
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn answering_allocates_no_pages() {
+    fn the_store_is_built_on_first_use_and_answering_allocates_no_pages() {
         // Regression: every answer used to be materialised as a fresh
-        // list on the node's never-freeing device, a page or more each.
-        let node = ServerNode::spawn(
-            ServerConfig::new("att", dn("dc=att, dc=com")),
-            entries(),
-        );
+        // list on the store's never-freeing device, a page or more each.
+        let zone = zone();
+        assert_eq!(zone.pager().pool().num_pages(), 0, "nothing built yet");
         let ask = |scope, filter: &AtomicFilter| {
-            node.atomic(&dn("dc=att, dc=com"), scope, filter).unwrap().len()
+            zone.atomic(&dn("dc=att, dc=com"), scope, filter).unwrap().len()
         };
         assert_eq!(ask(Scope::Sub, &AtomicFilter::True), 3);
-        let pages = node.pager().pool().num_pages();
+        let pages = zone.pager().pool().num_pages();
+        assert!(pages > 0);
         for i in 0..1000 {
             let scope = [Scope::Base, Scope::One, Scope::Sub][i % 3];
             ask(scope, &AtomicFilter::eq("surName", "jagadish"));
             ask(scope, &AtomicFilter::True);
         }
         let f = netdir_filter::parse_composite("(surName=jagadish)").unwrap();
-        assert_eq!(node.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap().len(), 3);
-        assert_eq!(node.pager().pool().num_pages(), pages);
+        assert_eq!(zone.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap().len(), 3);
+        assert_eq!(zone.pager().pool().num_pages(), pages);
+    }
+
+    #[test]
+    fn concurrent_first_requests_build_once() {
+        let shared = zone();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let hits = shared
+                        .atomic(&dn("dc=att, dc=com"), Scope::Sub, &AtomicFilter::True)
+                        .unwrap();
+                    assert_eq!(hits.len(), 3);
+                });
+            }
+        });
+        let alone = zone();
+        alone
+            .atomic(&dn("dc=att, dc=com"), Scope::Base, &AtomicFilter::True)
+            .unwrap();
+        assert_eq!(
+            shared.pager().pool().num_pages(),
+            alone.pager().pool().num_pages()
+        );
     }
 
     #[test]
     fn failed_store_build_answers_every_request_with_the_cause() {
         let mut twice = entries();
         twice.push(twice[0].clone());
-        let node = ServerNode::spawn(ServerConfig::new("att", dn("dc=att, dc=com")), twice);
+        let zone = ZoneStore::new(ServerConfig::new("att", dn("dc=att, dc=com")), twice);
         for _ in 0..2 {
-            let err = node
+            let err = zone
                 .atomic(&dn("dc=att, dc=com"), Scope::Sub, &AtomicFilter::True)
                 .unwrap_err();
             assert!(err.contains("store build failed"), "{err}");
         }
         let f = netdir_filter::parse_composite("(uid=a)").unwrap();
-        let err = node.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap_err();
+        let err = zone.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap_err();
         assert!(err.contains("store build failed"), "{err}");
-    }
-
-    #[test]
-    fn shutdown_on_drop_joins_thread() {
-        let node = ServerNode::spawn(ServerConfig::new("x", dn("dc=com")), vec![]);
-        drop(node); // must not hang
     }
 }

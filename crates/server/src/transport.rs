@@ -5,25 +5,33 @@
 //! back". [`Transport`] captures exactly that, so the same evaluator
 //! (see [`crate::distributed::Router`]) runs over
 //!
-//! * [`ChannelTransport`] — in-process crossbeam channels to
-//!   [`ServerNode`](crate::node::ServerNode) threads (hermetic; the
-//!   default everywhere tests run), or
+//! * [`LocalTransport`] — every zone in this process: a sub-query is a
+//!   call into the target's [`ZoneStore`] on the caller's thread, with
+//!   no thread hop, channel or copy (hermetic; what `netdird` and every
+//!   in-process cluster use), or
 //! * `netdir_wire::SocketTransport` — real TCP sockets to `netdird`
 //!   processes, where the shipped-byte counters measure actual encoded
-//!   frames rather than hypothetical payloads.
+//!   frames rather than hypothetical payloads;
+//!
+//! and [`FaultTransport`](crate::FaultTransport) decorates either.
+//!
+//! Either way a response is a list of frozen `Entry::encode` images, the
+//! bytes a page or a frame holds; the router vets them without decoding
+//! and forwards them as they are.
 //!
 //! [`NetStats`] lives behind the trait: each transport owns its
 //! counters and records a round trip whenever the target is not the
 //! queried (home) server, which is precisely the "results … are
-//! shipped to the original queried directory server" cost of §8.3.
+//! shipped to the original queried directory server" cost of §8.3 —
+//! a zone the queried server owns ships nothing.
 
 use crate::delegation::ServerId;
 use crate::net::NetStats;
-use crate::node::{wire_bytes, Request};
-use crossbeam::channel::{unbounded, Sender};
+use crate::node::{wire_bytes, ZoneStore};
 use netdir_filter::{AtomicFilter, Scope};
 use netdir_model::Dn;
 use std::fmt;
+use std::sync::Arc;
 
 /// What went wrong at the transport, classified for the retry policy:
 /// a failure is either transient (worth another attempt, possibly on a
@@ -31,7 +39,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportErrorKind {
     /// Connection-level loss: unreachable server, reset, timeout,
-    /// channel or socket closed mid-exchange. **Retryable.**
+    /// socket closed mid-exchange. **Retryable.**
     Io,
     /// A fault deliberately injected by
     /// [`FaultTransport`](crate::FaultTransport). **Retryable** — it
@@ -132,7 +140,7 @@ pub struct AtomicResponse {
     /// Sorted entries in their on-page encoding.
     pub encoded: Vec<Vec<u8>>,
     /// Bytes that actually crossed the transport for this response —
-    /// payload bytes for channels, full frame bytes for sockets.
+    /// payload bytes in process, full frame bytes for sockets.
     pub wire_bytes: u64,
 }
 
@@ -157,26 +165,28 @@ pub trait Transport: Send + Sync {
     fn num_servers(&self) -> usize;
 }
 
-/// The in-process transport: one crossbeam channel per server thread.
+/// The in-process transport: every server's zone lives in this process,
+/// indexed by [`ServerId`], and a sub-query is a function call on the
+/// caller's thread.
 ///
-/// Shipped bytes are the summed entry encodings — the same codec the
-/// pager uses on pages, so E12's counters match the storage cost model.
-pub struct ChannelTransport {
-    senders: Vec<Sender<Request>>,
+/// Shipped bytes are the summed entry images — the same codec the pager
+/// uses on pages, so E12's counters match the storage cost model.
+pub struct LocalTransport {
+    stores: Arc<[ZoneStore]>,
     net: NetStats,
 }
 
-impl ChannelTransport {
-    /// Address the nodes behind `senders`.
-    pub fn new(senders: Vec<Sender<Request>>) -> ChannelTransport {
-        ChannelTransport {
-            senders,
+impl LocalTransport {
+    /// Address the zones in `stores` (server `i` is `stores[i]`).
+    pub fn new(stores: Arc<[ZoneStore]>) -> LocalTransport {
+        LocalTransport {
+            stores,
             net: NetStats::new(),
         }
     }
 }
 
-impl Transport for ChannelTransport {
+impl Transport for LocalTransport {
     fn atomic(
         &self,
         target: ServerId,
@@ -185,20 +195,11 @@ impl Transport for ChannelTransport {
         scope: Scope,
         filter: &AtomicFilter,
     ) -> TransportResult<AtomicResponse> {
-        let (reply, rx) = unbounded();
-        self.senders
+        let encoded = self
+            .stores
             .get(target)
             .ok_or_else(|| TransportError::addressing(format!("no server with id {target}")))?
-            .send(Request::Atomic {
-                base: base.clone(),
-                scope,
-                filter: filter.clone(),
-                reply,
-            })
-            .map_err(|e| TransportError::new(format!("server channel closed: {e}")))?;
-        let encoded = rx
-            .recv()
-            .map_err(|e| TransportError::new(format!("server reply lost: {e}")))?
+            .atomic(base, scope, filter)
             .map_err(TransportError::remote)?;
         let bytes = wire_bytes(&encoded);
         if target != home {
@@ -215,21 +216,21 @@ impl Transport for ChannelTransport {
     }
 
     fn num_servers(&self) -> usize {
-        self.senders.len()
+        self.stores.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{decode_entries, ServerConfig, ServerNode};
+    use crate::node::{decode_entries, ServerConfig};
     use netdir_model::Entry;
 
     fn dn(s: &str) -> Dn {
         Dn::parse(s).unwrap()
     }
 
-    fn spawn_two() -> (Vec<ServerNode>, ChannelTransport) {
+    fn two_zones() -> LocalTransport {
         let mk = |s: &str| {
             Entry::builder(dn(s))
                 .class("thing")
@@ -237,20 +238,18 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let nodes = vec![
-            ServerNode::spawn(
+        LocalTransport::new(Arc::from(vec![
+            ZoneStore::new(
                 ServerConfig::new("a", dn("dc=a")),
                 vec![mk("dc=a"), mk("ou=p, dc=a")],
             ),
-            ServerNode::spawn(ServerConfig::new("b", dn("dc=b")), vec![mk("dc=b")]),
-        ];
-        let transport = ChannelTransport::new(nodes.iter().map(|n| n.sender()).collect());
-        (nodes, transport)
+            ZoneStore::new(ServerConfig::new("b", dn("dc=b")), vec![mk("dc=b")]),
+        ]))
     }
 
     #[test]
     fn local_round_trips_are_free() {
-        let (_nodes, t) = spawn_two();
+        let t = two_zones();
         let resp = t
             .atomic(0, 0, &dn("dc=a"), Scope::Sub, &AtomicFilter::present("surName"))
             .unwrap();
@@ -261,7 +260,7 @@ mod tests {
 
     #[test]
     fn remote_round_trips_are_counted() {
-        let (_nodes, t) = spawn_two();
+        let t = two_zones();
         let resp = t
             .atomic(1, 0, &dn("dc=b"), Scope::Sub, &AtomicFilter::present("surName"))
             .unwrap();
@@ -275,9 +274,10 @@ mod tests {
 
     #[test]
     fn unknown_target_is_an_error() {
-        let (_nodes, t) = spawn_two();
-        assert!(t
+        let t = two_zones();
+        let err = t
             .atomic(9, 0, &dn("dc=a"), Scope::Base, &AtomicFilter::True)
-            .is_err());
+            .unwrap_err();
+        assert_eq!(err.kind, TransportErrorKind::Addressing);
     }
 }

@@ -34,7 +34,9 @@
 
 use netdir_journal::MutationBatch;
 use netdir_model::ldif::entry_to_ldif;
+use netdir_model::Entry;
 use netdir_obs::TimeDisplay;
+use netdir_server::node::decode_entries;
 use netdir_wire::{ClientOptions, WireClient, WireError};
 use std::net::ToSocketAddrs;
 use std::process::exit;
@@ -57,6 +59,16 @@ fn usage() -> ! {
 /// Print `e` and exit with a status distinguishing transient overload
 /// (retry later, exit 75) and a blown server-side deadline (exit 124)
 /// from every other failure (exit 1).
+/// Entries as LDIF records, blank-line separated.
+fn print_ldif(entries: &[Entry]) {
+    for (i, e) in entries.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        print!("{}", entry_to_ldif(e));
+    }
+}
+
 fn fail(e: WireError) -> ! {
     match e {
         WireError::Busy { retry_after_ms } => {
@@ -206,11 +218,9 @@ fn main() {
     if partial {
         match client.query_partial(&home, &query) {
             Ok(outcome) => {
-                for (i, e) in outcome.entries.iter().enumerate() {
-                    if i > 0 {
-                        println!();
-                    }
-                    print!("{}", entry_to_ldif(e));
+                match decode_entries(&outcome.entries) {
+                    Ok(entries) => print_ldif(&entries),
+                    Err(e) => fail(WireError::Protocol(e.to_string())),
                 }
                 for skip in &outcome.partial {
                     eprintln!("# partial: skipped zone {skip}");
@@ -227,12 +237,7 @@ fn main() {
     }
     match client.query(&home, &query) {
         Ok(entries) => {
-            for (i, e) in entries.iter().enumerate() {
-                if i > 0 {
-                    println!();
-                }
-                print!("{}", entry_to_ldif(e));
-            }
+            print_ldif(&entries);
             eprintln!("# {} entries", entries.len());
         }
         Err(e) => fail(e),

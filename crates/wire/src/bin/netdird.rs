@@ -1,9 +1,12 @@
 //! `netdird` — a network directory daemon.
 //!
 //! Loads a directory from LDIF, partitions it across one or more naming
-//! contexts (an in-process cluster of store threads), and serves the
-//! netdir frame protocol on a TCP listener: atomic queries, baseline
-//! LDAP searches, and full distributed L0–L3 queries.
+//! contexts (an in-process cluster: one zone per context, each answered
+//! on the worker thread serving the request), and serves the netdir
+//! frame protocol on a TCP listener: atomic queries, baseline LDAP
+//! searches, and full distributed L0–L3 queries. Threads: `main`, the
+//! acceptor and `--workers` workers; no store threads (the overload
+//! options add short-lived ones).
 //!
 //! ```text
 //! netdird --listen 127.0.0.1:3890 --ldif dir.ldif \
@@ -26,9 +29,7 @@ use netdir_server::{
     AdmissionConfig, AdmissionController, Cluster, ClusterBuilder, ConsistencyMode, EnumCap,
     RateLimit,
 };
-use netdir_wire::{
-    encode_entries, ServerOptions, WireRequest, WireResponse, WireServer, WireService,
-};
+use netdir_wire::{ServerOptions, WireRequest, WireResponse, WireServer, WireService};
 use std::process::exit;
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
@@ -38,29 +39,30 @@ use std::time::Duration;
 /// queries are evaluated "as posed to" that server (or to `home` when a
 /// Query frame names one).
 ///
-/// The read side (the cluster) is an immutable structure swapped
-/// wholesale behind a lock: queries clone the `Arc` and keep evaluating
-/// against their generation even while a mutation builds the next one.
-/// The write side is the journal — every `Mutate` frame validates and
-/// durably logs its batch there before the cluster is rebuilt from the
-/// updated directory mirror.
+/// The read side is a generation — a [`Cluster`] partitioned from one
+/// state of the directory — swapped wholesale behind a lock: queries
+/// clone the `Arc` and keep evaluating against their generation even
+/// while a mutation publishes the next one. A generation's zones build
+/// their stores on the first request that reaches them, so publishing
+/// costs a partition, not an index build, and a generation replaced
+/// unread never builds at all. The write side is the journal — every
+/// `Mutate` frame validates and durably logs its batch there before the
+/// next generation is partitioned from the updated directory mirror.
 struct ClusterService {
+    /// The current generation.
     cluster: RwLock<Arc<Cluster>>,
+    /// The shape every generation is built to: contexts, evaluation
+    /// degree, and the `--planner` planner, shared across generations so
+    /// its stats catalog survives mutations.
+    shape: ClusterBuilder,
     /// The live write path: WAL, mirror, incremental indexes.
     journal: JournalStore,
-    /// Cluster shape, kept to rebuild after a mutation:
-    /// (name, context DN, is_secondary).
-    contexts: Vec<(String, Dn, bool)>,
-    eval_threads: usize,
     /// Where the WAL image persists between runs, if anywhere.
     wal_path: Option<String>,
     /// Daemon-wide metrics, served by `Stats` frames.
     metrics: MetricsRegistry,
     /// Time source for query-latency metrics.
     clock: Arc<dyn Clock>,
-    /// Cost-based planner (`--planner`), shared across cluster rebuilds
-    /// so its stats catalog survives mutations.
-    planner: Option<Arc<Planner>>,
 }
 
 impl WireService for ClusterService {
@@ -71,21 +73,13 @@ impl WireService for ClusterService {
                 let cluster = self.cluster();
                 let pager = netdir_pager::default_pager();
                 match cluster.router().atomic(0, &pager, &base, scope, &filter) {
-                    Ok(entries) => WireResponse::Entries(encode_entries(&entries)),
+                    Ok(encoded) => WireResponse::Entries(encoded),
                     Err(e) => WireResponse::Error(e.to_string()),
                 }
             }
             WireRequest::Ldap { base, scope, filter } => {
-                let cluster = self.cluster();
-                let Some(group) = cluster.delegation().owner_group_of(&base) else {
-                    return WireResponse::Error(format!("no server manages {base}"));
-                };
-                let Some(&owner) = group.iter().find(|&&id| !cluster.is_down(id))
-                else {
-                    return WireResponse::Error(format!("no live server for {base}"));
-                };
-                match cluster.node(owner).ldap(&base, scope, &filter) {
-                    Ok(entries) => WireResponse::Entries(encode_entries(&entries)),
+                match self.cluster().ldap(&base, scope, &filter) {
+                    Ok(encoded) => WireResponse::Entries(encoded),
                     Err(e) => WireResponse::Error(e),
                 }
             }
@@ -114,16 +108,17 @@ impl ClusterService {
     /// The server a frame with an empty `home` is posed to.
     fn default_home(&self, cluster: &Cluster, home: String) -> String {
         if home.is_empty() {
-            cluster.node(0).config.name.clone()
+            cluster.store(0).config.name.clone()
         } else {
             home
         }
     }
 
     /// Apply one batch: journal first (validate → WAL → apply →
-    /// publish), then rebuild the read-side cluster from the updated
+    /// publish), then partition the next generation from the updated
     /// mirror and swap it in. In-flight queries finish on the old
-    /// generation; the next query sees the mutation.
+    /// generation; the next query sees the mutation (and builds the new
+    /// generation's store).
     fn mutate(&self, batch: MutationBatch) -> WireResponse {
         let outcome = match self.journal.apply(&batch) {
             Ok(o) => o,
@@ -139,26 +134,19 @@ impl ClusterService {
                 Err(e) => eprintln!("netdird: warning: cannot snapshot WAL: {e}"),
             }
         }
-        let rebuilt = self.journal.with_directory(|dir| {
-            let mut b = ClusterBuilder::new().eval_threads(self.eval_threads);
-            if let Some(p) = &self.planner {
-                b = b.planner(p.clone());
-            }
-            for (name, dn, secondary) in &self.contexts {
-                b = if *secondary {
-                    b.secondary(name.clone(), dn.clone())
-                } else {
-                    b.server(name.clone(), dn.clone())
-                };
-            }
-            b.build(dir)
-        });
+        let next = self.journal.with_directory(|dir| self.shape.clone().build(dir));
         // Cached plans were chosen against the old generation's list
         // sizes; drop them (the catalog itself survives and re-converges).
-        if let Some(p) = &self.planner {
+        if let Some(p) = next.router().planner() {
             p.bump_epoch();
         }
-        *self.cluster.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(rebuilt);
+        let previous = std::mem::replace(
+            &mut *self.cluster.write().unwrap_or_else(|e| e.into_inner()),
+            Arc::new(next),
+        );
+        // Freed outside the lock (or by its last reader), so no reader
+        // waits on it.
+        drop(previous);
         WireResponse::Mutated {
             epoch: outcome.epoch,
             mutations: outcome.mutations as u32,
@@ -194,10 +182,10 @@ impl ClusterService {
                 .unwrap_or(u64::MAX);
                 self.observe_query(&pager, elapsed);
                 if outcome.is_complete() {
-                    WireResponse::Entries(encode_entries(&outcome.entries))
+                    WireResponse::Entries(outcome.entries)
                 } else {
                     WireResponse::Partial {
-                        entries: encode_entries(&outcome.entries),
+                        entries: outcome.entries,
                         skipped: outcome.partial,
                     }
                 }
@@ -220,7 +208,7 @@ impl ClusterService {
             Ok((outcome, trace)) => {
                 self.observe_query(&pager, trace.elapsed_nanos);
                 WireResponse::Analyzed {
-                    entries: encode_entries(&outcome.entries),
+                    entries: outcome.entries,
                     trace,
                 }
             }
@@ -236,7 +224,7 @@ impl ClusterService {
         bridge::sync_net(&self.metrics, router.net().snapshot());
         bridge::sync_retry(&self.metrics, router.retry_stats().snapshot());
         bridge::sync_health(&self.metrics, router.health().transitions());
-        if let Some(p) = &self.planner {
+        if let Some(p) = router.planner() {
             bridge::sync_planner(&self.metrics, p.snapshot());
         }
         self.journal.sync_metrics(&self.metrics);
@@ -448,23 +436,20 @@ fn main() {
         }),
     };
 
-    let planner = use_planner.then(|| Arc::new(Planner::new()));
-    let cluster = journal.with_directory(|d| {
-        let mut builder = ClusterBuilder::new().eval_threads(eval_threads);
-        if let Some(p) = &planner {
-            builder = builder.planner(p.clone());
-        }
-        for (name, dn, secondary) in &contexts {
-            builder = if *secondary {
-                builder.secondary(name.clone(), dn.clone())
-            } else {
-                builder.server(name.clone(), dn.clone())
-            };
-        }
-        builder.build(d)
-    });
+    let mut shape = ClusterBuilder::new().eval_threads(eval_threads);
+    if use_planner {
+        shape = shape.planner(Arc::new(Planner::new()));
+    }
+    for (name, dn, secondary) in contexts {
+        shape = if secondary {
+            shape.secondary(name, dn)
+        } else {
+            shape.server(name, dn)
+        };
+    }
+    let cluster = journal.with_directory(|d| shape.clone().build(d));
     let num_entries: usize = (0..cluster.num_servers())
-        .map(|id| cluster.node(id).num_entries)
+        .map(|id| cluster.store(id).num_entries)
         .sum();
     if cluster.orphaned() > 0 {
         eprintln!(
@@ -492,13 +477,11 @@ fn main() {
     }
     let service = Arc::new(ClusterService {
         cluster: RwLock::new(Arc::new(cluster)),
+        shape,
         journal,
-        contexts,
-        eval_threads,
         wal_path,
         metrics,
         clock: Arc::new(MonotonicClock::new()),
-        planner,
     });
     let mut server = match WireServer::bind(listen.as_str(), service, opts) {
         Ok(s) => s,

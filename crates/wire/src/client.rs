@@ -444,9 +444,16 @@ impl WireClient {
                 )))
             }
         };
-        let entries =
-            decode_entries(&encoded).map_err(|e| WireError::Protocol(e.to_string()))?;
-        Ok(QueryOutcome { entries, partial })
+        if let Some(e) = encoded
+            .iter()
+            .find_map(|image| Entry::validate_encoded(image).err())
+        {
+            return Err(WireError::Protocol(format!("corrupt entry image: {e}")));
+        }
+        Ok(QueryOutcome {
+            entries: encoded,
+            partial,
+        })
     }
 
     /// Apply a mutation batch atomically on the daemon. Returns the

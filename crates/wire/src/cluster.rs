@@ -1,14 +1,16 @@
 //! A loopback cluster of TCP daemons sharing one partitioning rule with
 //! the in-process [`Cluster`].
 //!
-//! [`WireCluster::launch`] takes the same [`ClusterBuilder`] a channel
-//! cluster takes, partitions the directory with
+//! [`WireCluster::launch`] takes the same [`ClusterBuilder`] an
+//! in-process cluster takes, partitions the directory with
 //! [`ClusterBuilder::into_parts`] (so TCP and in-process deployments can
 //! never partition differently), then gives every server its own
-//! [`WireServer`] on an ephemeral loopback port. A shared [`Router`]
-//! over [`SocketTransport`] provides distributed evaluation; each
-//! daemon also answers full `Query` frames by running that router
-//! itself, shipping its remote atomic sub-queries over real sockets.
+//! [`WireServer`] on an ephemeral loopback port. Each daemon answers
+//! `Atomic` and `Ldap` frames from its own [`ZoneStore`] on the worker
+//! thread that read the frame. A shared [`Router`] over
+//! [`SocketTransport`] provides distributed evaluation; each daemon also
+//! answers full `Query` frames by running that router itself, shipping
+//! its remote atomic sub-queries over real sockets.
 //!
 //! [`Cluster`]: netdir_server::Cluster
 
@@ -16,7 +18,6 @@ use crate::client::{ClientOptions, WireClient};
 use crate::codec::{WireRequest, WireResponse};
 use crate::server::{ServerOptions, WireServer, WireService};
 use crate::socket::SocketTransport;
-use crossbeam::channel::{unbounded, Sender};
 use netdir_model::{Directory, Entry};
 use netdir_obs::{Clock, MetricsRegistry, MonotonicClock};
 use netdir_pager::record::Record;
@@ -25,17 +26,18 @@ use netdir_query::parse_query;
 use netdir_query::{Query, QueryError, QueryResult};
 use netdir_server::delegation::ServerId;
 use netdir_server::metrics as bridge;
-use netdir_server::node::Request;
 use netdir_server::{
     BreakerConfig, ClusterBuilder, ConsistencyMode, FaultConfig, FaultStats, FaultTransport,
-    NetStats, QueryOutcome, RetryPolicy, RetryStats, Router, ServerNode,
+    NetStats, QueryOutcome, RetryPolicy, RetryStats, Router, ZoneStore,
 };
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{Arc, OnceLock};
 
-/// Encode entries the way they live on pages (and on the channel wire).
-pub fn encode_entries(entries: &[Entry]) -> Vec<Vec<u8>> {
+/// Encode records the way they live on v1 pages and cross every
+/// transport: each one's frozen [`Record::encode`] image. Images already
+/// in that encoding (`Vec<u8>`) come back as they are.
+pub fn encode_entries<T: Record>(entries: &[T]) -> Vec<Vec<u8>> {
     entries
         .iter()
         .map(|e| {
@@ -46,15 +48,22 @@ pub fn encode_entries(entries: &[Entry]) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The per-daemon service: local store over a channel, full queries via
-/// the shared router.
+/// A store's answer as a frame.
+fn entries_frame(answer: Result<Vec<Vec<u8>>, String>) -> WireResponse {
+    match answer {
+        Ok(encoded) => WireResponse::Entries(encoded),
+        Err(e) => WireResponse::Error(e),
+    }
+}
+
+/// The per-daemon service: its own zone called directly, full queries
+/// via the shared router.
 struct NodeService {
-    /// Request channel into this daemon's own [`ServerNode`].
-    sender: Sender<Request>,
+    /// Every daemon's zone, indexed by id (this daemon serves
+    /// `stores[home]`; the names resolve `Query { home }`).
+    stores: Arc<[ZoneStore]>,
     /// This daemon's server id (default `home` for queries).
     home: ServerId,
-    /// Server names, indexed by id, for `Query { home }` resolution.
-    names: Arc<Vec<String>>,
     /// Distributed evaluator over socket transport; set once all
     /// listeners are bound (requests racing launch get a clean error).
     router: Arc<OnceLock<Router>>,
@@ -68,19 +77,9 @@ struct NodeService {
 }
 
 impl NodeService {
-    fn local(
-        &self,
-        build: impl FnOnce(Sender<Result<Vec<Vec<u8>>, String>>) -> Request,
-    ) -> WireResponse {
-        let (reply, rx) = unbounded();
-        if self.sender.send(build(reply)).is_err() {
-            return WireResponse::Error("server node is gone".into());
-        }
-        match rx.recv() {
-            Ok(Ok(encoded)) => WireResponse::Entries(encoded),
-            Ok(Err(e)) => WireResponse::Error(e),
-            Err(e) => WireResponse::Error(format!("server node reply lost: {e}")),
-        }
+    /// This daemon's own zone.
+    fn zone(&self) -> &ZoneStore {
+        &self.stores[self.home]
     }
 
     /// Resolve a `Query` frame's `home` field (empty = this daemon).
@@ -88,9 +87,9 @@ impl NodeService {
         if home.is_empty() {
             return Ok(self.home);
         }
-        self.names
+        self.stores
             .iter()
-            .position(|n| n == home)
+            .position(|s| s.config.name == home)
             .ok_or_else(|| WireResponse::Error(format!("no such server: {home}")))
     }
 
@@ -129,10 +128,10 @@ impl NodeService {
                 .unwrap_or(u64::MAX);
                 self.observe_query(&pager, elapsed);
                 if outcome.is_complete() {
-                    WireResponse::Entries(encode_entries(&outcome.entries))
+                    WireResponse::Entries(outcome.entries)
                 } else {
                     WireResponse::Partial {
-                        entries: encode_entries(&outcome.entries),
+                        entries: outcome.entries,
                         skipped: outcome.partial,
                     }
                 }
@@ -160,7 +159,7 @@ impl NodeService {
             Ok((outcome, trace)) => {
                 self.observe_query(&pager, trace.elapsed_nanos);
                 WireResponse::Analyzed {
-                    entries: encode_entries(&outcome.entries),
+                    entries: outcome.entries,
                     trace,
                 }
             }
@@ -187,22 +186,12 @@ impl WireService for NodeService {
     fn handle(&self, req: WireRequest) -> WireResponse {
         match req {
             WireRequest::Ping | WireRequest::Shutdown => WireResponse::Pong,
-            WireRequest::Atomic { base, scope, filter } => self.local(|reply| {
-                Request::Atomic {
-                    base,
-                    scope,
-                    filter,
-                    reply,
-                }
-            }),
-            WireRequest::Ldap { base, scope, filter } => self.local(|reply| {
-                Request::Ldap {
-                    base,
-                    scope,
-                    filter,
-                    reply,
-                }
-            }),
+            WireRequest::Atomic { base, scope, filter } => {
+                entries_frame(self.zone().atomic(&base, scope, &filter))
+            }
+            WireRequest::Ldap { base, scope, filter } => {
+                entries_frame(self.zone().ldap(&base, scope, &filter))
+            }
             WireRequest::Query { home, text } => {
                 self.distributed(&home, &text, ConsistencyMode::Strict)
             }
@@ -235,12 +224,11 @@ pub struct FaultPlan {
 
 /// A running cluster of loopback TCP daemons.
 pub struct WireCluster {
-    names: Arc<Vec<String>>,
+    /// Every daemon's zone, indexed by server id.
+    stores: Arc<[ZoneStore]>,
     addrs: Vec<SocketAddr>,
     router: Arc<OnceLock<Router>>,
     servers: Vec<WireServer>,
-    /// Keeps the store threads alive for the daemons' lifetime.
-    _nodes: Vec<ServerNode>,
     orphaned: usize,
     client_opts: ClientOptions,
     /// Fault-injection counters, when launched with a [`FaultPlan`].
@@ -283,25 +271,18 @@ impl WireCluster {
         plan: Option<FaultPlan>,
     ) -> io::Result<WireCluster> {
         let parts = builder.into_parts(dir);
-        let names: Arc<Vec<String>> =
-            Arc::new(parts.configs.iter().map(|c| c.name.clone()).collect());
-        let nodes: Vec<ServerNode> = parts
-            .configs
-            .into_iter()
-            .zip(parts.partitions)
-            .map(|(cfg, entries)| ServerNode::spawn(cfg, entries))
-            .collect();
+        let orphaned = parts.orphaned;
+        let (delegation, stores) = parts.into_stores();
         let router: Arc<OnceLock<Router>> = Arc::new(OnceLock::new());
         let metrics = MetricsRegistry::default();
         bridge::register_all(&metrics);
         let fault_slot: Arc<OnceLock<FaultStats>> = Arc::new(OnceLock::new());
-        let mut servers = Vec::with_capacity(nodes.len());
-        let mut addrs = Vec::with_capacity(nodes.len());
-        for (id, node) in nodes.iter().enumerate() {
+        let mut servers = Vec::with_capacity(stores.len());
+        let mut addrs = Vec::with_capacity(stores.len());
+        for id in 0..stores.len() {
             let service = Arc::new(NodeService {
-                sender: node.sender(),
+                stores: stores.clone(),
                 home: id,
-                names: names.clone(),
                 router: router.clone(),
                 metrics: metrics.clone(),
                 fault: fault_slot.clone(),
@@ -313,11 +294,11 @@ impl WireCluster {
         }
         let transport = SocketTransport::connect(&addrs, client_opts.clone());
         let (fault_stats, shared_router) = match plan {
-            None => (None, Router::new(parts.delegation, Box::new(transport))),
+            None => (None, Router::new(delegation, Box::new(transport))),
             Some(plan) => {
                 let fault = FaultTransport::new(Box::new(transport), plan.faults);
                 let stats = fault.stats();
-                let r = Router::new(parts.delegation, Box::new(fault))
+                let r = Router::new(delegation, Box::new(fault))
                     .with_retry(plan.retry)
                     .with_breaker(plan.breaker);
                 (Some(stats), r)
@@ -328,12 +309,11 @@ impl WireCluster {
             let _ = fault_slot.set(stats.clone());
         }
         Ok(WireCluster {
-            names,
+            stores,
             addrs,
             router,
             servers,
-            _nodes: nodes,
-            orphaned: parts.orphaned,
+            orphaned,
             client_opts,
             fault_stats,
             metrics,
@@ -379,7 +359,14 @@ impl WireCluster {
 
     /// Server id by name.
     pub fn server_id(&self, name: &str) -> Option<ServerId> {
-        self.names.iter().position(|n| n == name)
+        self.stores.iter().position(|s| s.config.name == name)
+    }
+
+    fn home_id(&self, home: &str) -> QueryResult<ServerId> {
+        self.server_id(home).ok_or_else(|| QueryError::Parse {
+            input: home.into(),
+            detail: "no such server".into(),
+        })
     }
 
     /// The loopback address server `id` listens on.
@@ -410,16 +397,15 @@ impl WireCluster {
     }
 
     /// Evaluate `query` as posed to server `home` (by name), shipping
-    /// remote sub-queries over the loopback sockets.
+    /// remote sub-queries over the loopback sockets, and decode the
+    /// answer.
     pub fn query_from(
         &self,
         home: &str,
         pager: &netdir_pager::Pager,
         query: &Query,
     ) -> QueryResult<Vec<Entry>> {
-        Ok(self
-            .query_from_with(home, pager, query, ConsistencyMode::Strict)?
-            .entries)
+        self.router().query(self.home_id(home)?, pager, query)
     }
 
     /// Like [`WireCluster::query_from`], but under an explicit
@@ -432,11 +418,7 @@ impl WireCluster {
         query: &Query,
         mode: ConsistencyMode,
     ) -> QueryResult<QueryOutcome> {
-        let home = self.server_id(home).ok_or_else(|| QueryError::Parse {
-            input: home.into(),
-            detail: "no such server".into(),
-        })?;
-        self.router().query_with(home, pager, query, mode)
+        self.router().query_with(self.home_id(home)?, pager, query, mode)
     }
 
     /// Like [`WireCluster::query_from`], but also returns the
@@ -448,11 +430,8 @@ impl WireCluster {
         query: &Query,
         mode: ConsistencyMode,
     ) -> QueryResult<(QueryOutcome, netdir_obs::QueryTrace)> {
-        let home = self.server_id(home).ok_or_else(|| QueryError::Parse {
-            input: home.into(),
-            detail: "no such server".into(),
-        })?;
-        self.router().query_analyzed(home, pager, query, mode)
+        self.router()
+            .query_analyzed(self.home_id(home)?, pager, query, mode)
     }
 
     /// Stop every daemon gracefully.

@@ -13,7 +13,7 @@
 //! * Full L0–L3 queries travel as query text: both ends run the same
 //!   parser, so a query means the same thing shipped as it meant typed.
 //! * Entries travel in their on-page [`Record`] encoding — byte-identical
-//!   to what the in-process channel transport ships, which is what lets
+//!   to what the in-process transport ships, which is what lets
 //!   the integration tests assert TCP and in-process results match byte
 //!   for byte.
 //!

@@ -6,7 +6,7 @@
 //! `netdir-server` keeps it that way behind its `Transport` trait. This
 //! crate supplies the other side of that trait: a real TCP wire
 //! protocol, so the distributed evaluator's shipped-byte accounting can
-//! be measured against actual sockets instead of in-process channels.
+//! be measured against actual sockets instead of in-process calls.
 //!
 //! Layers, bottom up:
 //!
@@ -15,7 +15,7 @@
 //! * [`codec`] — request/response payloads: DNs and L0–L3 queries as
 //!   canonical text, filters structurally, entries in their on-page
 //!   [`Record`](netdir_pager::record::Record) encoding (byte-identical
-//!   to what the channel transport ships).
+//!   to what the in-process transport ships and a v1 page stores).
 //! * [`server`] — a blocking multi-threaded frame server (`std::net`
 //!   accept thread + crossbeam worker pool, no async runtime) with
 //!   per-connection timeouts and graceful shutdown; the `netdird`

@@ -2,8 +2,9 @@
 //!
 //! No async runtime: one accept thread feeds accepted connections over a
 //! crossbeam channel to a fixed worker pool, and each worker speaks the
-//! frame protocol synchronously over its connection (the same
-//! threads-and-channels idiom the in-process [`ServerNode`] uses).
+//! frame protocol synchronously over its connection, running the
+//! service on its own thread — a daemon is its acceptor plus its
+//! workers.
 //!
 //! Robustness guards, all per-connection:
 //! * read/write timeouts — a stalled or silent peer costs one worker
@@ -33,8 +34,6 @@
 //! write their responses, then joins every thread. Connections still
 //! waiting in the accept queue are dropped unanswered — their clients
 //! see a clean close and retry elsewhere.
-//!
-//! [`ServerNode`]: netdir_server::ServerNode
 
 use crate::codec::{WireRequest, WireResponse};
 use crate::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};

@@ -2,9 +2,9 @@
 //!
 //! Implements `netdir_server::Transport` with one [`WireClient`] per
 //! server, so [`Router`] runs the identical routing/merging logic it
-//! runs over in-process channels — only the shipping medium changes.
-//! `NetStats` here counts **actual frame bytes** (header + payload of
-//! each response), not the hypothetical payload sizes the channel
+//! runs over the in-process transport — only the shipping medium
+//! changes. `NetStats` here counts **actual frame bytes** (header +
+//! payload of each response), not the payload sizes the in-process
 //! transport charges, so `exp_distributed --wire` reports what truly
 //! crossed the loopback.
 //!
@@ -18,8 +18,7 @@ use netdir_server::{AtomicResponse, NetStats, Transport, TransportError, Transpo
 use std::net::SocketAddr;
 
 /// Preserve the retry classification across the error-type boundary, so
-/// the router treats a TCP failure exactly like the equivalent channel
-/// failure.
+/// the router treats a TCP failure exactly like any other transport's.
 fn to_transport_error(e: WireError) -> TransportError {
     match e {
         WireError::Io(d) => TransportError::new(d),

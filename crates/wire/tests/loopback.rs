@@ -1,6 +1,6 @@
 //! End-to-end: a loopback fleet of TCP daemons must answer every query
-//! language level byte-identically to the in-process channel cluster it
-//! was partitioned from, and its shipped-byte counters must reflect
+//! language level byte-identically to the in-process cluster it was
+//! partitioned from, and its shipped-byte counters must reflect
 //! real frames crossing real sockets.
 
 use netdir_filter::{parse_atomic, parse_composite, Scope};
@@ -171,20 +171,21 @@ fn atomic_and_search_frames_match_the_owning_store() {
     let client = wire.client(att);
 
     // Atomic and Ldap frames are answered by the daemon's own store, so
-    // compare against the matching in-process node on a base the `att`
+    // compare against the matching in-process zone on a base the `att`
     // partition fully owns.
     let base = dn("ou=people, dc=att, dc=com");
     let atomic = parse_atomic("surName=jagadish").unwrap();
     let got = client.atomic(&base, Scope::Sub, &atomic).unwrap();
-    let want = in_process.node(att).atomic(&base, Scope::Sub, &atomic).unwrap();
+    let want = in_process.store(att).atomic(&base, Scope::Sub, &atomic).unwrap();
     assert!(!want.is_empty());
-    assert_eq!(encode_entries(&got), encode_entries(&want));
+    assert_eq!(encode_entries(&got), want);
 
     let composite = parse_composite("(&(objectClass=thing)(surName=jagadish))").unwrap();
     let got = client.search(&base, Scope::Sub, &composite).unwrap();
-    let want = in_process.node(att).ldap(&base, Scope::Sub, &composite).unwrap();
+    let want = in_process.store(att).ldap(&base, Scope::Sub, &composite).unwrap();
     assert!(!want.is_empty());
-    assert_eq!(encode_entries(&got), encode_entries(&want));
+    assert_eq!(encode_entries(&got), want);
+    assert_eq!(in_process.ldap(&base, Scope::Sub, &composite).unwrap(), want);
 }
 
 #[test]

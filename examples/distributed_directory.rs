@@ -14,6 +14,7 @@ use netdir::filter::{parse_composite, Scope};
 use netdir::model::{Directory, Dn, Entry};
 use netdir::pager::Pager;
 use netdir::query::parse_query;
+use netdir::server::node::decode_entries;
 use netdir::server::ClusterBuilder;
 
 fn dn(s: &str) -> Dn {
@@ -60,9 +61,9 @@ fn main() {
     for (ctx, id) in cluster.delegation().contexts() {
         println!(
             "   server {:<9} owns {:<35} ({} entries)",
-            cluster.node(id).config.name,
+            cluster.store(id).config.name,
             ctx.to_string(),
-            cluster.node(id).num_entries
+            cluster.store(id).num_entries
         );
     }
 
@@ -87,17 +88,14 @@ fn main() {
 
     println!("\n── the LDAP workaround for Example 4.1 ──");
     // The baseline language has one base and one scope, so the
-    // application must pose two queries and difference them itself.
+    // application must pose two queries — each answered by the server
+    // owning its base — and difference them itself.
     let filter = parse_composite("(surName=jagadish)").unwrap();
-    cluster.net().reset();
-    let att_all = cluster
-        .node(cluster.server_id("att").unwrap())
-        .ldap(&dn("dc=att, dc=com"), Scope::Sub, &filter)
-        .unwrap();
-    let research_all = cluster
-        .node(cluster.server_id("research").unwrap())
-        .ldap(&dn("dc=research, dc=att, dc=com"), Scope::Sub, &filter)
-        .unwrap();
+    let search = |base: &str| {
+        decode_entries(&cluster.ldap(&dn(base), Scope::Sub, &filter).unwrap()).unwrap()
+    };
+    let att_all = search("dc=att, dc=com");
+    let research_all = search("dc=research, dc=att, dc=com");
     let client_side: Vec<_> = att_all
         .iter()
         .filter(|e| research_all.iter().all(|r| r.dn() != e.dn()))
