@@ -10,7 +10,7 @@
 //! reject the frame before allocating, writers refuse to emit one the
 //! peer would reject.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Default maximum payload size (16 MiB), comfortably above any response
 /// the experiment harness produces.
@@ -23,6 +23,10 @@ pub fn frame_len(payload_len: usize) -> u64 {
 
 /// Write one frame. Fails with `InvalidInput` if the payload exceeds
 /// `max_frame` (nothing is written in that case).
+///
+/// Header and payload go down in one vectored write, so with `TCP_NODELAY`
+/// a frame is one segment and wakes its reader once, not once for a lone
+/// 4-byte header and again for the payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8], max_frame: usize) -> io::Result<()> {
     if payload.len() > max_frame {
         return Err(io::Error::new(
@@ -34,8 +38,16 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max_frame: usize) -> io::
         ));
     }
     let header = (payload.len() as u32).to_be_bytes();
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut bufs = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -48,18 +60,18 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max_frame: usize) -> io::
 ///   bytes; nothing is allocated for such a frame.
 pub fn read_frame(r: &mut impl Read, max_frame: usize) -> io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
-    // Read the first header byte by hand so clean EOF at a frame
-    // boundary is distinguishable from truncation inside one.
+    // Start the header by hand so clean EOF at a frame boundary is
+    // distinguishable from truncation inside one.
     let mut got = 0;
     while got == 0 {
-        match r.read(&mut header[..1]) {
+        match r.read(&mut header) {
             Ok(0) => return Ok(None),
             Ok(n) => got = n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         }
     }
-    r.read_exact(&mut header[1..])?;
+    r.read_exact(&mut header[got..])?;
     let len = u32::from_be_bytes(header) as usize;
     if len > max_frame {
         return Err(io::Error::new(
@@ -77,13 +89,44 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// Takes at most `.2` bytes per call, across the slices of a
+    /// vectored write as a socket does; `.1` counts the calls.
+    struct Trickle(Vec<u8>, usize, usize);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let flat: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            let n = flat.len().min(self.2);
+            self.0.extend_from_slice(&flat[..n]);
+            self.1 += 1;
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Hands out one byte per read call.
+    struct OneByte(Cursor<Vec<u8>>);
+
+    impl Read for OneByte {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
     #[test]
     fn frames_round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello", DEFAULT_MAX_FRAME).unwrap();
-        write_frame(&mut buf, b"", DEFAULT_MAX_FRAME).unwrap();
-        write_frame(&mut buf, &[0xff; 300], DEFAULT_MAX_FRAME).unwrap();
-        let mut r = Cursor::new(buf);
+        // Short writes and one-byte reads: frames still come out whole.
+        let mut w = Trickle(Vec::new(), 0, 3);
+        write_frame(&mut w, b"hello", DEFAULT_MAX_FRAME).unwrap();
+        write_frame(&mut w, b"", DEFAULT_MAX_FRAME).unwrap();
+        write_frame(&mut w, &[0xff; 300], DEFAULT_MAX_FRAME).unwrap();
+        let mut r = OneByte(Cursor::new(w.0));
         assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"");
         assert_eq!(
@@ -91,6 +134,13 @@ mod tests {
             vec![0xff; 300]
         );
         assert!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_frame_goes_down_in_one_write() {
+        let mut w = Trickle(Vec::new(), 0, usize::MAX);
+        write_frame(&mut w, b"hello", DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!((w.0.as_slice(), w.1), (&b"\0\0\0\x05hello"[..], 1));
     }
 
     #[test]
