@@ -97,7 +97,11 @@ impl Default for Config {
             names_file: "crates/obs/src/names.rs",
             lock_audited: vec!["crates/pager/src/pool.rs"],
             panic_roots: vec!["serve_conn"],
-            panic_scope: vec!["crates/wire/src/", "crates/server/src/"],
+            panic_scope: vec![
+                "crates/wire/src/",
+                "crates/server/src/",
+                "crates/journal/src/",
+            ],
             allow_file: "compat/ndlint.allow",
         }
     }

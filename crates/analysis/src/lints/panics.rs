@@ -1,7 +1,9 @@
 //! `panic-path`: no `unwrap`/`expect`/`panic!` in code reachable from
 //! the request-serving entry point (a connection's `serve_conn`) in
-//! `crates/wire` / `crates/server`. Zones are answered on the serving
-//! thread, through `dyn Transport`: a call `transport.atomic(…)` is an
+//! `crates/wire` / `crates/server` / `crates/journal` (a `Mutate` frame
+//! validates, logs and applies its batch on the serving thread). Zones
+//! are answered on the serving thread, through `dyn Transport`: a call
+//! `transport.atomic(…)` is an
 //! edge to every `fn atomic`, the in-process transport's included, so
 //! the local store visit is on the walked path without a root of its
 //! own. The

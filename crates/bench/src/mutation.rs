@@ -145,8 +145,8 @@ pub fn mutation_suite(
     vec![apply_row, replay_row]
 }
 
-/// Smoke-sized suite: enough batches to split pages and span WAL pages,
-/// small enough for CI.
+/// Smoke-sized suite: enough batches to span WAL pages, small enough
+/// for CI.
 pub fn smoke_suite(registry: &MetricsRegistry) -> Vec<MutationRow> {
     mutation_suite(8, 25, registry)
 }

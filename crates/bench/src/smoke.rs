@@ -172,8 +172,8 @@ pub fn instrumented_suite_with(sweep: &SweepConfig, load_cfg: &LoadConfig) -> Be
     let parallel = par::degree_sweep(sweep, &registry);
 
     // Write-path phase: apply a burst of mutation batches through a
-    // journal and replay its WAL, so the wal/mutation/epoch series
-    // carry real work.
+    // journal and replay its WAL, so the wal/mutation series carry
+    // real work.
     let mutation = mutation::smoke_suite(&registry);
 
     // Overload phase: the closed-loop load sweep, admission-controlled

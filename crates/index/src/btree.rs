@@ -21,8 +21,8 @@ use netdir_pager::{PagerError, PagerResult, Pager, PAGE_HEADER_BYTES};
 
 const PAIR_BYTES: usize = 16;
 
-/// A static B+-tree. Keys are `i64`, payloads are entry ids; duplicate
-/// keys are fine (the id disambiguates).
+/// A static B+-tree. Keys are `i64`, payloads are postings; duplicate
+/// keys are fine (the posting disambiguates).
 pub struct StaticBTree {
     pager: Pager,
     /// Levels bottom-up: `levels[0]` = leaf pages, last = root level

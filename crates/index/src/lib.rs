@@ -28,19 +28,16 @@
 pub mod btree;
 pub mod directory_index;
 pub mod dn_table;
-pub mod live;
 pub mod suffix;
 pub mod trie;
 
 pub use btree::StaticBTree;
 pub use directory_index::{AtomicCost, IndexedDirectory};
 pub use dn_table::{DnTable, RawHit, ScopeRange};
-pub use live::{LiveIntIndex, LiveSuffixIndex};
 pub use suffix::SuffixIndex;
 pub use trie::Trie;
 
-/// What an attribute index stores per key. The static
-/// [`IndexedDirectory`] posts DN-table **positions** (so a scope is a
-/// range of postings); the journal's live indexes post entry ids. The
-/// index structures only ever sort and compare them.
+/// What an attribute index stores per key: a DN-table **position**, so
+/// a scope is a range of postings. The index structures only ever sort
+/// and compare them.
 pub type Posting = u64;

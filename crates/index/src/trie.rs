@@ -49,37 +49,6 @@ impl Trie {
         self.len += 1;
     }
 
-    /// Remove one `(key, id)` association, pruning any branch it leaves
-    /// empty. Returns `true` iff the association existed. Duplicate
-    /// associations are removed one at a time (mirroring `insert`, which
-    /// counts them individually).
-    pub fn remove(&mut self, key: &str, id: Posting) -> bool {
-        fn rec(node: &mut Node, key: &[u8], id: Posting) -> Option<bool> {
-            match key.split_first() {
-                None => {
-                    let pos = node.ids.iter().position(|&i| i == id)?;
-                    node.ids.remove(pos);
-                    Some(node.ids.is_empty() && node.children.is_empty())
-                }
-                Some((&b, rest)) => {
-                    let child = node.children.get_mut(&b)?;
-                    let prune = rec(child, rest, id)?;
-                    if prune {
-                        node.children.remove(&b);
-                    }
-                    Some(node.ids.is_empty() && node.children.is_empty())
-                }
-            }
-        }
-        match rec(&mut self.root, key.as_bytes(), id) {
-            Some(_) => {
-                self.len -= 1;
-                true
-            }
-            None => false,
-        }
-    }
-
     fn descend(&self, key: &str) -> Option<&Node> {
         let mut node = &self.root;
         for b in key.bytes() {
@@ -155,44 +124,6 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert!(!t.is_empty());
         assert!(Trie::new().is_empty());
-    }
-
-    #[test]
-    fn remove_deletes_one_association() {
-        let mut t = sample();
-        assert!(t.remove("jagadish", 1));
-        assert_eq!(t.lookup_exact("jagadish"), vec![4]);
-        assert_eq!(t.len(), 3);
-        // Second removal of the same association fails.
-        assert!(!t.remove("jagadish", 1));
-        // Missing key fails without touching the count.
-        assert!(!t.remove("ghost", 1));
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn remove_prunes_empty_branches() {
-        let mut t = Trie::new();
-        t.insert("abc", 1);
-        t.insert("abd", 2);
-        assert!(t.remove("abc", 1));
-        // The "abc" branch is gone; prefix search still finds "abd".
-        assert_eq!(t.lookup_prefix("ab"), vec![2]);
-        assert_eq!(t.lookup_exact("abc"), Vec::<u64>::new());
-        assert!(t.remove("abd", 2));
-        assert!(t.is_empty());
-        assert!(t.root.children.is_empty(), "all branches pruned");
-    }
-
-    #[test]
-    fn remove_keeps_interior_keys() {
-        // "jag" terminates inside the "jagadish" branch; removing the
-        // longer key must not disturb it.
-        let mut t = sample();
-        assert!(t.remove("jagadish", 1));
-        assert!(t.remove("jagadish", 4));
-        assert_eq!(t.lookup_exact("jag"), vec![2]);
-        assert_eq!(t.lookup_prefix("jag"), vec![2]);
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //!
 //! The paper evaluates queries over a *static* bulk-loaded directory; this
 //! crate adds the piece a deployed server needs — mutations that land
-//! while queries run — without giving up the two properties the rest of
-//! the workspace is built on:
+//! while queries run. It keeps the directory as one in-memory
+//! [`netdir_model::Directory`] mirror behind a write-ahead log; readers
+//! never query the journal itself. A server partitions an immutable
+//! query generation from the mirror after each batch and swaps it in
+//! whole, so a reader holding a generation sees one committed state no
+//! matter how many batches land meanwhile.
 //!
-//! * **Sorted-by-reverse-DN storage.** Inserts splice into the paged
-//!   entry list at sort position with a page-local copy-on-write
-//!   split, never a global re-sort, so every query-side invariant
-//!   (contiguous subtrees, fence-guided scope scans) keeps holding.
-//! * **Exact page-transfer accounting.** The WAL flushes through the
-//!   same [`netdir_pager::Disk`] abstraction as everything else, so
-//!   durability costs are measured in the same ledger currency as
-//!   query I/O.
+//! The WAL flushes through the same [`netdir_pager::Disk`] abstraction as
+//! everything else, so durability costs are measured in the same ledger
+//! currency as query I/O.
 //!
 //! Layering, bottom to top:
 //!
@@ -21,26 +20,13 @@
 //!   ([`netdir_model::ldif::ChangeRecord`]).
 //! * [`wal`] — a checksummed, length-prefixed write-ahead log over raw
 //!   disk pages; recovery returns the committed prefix.
-//! * [`epoch`] — epoch-based reclamation: readers pin an epoch, writers
-//!   retire superseded pages, pages free when the last straggler drains.
-//! * [`live_list`] — the copy-on-write sorted entry list with fence
-//!   keys; exports immutable page-table snapshots.
-//! * [`indexes`] — incremental maintenance of the attribute indices
-//!   (tries, int B-trees, suffix indexes, presence) mirroring
-//!   `IndexedDirectory`'s probe semantics.
 //! * [`store`] — [`JournalStore`] ties it together: validate → WAL
-//!   append (durability point) → apply → advance epoch. Snapshots
-//!   implement [`netdir_query::eval::AtomicSource`] so a long
-//!   evaluation pins one consistent view while writers proceed.
+//!   append (durability point) → apply to the mirror → bump the epoch.
 
-pub mod epoch;
-pub mod indexes;
-pub mod live_list;
 pub mod mutation;
 pub mod store;
 pub mod wal;
 
-pub use epoch::{EpochGuard, EpochRegistry, EpochStats};
 pub use mutation::{Mutation, MutationBatch};
-pub use store::{ApplyOutcome, JournalError, JournalStats, JournalStore, RecoveryReport, Snapshot};
+pub use store::{ApplyOutcome, JournalError, JournalStats, JournalStore, RecoveryReport};
 pub use wal::Wal;

@@ -103,12 +103,12 @@ impl Wal {
         for p in 0..disk.num_pages() {
             buf.extend_from_slice(&disk.read_page(p)?);
         }
-        if buf.len() < HEADER_BYTES as usize || buf[..4] != WAL_MAGIC {
+        if buf.get(..4) != Some(&WAL_MAGIC[..]) {
             return Err(PagerError::CorruptRecord {
                 detail: "not a journal WAL (bad magic)".into(),
             });
         }
-        let version = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+        let version = le_u32(&buf, 4).unwrap_or(0);
         if version != WAL_VERSION {
             return Err(PagerError::CorruptRecord {
                 detail: format!("unsupported WAL version {version}"),
@@ -117,24 +117,19 @@ impl Wal {
 
         let mut records = Vec::new();
         let mut pos = HEADER_BYTES as usize;
-        loop {
-            if pos + RECORD_HEADER_BYTES as usize > buf.len() {
-                break;
-            }
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
+        // Stops where no room is left for another record header.
+        while let (Some(len), Some(crc)) = (le_u32(&buf, pos), le_u32(&buf, pos + 4)) {
             if len == 0 {
                 break; // clean end of log
             }
-            let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
             let body_start = pos + RECORD_HEADER_BYTES as usize;
-            if body_start + len > buf.len() {
+            let Some(payload) = buf.get(body_start..body_start + len as usize) else {
                 break; // torn: record runs past the device
-            }
-            let payload = &buf[body_start..body_start + len];
+            };
             if crc32(payload) != crc {
                 break; // torn or corrupt: checksum mismatch
             }
-            pos = body_start + len;
+            pos = body_start + payload.len();
             records.push(WalRecord {
                 payload: payload.to_vec(),
                 end: pos as u64,
@@ -274,7 +269,7 @@ impl Wal {
 
     /// Build a device holding `bytes` (zero-padded to whole pages) —
     /// the reopen side of the crash-recovery tests.
-    pub fn disk_from_bytes(bytes: &[u8], page_size: usize) -> Box<dyn Disk> {
+    pub fn disk_from_bytes(bytes: &[u8], page_size: usize) -> PagerResult<Box<dyn Disk>> {
         let disk = MemDisk::new(page_size, IoStats::new());
         let pages = bytes.len().div_ceil(page_size);
         for p in 0..pages {
@@ -283,10 +278,16 @@ impl Wal {
             let end = (start + page_size).min(bytes.len());
             let mut img = vec![0u8; page_size];
             img[..end - start].copy_from_slice(&bytes[start..end]);
-            disk.write_page(id, bytes::Bytes::from(img)).unwrap();
+            disk.write_page(id, bytes::Bytes::from(img))?;
         }
-        Box::new(disk)
+        Ok(Box::new(disk))
     }
+}
+
+/// The little-endian `u32` at `buf[at..at + 4]`, if `buf` holds it.
+fn le_u32(buf: &[u8], at: usize) -> Option<u32> {
+    let bytes: [u8; 4] = buf.get(at..at.checked_add(4)?)?.try_into().ok()?;
+    Some(u32::from_le_bytes(bytes))
 }
 
 #[cfg(test)]
@@ -312,7 +313,7 @@ mod tests {
             w.append(p).unwrap();
         }
         let bytes = w.raw_bytes().unwrap();
-        let (w2, recs) = Wal::open(Wal::disk_from_bytes(&bytes, 64)).unwrap();
+        let (w2, recs) = Wal::open(Wal::disk_from_bytes(&bytes, 64).unwrap()).unwrap();
         assert_eq!(recs.len(), payloads.len());
         for (r, p) in recs.iter().zip(&payloads) {
             assert_eq!(&r.payload, p);
@@ -327,7 +328,7 @@ mod tests {
         w.append(&big).unwrap();
         w.append(&[1, 2, 3]).unwrap();
         let bytes = w.raw_bytes().unwrap();
-        let (_, recs) = Wal::open(Wal::disk_from_bytes(&bytes, 32)).unwrap();
+        let (_, recs) = Wal::open(Wal::disk_from_bytes(&bytes, 32).unwrap()).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].payload, big);
         assert_eq!(recs[1].payload, vec![1, 2, 3]);
@@ -344,7 +345,7 @@ mod tests {
         }
         let bytes = w.raw_bytes().unwrap();
         for cut in 8..bytes.len() {
-            let (_, recs) = Wal::open(Wal::disk_from_bytes(&bytes[..cut], 64)).unwrap();
+            let (_, recs) = Wal::open(Wal::disk_from_bytes(&bytes[..cut], 64).unwrap()).unwrap();
             // The recovered records must be exactly the committed prefix:
             // every record wholly before `cut` survives, nothing after.
             let expect = ends.iter().filter(|&&e| e <= cut as u64).count();
@@ -364,12 +365,12 @@ mod tests {
         let bytes = w.raw_bytes().unwrap();
         // Cut mid-way through the second record.
         let cut = keep as usize + 20;
-        let (mut w2, recs) = Wal::open(Wal::disk_from_bytes(&bytes[..cut], 64)).unwrap();
+        let (mut w2, recs) = Wal::open(Wal::disk_from_bytes(&bytes[..cut], 64).unwrap()).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(w2.tail(), keep);
         w2.append(&[5u8; 30]).unwrap();
         let bytes2 = w2.raw_bytes().unwrap();
-        let (_, recs2) = Wal::open(Wal::disk_from_bytes(&bytes2, 64)).unwrap();
+        let (_, recs2) = Wal::open(Wal::disk_from_bytes(&bytes2, 64).unwrap()).unwrap();
         assert_eq!(recs2.len(), 2);
         assert_eq!(recs2[0].payload, vec![9u8; 50]);
         assert_eq!(recs2[1].payload, vec![5u8; 30]);

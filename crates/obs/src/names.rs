@@ -85,12 +85,6 @@ pub const WAL_REPLAY_US: &str = "netdir_wal_replay_us";
 pub const MUTATION_BATCHES: &str = "netdir_mutation_batches_total";
 /// Individual mutations applied. From `JournalStats`.
 pub const MUTATIONS_APPLIED: &str = "netdir_mutations_applied_total";
-/// Epochs the oldest pinned reader trails the writer, gauge. From
-/// `EpochStats`.
-pub const EPOCH_LAG: &str = "netdir_epoch_lag";
-/// Copy-on-write pages reclaimed after the last reader drained. From
-/// `EpochStats`.
-pub const JOURNAL_PAGES_RECLAIMED: &str = "netdir_journal_pages_reclaimed_total";
 
 /// Requests admitted past the policy layer. From `AdmissionSnapshot`.
 pub const ADMISSION_ADMITTED: &str = "netdir_admission_admitted_total";
@@ -184,8 +178,6 @@ pub const TRACKED: &[&str] = &[
     WAL_REPLAY_US,
     MUTATION_BATCHES,
     MUTATIONS_APPLIED,
-    EPOCH_LAG,
-    JOURNAL_PAGES_RECLAIMED,
     ADMISSION_ADMITTED,
     BUSY_REJECTIONS,
     ADMISSION_RATE_LIMITED,

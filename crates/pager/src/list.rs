@@ -140,25 +140,6 @@ fn walk_records<'a>(
     Ok(())
 }
 
-/// Fetch `page` and decode every record on it (shared with the
-/// journal's live lists, which splice single pages in place).
-pub fn read_page_records<T: Record>(pager: &Pager, page: PageId) -> PagerResult<Vec<T>> {
-    let guard = pager.pool().fetch(page)?;
-    let ctx = pager.ctx();
-    guard.with(|data| {
-        let mut out = Vec::new();
-        walk_records(page, data, |_, key, body, split| {
-            out.push(if split {
-                T::decode_body(key, body, &ctx)?
-            } else {
-                T::decode(body)?
-            });
-            Ok(true)
-        })?;
-        Ok(out)
-    })
-}
-
 /// A not-yet-decoded record: its sort key and body bytes, lifted off a
 /// page. The zero-copy currency of the lazy evaluation paths — boolean
 /// merges and hierarchy stacks compare and route records by [`key`]
@@ -271,31 +252,6 @@ impl<T: Record> PagedList<T> {
             w.push(&item)?;
         }
         w.finish()
-    }
-
-    /// Assemble a list from an existing page table.
-    ///
-    /// `counts[i]` is the number of records on `pages[i]`; the pages must
-    /// already hold records in an on-page format [`ListWriter`] produces
-    /// (either version — readers dispatch per page). This is how a
-    /// copy-on-write store exposes a point-in-time page table as an
-    /// ordinary list without rewriting a single page: the page table is
-    /// metadata, so the export costs no I/O.
-    pub fn from_parts(pager: &Pager, pages: Vec<PageId>, counts: &[u32]) -> Self {
-        debug_assert_eq!(pages.len(), counts.len());
-        let mut cum = Vec::with_capacity(counts.len());
-        let mut total = 0u64;
-        for &c in counts {
-            total += u64::from(c);
-            cum.push(total);
-        }
-        PagedList {
-            pager: pager.clone(),
-            pages: Arc::new(pages),
-            cum_counts: Arc::new(cum),
-            len: total,
-            _marker: PhantomData,
-        }
     }
 
     /// Number of records.
@@ -476,13 +432,10 @@ impl<T: Record> PagedList<T> {
     }
 }
 
-/// Incremental builder of one page image in the pager's format.
-///
-/// Shared by [`ListWriter`] and the journal's live lists: feed records
-/// with [`PageBuilder::push`] until it reports the page full, then write
-/// the image out with [`PageBuilder::seal_to`] (or read
-/// [`PageBuilder::header`]/[`PageBuilder::records`] directly).
-pub struct PageBuilder {
+/// Incremental builder of one page image in the pager's format: feed
+/// records with [`PageBuilder::push`] until it reports the page full,
+/// then write the image out with [`PageBuilder::seal_to`].
+struct PageBuilder {
     format: PageFormat,
     payload: usize,
     bytes: Vec<u8>,
@@ -494,7 +447,7 @@ pub struct PageBuilder {
 
 impl PageBuilder {
     /// A builder for pages of `pager`'s size and format.
-    pub fn new(pager: &Pager) -> PageBuilder {
+    fn new(pager: &Pager) -> PageBuilder {
         PageBuilder {
             format: pager.format(),
             payload: pager.payload_size(),
@@ -506,36 +459,21 @@ impl PageBuilder {
         }
     }
 
-    /// Records added to the current page.
-    pub fn count(&self) -> u32 {
-        self.count
-    }
-
     /// True iff the current page has no records.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.count == 0
     }
 
     /// The page header word for the current image.
-    pub fn header(&self) -> u32 {
+    fn header(&self) -> u32 {
         match self.format {
             PageFormat::V1 => self.count,
             PageFormat::V2 => PAGE_V2_MARKER | self.count,
         }
     }
 
-    /// The record-area bytes of the current image.
-    pub fn records(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Bytes the v2 encoding saved versus v1 on this page so far.
-    pub fn bytes_saved(&self) -> u64 {
-        self.saved
-    }
-
     /// Discard the current image and start a fresh page.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.bytes.clear();
         self.count = 0;
         self.last_key.clear();
@@ -598,7 +536,7 @@ impl PageBuilder {
 
     /// Add `item` to the page. `Ok(true)` = added; `Ok(false)` = the page
     /// is full (seal it and retry); `Err` = the record can fit on no page.
-    pub fn push<T: Record>(&mut self, item: &T, ctx: &PageCtx) -> PagerResult<bool> {
+    fn push<T: Record>(&mut self, item: &T, ctx: &PageCtx) -> PagerResult<bool> {
         match self.format {
             PageFormat::V1 => {
                 let mut scratch = std::mem::take(&mut self.scratch);
@@ -631,7 +569,7 @@ impl PageBuilder {
     /// format its bytes pass through verbatim (no decode); otherwise it is
     /// transparently decoded and re-encoded. `key` is read only where the
     /// image or the page is v2.
-    pub fn push_raw_parts<T: Record>(
+    fn push_raw_parts<T: Record>(
         &mut self,
         key: &[u8],
         body: &[u8],
@@ -646,15 +584,12 @@ impl PageBuilder {
         }
     }
 
-    /// Write the image onto `page` (zero-filling the rest of the frame),
-    /// credit the pool's compression-savings counter, and reset the
-    /// builder for the next page. Returns the record count written.
-    pub fn seal_to(&mut self, pager: &Pager, page: PageId) -> PagerResult<u32> {
+    /// Write the image onto the freshly allocated `page` (whose frame
+    /// starts zeroed), credit the pool's compression-savings counter, and
+    /// reset the builder for the next page.
+    fn seal_to(&mut self, pager: &Pager, page: PageId) -> PagerResult<()> {
         let guard = pager.pool().fetch_zeroed(page)?;
         guard.with_mut(|data| {
-            // A reclaimed id may still have a stale frame resident:
-            // overwrite the whole page, not just the prefix.
-            data.fill(0);
             data[..4].copy_from_slice(&self.header().to_le_bytes());
             data[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + self.bytes.len()]
                 .copy_from_slice(&self.bytes);
@@ -662,9 +597,8 @@ impl PageBuilder {
         if self.saved > 0 {
             pager.pool().note_compression_saved(self.saved);
         }
-        let count = self.count;
         self.reset();
-        Ok(count)
+        Ok(())
     }
 }
 
@@ -1221,43 +1155,21 @@ mod tests {
 
     #[test]
     fn mixed_format_pages_coexist_in_one_list() {
-        // from_parts over pages written in both formats: readers dispatch
-        // on each page's header (the journal's replay path relies on it).
+        // Pages written in both formats on one device: readers dispatch
+        // on each page's header, not on the pager's configured format.
         let v1_pager = tiny_pager();
-        let a = PagedList::from_iter(&v1_pager, keyed_items(30)).unwrap();
-        let mut more = keyed_items(60);
-        let tail: Vec<Keyed> = more.split_off(30);
-        // Write v2 pages onto the same device by hand-building images.
-        let mut builder = PageBuilder {
-            format: PageFormat::V2,
-            payload: v1_pager.payload_size(),
-            bytes: Vec::new(),
-            count: 0,
-            last_key: Vec::new(),
-            saved: 0,
-            scratch: Vec::new(),
-        };
-        let ctx = v1_pager.ctx();
-        let mut pages: Vec<PageId> = a.pages.to_vec();
-        let mut counts = a.page_record_counts();
-        for item in &tail {
-            if !builder.push(item, &ctx).unwrap() {
-                let page = v1_pager.pool().allocate();
-                counts.push(builder.count());
-                builder.seal_to(&v1_pager, page).unwrap();
-                pages.push(page);
-                assert!(builder.push(item, &ctx).unwrap());
-            }
+        let items = keyed_items(60);
+        let mut w = ListWriter::new(&v1_pager);
+        for item in &items[..30] {
+            w.push(item).unwrap();
         }
-        if !builder.is_empty() {
-            let page = v1_pager.pool().allocate();
-            counts.push(builder.count());
-            builder.seal_to(&v1_pager, page).unwrap();
-            pages.push(page);
+        w.seal_page().unwrap();
+        w.builder.format = PageFormat::V2;
+        for item in &items[30..] {
+            w.push(item).unwrap();
         }
-        let mixed: PagedList<Keyed> = PagedList::from_parts(&v1_pager, pages, &counts);
-        let mut want = keyed_items(30);
-        want.extend(tail);
-        assert_eq!(mixed.to_vec().unwrap(), want);
+        let mixed: PagedList<Keyed> = w.finish().unwrap();
+        assert!(mixed.num_pages() >= 2);
+        assert_eq!(mixed.to_vec().unwrap(), items);
     }
 }

@@ -33,8 +33,7 @@ pub fn register_all(reg: &MetricsRegistry) {
             | names::DEADLINE_USED_US => {
                 reg.histogram(name);
             }
-            names::EPOCH_LAG
-            | names::ADMISSION_INFLIGHT
+            names::ADMISSION_INFLIGHT
             | names::ADMISSION_QUEUE_DEPTH
             | names::DEADLINE_ABANDONED
             | names::PLANNER_CATALOG_SHAPES

@@ -55,7 +55,8 @@ struct ClusterService {
     /// degree, and the `--planner` planner, shared across generations so
     /// its stats catalog survives mutations.
     shape: ClusterBuilder,
-    /// The live write path: WAL, mirror, incremental indexes.
+    /// The write path: validation, the WAL, and the directory mirror
+    /// every generation is partitioned from. It answers no query.
     journal: JournalStore,
     /// Where the WAL image persists between runs, if anywhere.
     wal_path: Option<String>,
@@ -114,11 +115,10 @@ impl ClusterService {
         }
     }
 
-    /// Apply one batch: journal first (validate → WAL → apply →
-    /// publish), then partition the next generation from the updated
-    /// mirror and swap it in. In-flight queries finish on the old
-    /// generation; the next query sees the mutation (and builds the new
-    /// generation's store).
+    /// Apply one batch: journal first (validate → WAL → apply), then
+    /// partition the next generation from the updated mirror and swap
+    /// it in. In-flight queries finish on the old generation; the next
+    /// query sees the mutation (and builds the new generation's store).
     fn mutate(&self, batch: MutationBatch) -> WireResponse {
         let outcome = match self.journal.apply(&batch) {
             Ok(o) => o,
@@ -134,18 +134,24 @@ impl ClusterService {
                 Err(e) => eprintln!("netdird: warning: cannot snapshot WAL: {e}"),
             }
         }
-        let next = self.journal.with_directory(|dir| self.shape.clone().build(dir));
-        // Cached plans were chosen against the old generation's list
-        // sizes; drop them (the catalog itself survives and re-converges).
-        if let Some(p) = next.router().planner() {
-            p.bump_epoch();
-        }
-        let previous = std::mem::replace(
-            &mut *self.cluster.write().unwrap_or_else(|e| e.into_inner()),
-            Arc::new(next),
-        );
-        // Freed outside the lock (or by its last reader), so no reader
-        // waits on it.
+        // Built and swapped under the journal lock, so each generation
+        // is one committed state and concurrent batches publish in
+        // commit order.
+        let previous = self.journal.with_directory(|dir| {
+            let next = self.shape.clone().build(dir);
+            // Cached plans were chosen against the old generation's list
+            // sizes; drop them (the catalog itself survives and
+            // re-converges).
+            if let Some(p) = next.router().planner() {
+                p.bump_epoch();
+            }
+            std::mem::replace(
+                &mut *self.cluster.write().unwrap_or_else(|e| e.into_inner()),
+                Arc::new(next),
+            )
+        });
+        // Freed outside both locks (or by its last reader), so no reader
+        // or writer waits on it.
         drop(previous);
         WireResponse::Mutated {
             epoch: outcome.epoch,

@@ -26,9 +26,9 @@
 #   scripts/check.sh --wal-smoke    gate + the write-path guards run
 #                                   explicitly: the crash-recovery
 #                                   torture suite (WAL truncated at
-#                                   every byte), the snapshot-isolation
-#                                   property suite, and the journal
-#                                   unit tests
+#                                   every byte), the journal unit
+#                                   tests, and the publish-path
+#                                   generation-isolation test
 #   scripts/check.sh --load-smoke   gate + the overload guards run
 #                                   explicitly: the daemon's admission/
 #                                   deadline tests, the overload chaos
@@ -139,7 +139,7 @@ if [ "$wal_smoke" = 1 ]; then
   echo "check.sh: running write-path guards"
   cargo test -q -p netdir-journal
   cargo test -q -p netdir-journal --test recovery_torture
-  cargo test -q -p netdir-journal --test snapshot_prop
+  cargo test -q --test publish
   cargo test -q -p netdir-bench mutation
 fi
 
