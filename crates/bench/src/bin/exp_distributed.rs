@@ -44,25 +44,22 @@ fn run_once(
     q: &Query,
     wire: bool,
 ) -> (usize, NetSnapshot, usize) {
-    if wire {
-        let cluster = WireCluster::launch_default(builder, dir).expect("launch daemons");
-        cluster.net().reset();
-        let hits = cluster.query_from("root", pager, q).expect("query");
-        (
-            cluster.num_servers(),
-            cluster.net().snapshot(),
-            hits.len(),
-        )
+    // The daemons must outlive the query; in process there are none.
+    let (daemons, in_process);
+    let cluster = if wire {
+        daemons = WireCluster::launch_default(builder, dir).expect("launch daemons");
+        daemons.cluster()
     } else {
-        let cluster = builder.build(dir);
-        cluster.net().reset();
-        let hits = cluster.query_from("root", pager, q).expect("query");
-        (
-            cluster.num_servers(),
-            cluster.net().snapshot(),
-            hits.len(),
-        )
-    }
+        in_process = builder.build(dir);
+        &in_process
+    };
+    cluster.net().reset();
+    let hits = cluster.query_from("root", pager, q).expect("query");
+    (
+        cluster.num_servers(),
+        cluster.net().snapshot(),
+        hits.len(),
+    )
 }
 
 /// `--faults`: the same synthetic forest, but the transport misbehaves.
@@ -97,19 +94,20 @@ fn run_faults() {
             for (i, z) in zone_roots(&dir, 2, 7).into_iter().enumerate() {
                 builder = builder.server(format!("z{i}"), z);
             }
-            let (delegation, stores) = builder.into_parts(&dir).into_stores();
-            let fault = FaultTransport::new(
-                Box::new(LocalTransport::new(stores)),
-                FaultConfig::seeded(97).with_drop_rate(drop),
-            );
-            let fault_stats = fault.stats();
-            let router = Router::new(delegation, Box::new(fault))
-                .with_retry(RetryPolicy::immediate(3))
-                .with_breaker(BreakerConfig {
-                    // Weather, not outage: keep probing every zone.
-                    failure_threshold: 1_000,
-                    cooldown: std::time::Duration::from_secs(600),
-                });
+            let cluster = builder.build_with(&dir, |delegation, zones| {
+                let fault = FaultTransport::new(
+                    Box::new(LocalTransport::new(zones)),
+                    FaultConfig::seeded(97).with_drop_rate(drop),
+                );
+                Router::new(delegation, Box::new(fault))
+                    .with_retry(RetryPolicy::immediate(3))
+                    .with_breaker(BreakerConfig {
+                        // Weather, not outage: keep probing every zone.
+                        failure_threshold: 1_000,
+                        cooldown: std::time::Duration::from_secs(600),
+                    })
+            });
+            let router = cluster.router();
             let pager = Pager::new(4096, 48);
             let (mut ok, mut degraded, mut failed) = (0u32, 0u32, 0u32);
             for _ in 0..trials {
@@ -131,7 +129,7 @@ fn run_faults() {
                 failed,
                 retry.retries,
                 retry.gave_up,
-                fault_stats.snapshot().dropped,
+                router.transport().faults().map_or(0, |f| f.snapshot().dropped),
             ]);
         }
     }

@@ -76,7 +76,10 @@ fn main() {
         // against the servers and differences them itself.
         let filter = parse_composite("(surName=jagadish)").unwrap();
         let search = |base: &str| {
-            decode_entries(&cluster.ldap(&dn(base), Scope::Sub, &filter).unwrap()).unwrap()
+            // Answered by the server owning the base, from its zone alone.
+            let owner = cluster.delegation().owner_group_of(&dn(base)).unwrap()[0];
+            decode_entries(&cluster.store(owner).ldap(&dn(base), Scope::Sub, &filter).unwrap())
+                .unwrap()
         };
         let att = search("dc=att, dc=com");
         let research = search("dc=research, dc=att, dc=com");

@@ -158,7 +158,7 @@ fn run_cell(
     let builder = ClusterBuilder::new().server("root", Dn::parse("dc=synth").unwrap());
     let mut cluster = WireCluster::launch(builder, dir, server_opts, client_opts.clone())
         .expect("launch load daemon");
-    assert_eq!(cluster.orphaned(), 0, "load fixture must partition cleanly");
+    assert_eq!(cluster.cluster().orphaned(), 0, "load fixture must partition cleanly");
     let addr = cluster.addr(0);
 
     let started = Instant::now();

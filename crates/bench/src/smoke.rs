@@ -140,7 +140,7 @@ pub fn instrumented_suite_with(sweep: &SweepConfig, load_cfg: &LoadConfig) -> Be
         .server("research", dn("dc=research, dc=att, dc=com"))
         .server("org", dn("dc=org"));
     let mut wire = WireCluster::launch_default(builder, &dir).expect("launch loopback cluster");
-    let att = wire.server_id("att").expect("server att");
+    let att = wire.cluster().server_id("att").expect("server att");
     let client = wire.client(att);
     let (entries, trace) = client
         .query_analyze("att", level_queries()[2].1)
@@ -162,9 +162,10 @@ pub fn instrumented_suite_with(sweep: &SweepConfig, load_cfg: &LoadConfig) -> Be
     }
     // Fold the cluster's transport-layer ledgers into the report so
     // net/retry/breaker series carry real loopback traffic.
-    bridge::sync_net(&registry, wire.net().snapshot());
-    bridge::sync_retry(&registry, wire.retry_stats().snapshot());
-    bridge::sync_health(&registry, wire.router().health().transitions());
+    let router = wire.cluster().router();
+    bridge::sync_net(&registry, router.net().snapshot());
+    bridge::sync_retry(&registry, router.retry_stats().snapshot());
+    bridge::sync_health(&registry, router.health().transitions());
     wire.shutdown();
 
     // Parallel phase: the degree sweep, recording worker/wave series

@@ -14,11 +14,13 @@
 //! the disjoint sorted responses, and the ordinary [`Evaluator`] runs
 //! the operator tree locally.
 //!
-//! [`Cluster`] is the in-process packaging: every server's
-//! [`ZoneStore`] plus a [`Router`] over the [`LocalTransport`], so a
-//! zone — the queried server's own or another's — is a function call on
-//! the querying thread. The `netdir-wire` crate builds the same
-//! [`Router`] over TCP sockets.
+//! [`Cluster`] packages every server's [`ZoneStore`] with a [`Router`]
+//! reaching them. [`ClusterBuilder::build`] routes over the
+//! [`LocalTransport`], so a zone — the queried server's own or
+//! another's — is a function call on the querying thread;
+//! [`ClusterBuilder::build_with`] routes over any other transport, which
+//! is how the `netdir-wire` crate builds the same cluster over TCP
+//! sockets.
 //!
 //! Entries stay in their frozen `Entry::encode` encoding from page to
 //! answer. A zone's response is a list of images, vetted by
@@ -35,7 +37,7 @@ use crate::net::NetStats;
 use crate::node::{decode_entries, ServerConfig, ZoneStore};
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::transport::{LocalTransport, Transport};
-use netdir_filter::{AtomicFilter, CompositeFilter, Scope};
+use netdir_filter::{AtomicFilter, Scope};
 use netdir_model::{Directory, Dn, Entry};
 use netdir_obs::{Clock, MonotonicClock};
 use netdir_pager::record::Record;
@@ -119,9 +121,9 @@ pub struct ClusterBuilder {
 }
 
 /// The outcome of partitioning a directory across declared contexts,
-/// before any store exists. [`ClusterBuilder::build`] makes in-process
-/// zones from this; `netdir-wire` launches TCP daemons over the same
-/// zones, so both deployments share one partitioning rule.
+/// before any store exists. [`ClusterBuilder::build_with`] makes the
+/// zones of every cluster from this, in process or behind sockets, so
+/// all deployments share one partitioning rule.
 pub struct ClusterParts {
     /// One config per declared server, in declaration order.
     pub configs: Vec<ServerConfig>,
@@ -131,20 +133,6 @@ pub struct ClusterParts {
     pub partitions: Vec<Vec<Entry>>,
     /// Entries that matched no declared context.
     pub orphaned: usize,
-}
-
-impl ClusterParts {
-    /// One unbuilt [`ZoneStore`] per server (server `i` is element `i`),
-    /// with the delegation table that routes to them.
-    pub fn into_stores(self) -> (Delegation, Arc<[ZoneStore]>) {
-        let stores = self
-            .configs
-            .into_iter()
-            .zip(self.partitions)
-            .map(|(cfg, entries)| ZoneStore::new(cfg, entries))
-            .collect();
-        (self.delegation, stores)
-    }
 }
 
 impl ClusterBuilder {
@@ -189,6 +177,11 @@ impl ClusterBuilder {
         self
     }
 
+    /// Number of servers declared so far.
+    pub fn num_servers(&self) -> usize {
+        self.configs.len()
+    }
+
     /// Partition `dir` by longest-matching context without making any
     /// store.
     ///
@@ -229,25 +222,42 @@ impl ClusterBuilder {
         }
     }
 
-    /// Partition `dir` by longest-matching context into a cluster. No
-    /// thread starts and no store is built: each zone builds its store
-    /// when a query first reaches it.
-    pub fn build(mut self, dir: &Directory) -> Cluster {
+    /// Partition `dir` by longest-matching context into an in-process
+    /// cluster. No thread starts and no store is built: each zone builds
+    /// its store when a query first reaches it.
+    pub fn build(self, dir: &Directory) -> Cluster {
+        self.build_with(dir, |delegation, stores| {
+            Router::new(delegation, Box::new(LocalTransport::new(stores)))
+        })
+    }
+
+    /// Partition `dir` like [`ClusterBuilder::build`], but reach the
+    /// zones through the router `route` makes from the delegation table
+    /// and the zones (server `i` is element `i`): any transport, retry
+    /// policy and breaker configuration. The builder's evaluation degree
+    /// and planner are then attached to that router.
+    pub fn build_with(
+        mut self,
+        dir: &Directory,
+        route: impl FnOnce(Delegation, Arc<[ZoneStore]>) -> Router,
+    ) -> Cluster {
         let eval_threads = self.eval_threads.max(1);
         let planner = self.planner.take();
         let parts = self.into_parts(dir);
-        let orphaned = parts.orphaned;
-        let (delegation, stores) = parts.into_stores();
-        let transport = LocalTransport::new(stores.clone());
-        let mut router =
-            Router::new(delegation, Box::new(transport)).with_eval_threads(eval_threads);
+        let stores: Arc<[ZoneStore]> = parts
+            .configs
+            .into_iter()
+            .zip(parts.partitions)
+            .map(|(cfg, entries)| ZoneStore::new(cfg, entries))
+            .collect();
+        let mut router = route(parts.delegation, stores.clone()).with_eval_threads(eval_threads);
         if let Some(p) = planner {
             router = router.with_planner(p);
         }
         Cluster {
             stores,
             router,
-            orphaned,
+            orphaned: parts.orphaned,
         }
     }
 }
@@ -603,8 +613,9 @@ impl Router {
     }
 }
 
-/// A cluster of in-process directory servers: one [`ZoneStore`] per
-/// server and a [`Router`] reaching them through a [`LocalTransport`].
+/// A cluster of directory servers: one [`ZoneStore`] per server and a
+/// [`Router`] reaching them (through a [`LocalTransport`] unless built
+/// with [`ClusterBuilder::build_with`]).
 pub struct Cluster {
     stores: Arc<[ZoneStore]>,
     router: Router,
@@ -662,27 +673,6 @@ impl Cluster {
         self.router.is_down(id)
     }
 
-    /// A baseline LDAP search — one base, one scope, a composite filter
-    /// — answered by the live server managing `base` (its primary, else
-    /// a secondary) from its own zone, as entry images. The baseline
-    /// language ships nothing between servers.
-    pub fn ldap(
-        &self,
-        base: &Dn,
-        scope: Scope,
-        filter: &CompositeFilter,
-    ) -> Result<Vec<Vec<u8>>, String> {
-        let group = self
-            .delegation()
-            .owner_group_of(base)
-            .ok_or_else(|| format!("no server manages {base}"))?;
-        let owner = group
-            .iter()
-            .find(|&&id| !self.is_down(id))
-            .ok_or_else(|| format!("no live server for {base}"))?;
-        self.stores[*owner].ldap(base, scope, filter)
-    }
-
     fn home_id(&self, home: &str) -> QueryResult<ServerId> {
         self.server_id(home).ok_or_else(|| QueryError::Parse {
             input: home.into(),
@@ -711,18 +701,6 @@ impl Cluster {
         mode: ConsistencyMode,
     ) -> QueryResult<QueryOutcome> {
         self.router.query_with(self.home_id(home)?, pager, query, mode)
-    }
-
-    /// Evaluate `query` as posed to server `home` (by name) and return
-    /// its result plus a per-operator [`netdir_obs::QueryTrace`].
-    pub fn query_analyzed_from(
-        &self,
-        home: &str,
-        pager: &Pager,
-        query: &Query,
-        mode: ConsistencyMode,
-    ) -> QueryResult<(QueryOutcome, netdir_obs::QueryTrace)> {
-        self.router.query_analyzed(self.home_id(home)?, pager, query, mode)
     }
 }
 
@@ -1095,7 +1073,8 @@ mod tests {
         .unwrap();
         let plain = c.query_from("root", &pager, &q).unwrap();
         let (out, trace) = c
-            .query_analyzed_from("root", &pager, &q, ConsistencyMode::Strict)
+            .router()
+            .query_analyzed(0, &pager, &q, ConsistencyMode::Strict)
             .unwrap();
         assert!(out.is_complete());
         assert_eq!(plain.len(), out.entries.len());
@@ -1145,7 +1124,8 @@ mod tests {
         let before = planner.snapshot().catalog_observations;
         let q = parse_query("(dc=org ? sub ? objectClass=thing)").unwrap();
         planned
-            .query_analyzed_from("att", &pager, &q, ConsistencyMode::Strict)
+            .router()
+            .query_analyzed(1, &pager, &q, ConsistencyMode::Strict)
             .unwrap();
         assert!(planner.snapshot().catalog_observations > before);
     }
@@ -1230,27 +1210,24 @@ mod tests {
         cfg: crate::FaultConfig,
         retry: crate::RetryPolicy,
         breaker: crate::BreakerConfig,
-    ) -> (Router, crate::FaultStats) {
-        let (delegation, stores) = ClusterBuilder::new()
+    ) -> Cluster {
+        ClusterBuilder::new()
             .server("root", dn("dc=com"))
             .server("att", dn("dc=att, dc=com"))
             .server("research", dn("dc=research, dc=att, dc=com"))
             .server("org", dn("dc=org"))
-            .into_parts(&dir())
-            .into_stores();
-        let fault =
-            crate::FaultTransport::new(Box::new(LocalTransport::new(stores)), cfg);
-        let stats = fault.stats();
-        let router = Router::new(delegation, Box::new(fault))
-            .with_retry(retry)
-            .with_breaker(breaker);
-        (router, stats)
+            .build_with(&dir(), |delegation, stores| {
+                let local = Box::new(LocalTransport::new(stores));
+                Router::new(delegation, Box::new(crate::FaultTransport::new(local, cfg)))
+                    .with_retry(retry)
+                    .with_breaker(breaker)
+            })
     }
 
     #[test]
     fn breaker_trips_on_hard_outage_and_short_circuits_later_fetches() {
         use crate::{BreakerConfig, BreakerState, FaultConfig, RetryPolicy};
-        let (router, stats) = faulty_cluster(
+        let c = faulty_cluster(
             FaultConfig::seeded(11).with_server_fail(2, 1.0), // research dead
             RetryPolicy::immediate(2),
             BreakerConfig {
@@ -1258,6 +1235,8 @@ mod tests {
                 cooldown: std::time::Duration::from_secs(600),
             },
         );
+        let router = c.router();
+        let stats = router.transport().faults().unwrap();
         let pager = netdir_pager::default_pager();
         let q = parse_query("(null-dn ? sub ? objectClass=thing)").unwrap();
         let first = router
@@ -1294,11 +1273,13 @@ mod tests {
         use crate::{BreakerConfig, FaultConfig, RetryPolicy};
         // Call 0 (the first zone fetch) returns a truncated payload;
         // the retry layer re-fetches and the query still succeeds.
-        let (router, stats) = faulty_cluster(
+        let c = faulty_cluster(
             FaultConfig::seeded(5).with_truncate_nth(0),
             RetryPolicy::immediate(3),
             BreakerConfig::default(),
         );
+        let router = c.router();
+        let stats = router.transport().faults().unwrap();
         let pager = netdir_pager::default_pager();
         let q = parse_query("(null-dn ? sub ? objectClass=thing)").unwrap();
         let hits = router.query(0, &pager, &q).unwrap();

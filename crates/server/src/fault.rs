@@ -175,12 +175,6 @@ impl FaultTransport {
         }
     }
 
-    /// A handle onto the injection counters (remains valid after the
-    /// transport is boxed into a router).
-    pub fn stats(&self) -> FaultStats {
-        self.stats.clone()
-    }
-
     /// The wrapped transport.
     pub fn inner(&self) -> &dyn Transport {
         self.inner.as_ref()
@@ -254,6 +248,10 @@ impl Transport for FaultTransport {
     fn num_servers(&self) -> usize {
         self.inner.num_servers()
     }
+
+    fn faults(&self) -> Option<&FaultStats> {
+        Some(&self.stats)
+    }
 }
 
 #[cfg(test)]
@@ -302,7 +300,7 @@ mod tests {
         for r in run_calls(&t, 5) {
             assert_eq!(r.unwrap(), 2);
         }
-        let s = t.stats().snapshot();
+        let s = t.faults().unwrap().snapshot();
         assert_eq!(s.calls, 5);
         assert_eq!(
             (s.dropped, s.errored, s.delayed, s.truncated, s.unreachable),
@@ -321,7 +319,7 @@ mod tests {
         let a = run_calls(&t1, 50);
         let b = run_calls(&t2, 50);
         assert_eq!(a, b, "fault schedule must be a pure function of seed+index");
-        assert_eq!(t1.stats().snapshot(), t2.stats().snapshot());
+        assert_eq!(t1.faults().unwrap().snapshot(), t2.faults().unwrap().snapshot());
         // And with a different seed the schedule differs.
         let t3 = wrapped(
             FaultConfig::seeded(43)
@@ -370,7 +368,7 @@ mod tests {
             .atomic(0, 1, &dn("dc=a"), Scope::Sub, &AtomicFilter::True)
             .unwrap();
         assert_eq!(again.encoded.last().unwrap().len(), full_len);
-        assert_eq!(t.stats().snapshot().truncated, 1);
+        assert_eq!(t.faults().unwrap().snapshot().truncated, 1);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! a zone the queried server owns ships nothing.
 
 use crate::delegation::ServerId;
+use crate::fault::FaultStats;
 use crate::net::NetStats;
 use crate::node::{wire_bytes, ZoneStore};
 use netdir_filter::{AtomicFilter, Scope};
@@ -163,6 +164,11 @@ pub trait Transport: Send + Sync {
 
     /// Number of addressable servers.
     fn num_servers(&self) -> usize;
+
+    /// Fault-injection counters, when this transport injects faults.
+    fn faults(&self) -> Option<&FaultStats> {
+        None
+    }
 }
 
 /// The in-process transport: every server's zone lives in this process,

@@ -3,9 +3,14 @@
 //! Loads a directory from LDIF, partitions it across one or more naming
 //! contexts (an in-process cluster: one zone per context, each answered
 //! on the worker thread serving the request), and serves the netdir
-//! frame protocol on a TCP listener: atomic queries, baseline LDAP
-//! searches, and full distributed L0–L3 queries. Threads: `main`, the
-//! acceptor and `--workers` workers; no store threads (the overload
+//! frame protocol on a TCP listener through a [`DirectoryService`]
+//! answering as the first declared server. Full distributed L0–L3
+//! queries are evaluated as posed to that server (or to the server a
+//! query frame names); atomic and baseline LDAP frames are answered
+//! from its zone alone, so with several contexts a routed single-atomic
+//! answer is a `Query` frame. `Mutate` frames go through the journal.
+//! This file is argument parsing and LDIF/WAL loading. Threads: `main`,
+//! the acceptor and `--workers` workers; no store threads (the overload
 //! options add short-lived ones).
 //!
 //! ```text
@@ -20,223 +25,15 @@
 //! namespace is assumed. The daemon runs until killed or until a client
 //! sends a Shutdown frame (`ndquery ADDR --shutdown`).
 
-use netdir_journal::{JournalStore, MutationBatch};
+use netdir_journal::JournalStore;
 use netdir_model::{ldif, Directory, Dn};
-use netdir_obs::{Clock, MetricsRegistry, MonotonicClock};
-use netdir_query::{parse_query, Planner};
-use netdir_server::metrics as bridge;
-use netdir_server::{
-    AdmissionConfig, AdmissionController, Cluster, ClusterBuilder, ConsistencyMode, EnumCap,
-    RateLimit,
-};
-use netdir_wire::{ServerOptions, WireRequest, WireResponse, WireServer, WireService};
+use netdir_obs::MetricsRegistry;
+use netdir_query::Planner;
+use netdir_server::{AdmissionConfig, AdmissionController, ClusterBuilder, EnumCap, RateLimit};
+use netdir_wire::{DirectoryService, ServerOptions, WireServer};
 use std::process::exit;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Serve a whole in-process cluster behind one listener. The daemon
-/// presents itself as its first declared server: atomic and full
-/// queries are evaluated "as posed to" that server (or to `home` when a
-/// Query frame names one).
-///
-/// The read side is a generation — a [`Cluster`] partitioned from one
-/// state of the directory — swapped wholesale behind a lock: queries
-/// clone the `Arc` and keep evaluating against their generation even
-/// while a mutation publishes the next one. A generation's zones build
-/// their stores on the first request that reaches them, so publishing
-/// costs a partition, not an index build, and a generation replaced
-/// unread never builds at all. The write side is the journal — every
-/// `Mutate` frame validates and durably logs its batch there before the
-/// next generation is partitioned from the updated directory mirror.
-struct ClusterService {
-    /// The current generation.
-    cluster: RwLock<Arc<Cluster>>,
-    /// The shape every generation is built to: contexts, evaluation
-    /// degree, and the `--planner` planner, shared across generations so
-    /// its stats catalog survives mutations.
-    shape: ClusterBuilder,
-    /// The write path: validation, the WAL, and the directory mirror
-    /// every generation is partitioned from. It answers no query.
-    journal: JournalStore,
-    /// Where the WAL image persists between runs, if anywhere.
-    wal_path: Option<String>,
-    /// Daemon-wide metrics, served by `Stats` frames.
-    metrics: MetricsRegistry,
-    /// Time source for query-latency metrics.
-    clock: Arc<dyn Clock>,
-}
-
-impl WireService for ClusterService {
-    fn handle(&self, req: WireRequest) -> WireResponse {
-        match req {
-            WireRequest::Ping | WireRequest::Shutdown => WireResponse::Pong,
-            WireRequest::Atomic { base, scope, filter } => {
-                let cluster = self.cluster();
-                let pager = netdir_pager::default_pager();
-                match cluster.router().atomic(0, &pager, &base, scope, &filter) {
-                    Ok(encoded) => WireResponse::Entries(encoded),
-                    Err(e) => WireResponse::Error(e.to_string()),
-                }
-            }
-            WireRequest::Ldap { base, scope, filter } => {
-                match self.cluster().ldap(&base, scope, &filter) {
-                    Ok(encoded) => WireResponse::Entries(encoded),
-                    Err(e) => WireResponse::Error(e),
-                }
-            }
-            WireRequest::Query { home, text } => {
-                self.distributed(home, text, ConsistencyMode::Strict)
-            }
-            WireRequest::QueryPartial { home, text } => {
-                self.distributed(home, text, ConsistencyMode::Partial)
-            }
-            WireRequest::QueryAnalyze { home, text } => self.analyzed(home, text),
-            WireRequest::Stats => self.stats(),
-            WireRequest::Mutate { batch } => self.mutate(batch),
-        }
-    }
-}
-
-impl ClusterService {
-    /// The current read-side generation.
-    fn cluster(&self) -> Arc<Cluster> {
-        self.cluster
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// The server a frame with an empty `home` is posed to.
-    fn default_home(&self, cluster: &Cluster, home: String) -> String {
-        if home.is_empty() {
-            cluster.store(0).config.name.clone()
-        } else {
-            home
-        }
-    }
-
-    /// Apply one batch: journal first (validate → WAL → apply), then
-    /// partition the next generation from the updated mirror and swap
-    /// it in. In-flight queries finish on the old generation; the next
-    /// query sees the mutation (and builds the new generation's store).
-    fn mutate(&self, batch: MutationBatch) -> WireResponse {
-        let outcome = match self.journal.apply(&batch) {
-            Ok(o) => o,
-            Err(e) => return WireResponse::Error(e.to_string()),
-        };
-        if let Some(path) = &self.wal_path {
-            match self.journal.wal_bytes() {
-                Ok(bytes) => {
-                    if let Err(e) = std::fs::write(path, bytes) {
-                        eprintln!("netdird: warning: cannot persist WAL to {path}: {e}");
-                    }
-                }
-                Err(e) => eprintln!("netdird: warning: cannot snapshot WAL: {e}"),
-            }
-        }
-        // Built and swapped under the journal lock, so each generation
-        // is one committed state and concurrent batches publish in
-        // commit order.
-        let previous = self.journal.with_directory(|dir| {
-            let next = self.shape.clone().build(dir);
-            // Cached plans were chosen against the old generation's list
-            // sizes; drop them (the catalog itself survives and
-            // re-converges).
-            if let Some(p) = next.router().planner() {
-                p.bump_epoch();
-            }
-            std::mem::replace(
-                &mut *self.cluster.write().unwrap_or_else(|e| e.into_inner()),
-                Arc::new(next),
-            )
-        });
-        // Freed outside both locks (or by its last reader), so no reader
-        // or writer waits on it.
-        drop(previous);
-        WireResponse::Mutated {
-            epoch: outcome.epoch,
-            mutations: outcome.mutations as u32,
-        }
-    }
-
-    /// Feed one finished query into the daemon metrics (each query runs
-    /// on a fresh scratch pager, so its whole ledger is this query's).
-    fn observe_query(&self, pager: &netdir_pager::Pager, elapsed_nanos: u64) {
-        let io = pager.io();
-        bridge::absorb_io(&self.metrics, io);
-        bridge::absorb_pool(&self.metrics, pager.pool().metrics());
-        bridge::record_query(&self.metrics, elapsed_nanos, io.total());
-    }
-
-    /// Full distributed query under `mode`. Partial outcomes with
-    /// nothing skipped answer as plain `Entries`, so a healthy daemon's
-    /// responses are identical in both modes.
-    fn distributed(&self, home: String, text: String, mode: ConsistencyMode) -> WireResponse {
-        let cluster = self.cluster();
-        let home = self.default_home(&cluster, home);
-        let query = match parse_query(&text) {
-            Ok(q) => q,
-            Err(e) => return WireResponse::Error(format!("bad query: {e}")),
-        };
-        let pager = netdir_pager::default_pager();
-        let started = self.clock.now();
-        match cluster.query_from_with(&home, &pager, &query, mode) {
-            Ok(outcome) => {
-                let elapsed = u64::try_from(
-                    self.clock.now().saturating_sub(started).as_nanos(),
-                )
-                .unwrap_or(u64::MAX);
-                self.observe_query(&pager, elapsed);
-                if outcome.is_complete() {
-                    WireResponse::Entries(outcome.entries)
-                } else {
-                    WireResponse::Partial {
-                        entries: outcome.entries,
-                        skipped: outcome.partial,
-                    }
-                }
-            }
-            Err(e) => WireResponse::Error(e.to_string()),
-        }
-    }
-
-    /// Full strict query plus its per-operator trace.
-    fn analyzed(&self, home: String, text: String) -> WireResponse {
-        let cluster = self.cluster();
-        let home = self.default_home(&cluster, home);
-        let query = match parse_query(&text) {
-            Ok(q) => q,
-            Err(e) => return WireResponse::Error(format!("bad query: {e}")),
-        };
-        let pager = netdir_pager::default_pager();
-        match cluster.query_analyzed_from(&home, &pager, &query, ConsistencyMode::Strict)
-        {
-            Ok((outcome, trace)) => {
-                self.observe_query(&pager, trace.elapsed_nanos);
-                WireResponse::Analyzed {
-                    entries: outcome.entries,
-                    trace,
-                }
-            }
-            Err(e) => WireResponse::Error(e.to_string()),
-        }
-    }
-
-    /// Refresh the registry from every subsystem and render the
-    /// Prometheus exposition.
-    fn stats(&self) -> WireResponse {
-        let cluster = self.cluster();
-        let router = cluster.router();
-        bridge::sync_net(&self.metrics, router.net().snapshot());
-        bridge::sync_retry(&self.metrics, router.retry_stats().snapshot());
-        bridge::sync_health(&self.metrics, router.health().transitions());
-        if let Some(p) = router.planner() {
-            bridge::sync_planner(&self.metrics, p.snapshot());
-        }
-        self.journal.sync_metrics(&self.metrics);
-        WireResponse::Stats(self.metrics.render_prometheus())
-    }
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -453,19 +250,27 @@ fn main() {
             shape.server(name, dn)
         };
     }
-    let cluster = journal.with_directory(|d| shape.clone().build(d));
-    let num_entries: usize = (0..cluster.num_servers())
-        .map(|id| cluster.store(id).num_entries)
-        .sum();
-    if cluster.orphaned() > 0 {
-        eprintln!(
-            "netdird: warning: {} entries matched no declared context and were dropped",
-            cluster.orphaned()
-        );
-    }
-
     let metrics = MetricsRegistry::default();
-    bridge::register_all(&metrics);
+    let service = Arc::new(DirectoryService::journaled(
+        journal,
+        shape,
+        wal_path,
+        metrics.clone(),
+    ));
+    // Scoped, so the first generation is not pinned past its last reader.
+    let num_entries: usize = {
+        let cluster = service.cluster();
+        if cluster.orphaned() > 0 {
+            eprintln!(
+                "netdird: warning: {} entries matched no declared context and were dropped",
+                cluster.orphaned()
+            );
+        }
+        (0..cluster.num_servers())
+            .map(|id| cluster.store(id).num_entries)
+            .sum()
+    };
+
     // Always build the controller on the daemon registry (even with no
     // limit configured) so admission/deadline accounting shows up in
     // `ndquery --stats`; with the default config it never rejects.
@@ -481,14 +286,6 @@ fn main() {
             cfg.max_inflight, opts.max_pending, opts.request_deadline, cfg.rate, cfg.enumeration
         );
     }
-    let service = Arc::new(ClusterService {
-        cluster: RwLock::new(Arc::new(cluster)),
-        shape,
-        journal,
-        wal_path,
-        metrics,
-        clock: Arc::new(MonotonicClock::new()),
-    });
     let mut server = match WireServer::bind(listen.as_str(), service, opts) {
         Ok(s) => s,
         Err(e) => {

@@ -18,21 +18,26 @@
 //!   to what the in-process transport ships and a v1 page stores).
 //! * [`server`] — a blocking multi-threaded frame server (`std::net`
 //!   accept thread + crossbeam worker pool, no async runtime) with
-//!   per-connection timeouts and graceful shutdown; the `netdird`
-//!   binary wraps it around a directory cluster.
+//!   per-connection timeouts and graceful shutdown.
+//! * [`service`] — [`DirectoryService`], the one request handler every
+//!   daemon runs: atomic and LDAP frames from its own zone, full queries
+//!   through the cluster's router, mutations through an optional
+//!   journal. The `netdird` binary is argument parsing around it.
 //! * [`client`] — [`WireClient`], a pooled blocking client with request
 //!   timeouts and one-shot `query()`/`search()` helpers; also the
 //!   `ndquery` binary.
 //! * [`socket`] — [`SocketTransport`], plugging TCP under
 //!   `netdir_server::Router` unchanged.
-//! * [`cluster`] — [`WireCluster`], a loopback fleet of daemons built
-//!   from the same `ClusterBuilder` partitioning as in-process clusters.
+//! * [`cluster`] — [`WireCluster`], a loopback fleet: one `Cluster`
+//!   routed over [`SocketTransport`], one [`DirectoryService`] per
+//!   daemon.
 
 pub mod client;
 pub mod cluster;
 pub mod codec;
 pub mod frame;
 pub mod server;
+pub mod service;
 pub mod socket;
 
 pub use client::{ClientOptions, WireClient, WireError, WireResult};
@@ -40,4 +45,5 @@ pub use cluster::{encode_entries, FaultPlan, WireCluster};
 pub use codec::{WireRequest, WireResponse};
 pub use frame::DEFAULT_MAX_FRAME;
 pub use server::{ServerOptions, WireServer, WireService};
+pub use service::DirectoryService;
 pub use socket::SocketTransport;

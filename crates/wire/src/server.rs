@@ -182,7 +182,16 @@ impl WireServer {
         service: Arc<dyn WireService>,
         opts: ServerOptions,
     ) -> io::Result<WireServer> {
-        let listener = TcpListener::bind(addr)?;
+        WireServer::serve(TcpListener::bind(addr)?, service, opts)
+    }
+
+    /// Start serving `service` on an already-bound `listener`, so a fleet
+    /// can learn every address before any daemon answers.
+    pub fn serve(
+        listener: TcpListener,
+        service: Arc<dyn WireService>,
+        opts: ServerOptions,
+    ) -> io::Result<WireServer> {
         let admission = opts
             .admission
             .clone()

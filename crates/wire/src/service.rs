@@ -1,0 +1,279 @@
+//! [`DirectoryService`] — the one service every daemon runs.
+//!
+//! The paper's Section 8.3 server answers the atomic sub-queries
+//! delegated to it from its own zone, and evaluates the queries posed to
+//! it by shipping sub-queries to the zones' owners. `netdird` runs one
+//! over an in-process [`Cluster`]; a [`WireCluster`](crate::WireCluster)
+//! runs one per daemon, all sharing one [`Cluster`] routed over sockets.
+//!
+//! * `Atomic` and `Ldap` are answered from the home zone
+//!   (`cluster.store(home)`): they are the server side of
+//!   [`SocketTransport`](crate::SocketTransport), so routing them again
+//!   would recurse. A routed single-atomic answer is a `Query` frame.
+//! * `Query`, `QueryPartial` and `QueryAnalyze` run the cluster's router
+//!   as posed to the server the frame names (empty: the home server).
+//! * `Mutate` goes through the journal, or is refused without one.
+
+use crate::codec::{WireRequest, WireResponse};
+use crate::server::WireService;
+use netdir_journal::{JournalStore, MutationBatch};
+use netdir_obs::{Clock, MetricsRegistry, MonotonicClock};
+use netdir_pager::Pager;
+use netdir_query::parse_query;
+use netdir_server::delegation::ServerId;
+use netdir_server::metrics as bridge;
+use netdir_server::{Cluster, ClusterBuilder, ConsistencyMode};
+use std::sync::{Arc, RwLock};
+
+/// The write side of a daemon that owns one.
+struct Writer {
+    /// The shape every generation is built to: contexts, evaluation
+    /// degree, and the planner, shared across generations so its stats
+    /// catalog survives mutations.
+    shape: ClusterBuilder,
+    /// Validation, the WAL, and the directory mirror every generation is
+    /// partitioned from. It answers no query.
+    journal: JournalStore,
+    /// Where the WAL image persists between runs, if anywhere.
+    wal_path: Option<String>,
+}
+
+/// One directory server's request handler.
+///
+/// The read side is a generation — a [`Cluster`] partitioned from one
+/// state of the directory — swapped wholesale behind a lock: queries
+/// clone the `Arc` and keep evaluating against their generation even
+/// while a mutation publishes the next one. A generation's zones build
+/// their stores on the first request that reaches them, so publishing
+/// costs a partition, not an index build, and a generation replaced
+/// unread never builds at all. The optional write side is the journal:
+/// every `Mutate` frame validates and durably logs its batch there
+/// before the next generation is partitioned from the updated mirror.
+pub struct DirectoryService {
+    /// The current generation.
+    cluster: RwLock<Arc<Cluster>>,
+    /// The server this service answers as.
+    home: ServerId,
+    /// The write path; `None` on a read-only service.
+    writer: Option<Writer>,
+    /// Daemon-wide metrics, served by `Stats` frames.
+    metrics: MetricsRegistry,
+    /// Time source for query-latency metrics.
+    clock: Arc<dyn Clock>,
+}
+
+/// A zone's answer as a frame.
+fn entries_frame(answer: Result<Vec<Vec<u8>>, String>) -> WireResponse {
+    match answer {
+        Ok(encoded) => WireResponse::Entries(encoded),
+        Err(e) => WireResponse::Error(e),
+    }
+}
+
+impl DirectoryService {
+    /// A read-only service answering as server `home` of `cluster`,
+    /// recording into `metrics` (every tracked name is registered).
+    pub fn new(
+        cluster: Arc<Cluster>,
+        home: ServerId,
+        metrics: MetricsRegistry,
+    ) -> DirectoryService {
+        bridge::register_all(&metrics);
+        DirectoryService {
+            cluster: RwLock::new(cluster),
+            home,
+            writer: None,
+            metrics,
+            clock: Arc::new(MonotonicClock::new()),
+        }
+    }
+
+    /// A service owning the write path, answering as the first server of
+    /// `shape`. Its first generation is `shape` built from the journal's
+    /// mirror; each batch publishes the next. With `wal_path`, the WAL
+    /// image is written there after every batch.
+    pub fn journaled(
+        journal: JournalStore,
+        shape: ClusterBuilder,
+        wal_path: Option<String>,
+        metrics: MetricsRegistry,
+    ) -> DirectoryService {
+        let first = journal.with_directory(|dir| shape.clone().build(dir));
+        DirectoryService {
+            writer: Some(Writer {
+                shape,
+                journal,
+                wal_path,
+            }),
+            ..DirectoryService::new(Arc::new(first), 0, metrics)
+        }
+    }
+
+    /// The current generation.
+    pub fn cluster(&self) -> Arc<Cluster> {
+        self.cluster
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+    }
+
+    /// The journal, on a service that owns the write path.
+    pub fn journal(&self) -> Option<&JournalStore> {
+        self.writer.as_ref().map(|w| &w.journal)
+    }
+
+    /// The server a query frame's `home` names (empty: this service's).
+    fn resolve_home(&self, cluster: &Cluster, home: &str) -> Result<ServerId, WireResponse> {
+        if home.is_empty() {
+            return Ok(self.home);
+        }
+        cluster
+            .server_id(home)
+            .ok_or_else(|| WireResponse::Error(format!("no such server: {home}")))
+    }
+
+    /// Apply one batch: journal first (validate → WAL → apply), then
+    /// partition the next generation from the updated mirror and swap
+    /// it in. In-flight queries finish on the old generation; the next
+    /// query sees the mutation (and builds the new generation's store).
+    fn mutate(&self, batch: MutationBatch) -> WireResponse {
+        let Some(writer) = &self.writer else {
+            return WireResponse::Error("this node is read-only; mutate the primary daemon".into());
+        };
+        let outcome = match writer.journal.apply(&batch) {
+            Ok(o) => o,
+            Err(e) => return WireResponse::Error(e.to_string()),
+        };
+        if let Some(path) = &writer.wal_path {
+            match writer.journal.wal_bytes() {
+                Ok(bytes) => {
+                    if let Err(e) = std::fs::write(path, bytes) {
+                        eprintln!("netdird: warning: cannot persist WAL to {path}: {e}");
+                    }
+                }
+                Err(e) => eprintln!("netdird: warning: cannot snapshot WAL: {e}"),
+            }
+        }
+        // Built and swapped under the journal lock, so each generation
+        // is one committed state and concurrent batches publish in
+        // commit order.
+        let previous = writer.journal.with_directory(|dir| {
+            let next = writer.shape.clone().build(dir);
+            // Cached plans were chosen against the old generation's list
+            // sizes; drop them (the catalog itself survives and
+            // re-converges).
+            if let Some(p) = next.router().planner() {
+                p.bump_epoch();
+            }
+            std::mem::replace(
+                &mut *self.cluster.write().unwrap_or_else(|e| e.into_inner()),
+                Arc::new(next),
+            )
+        });
+        // Freed outside both locks (or by its last reader), so no reader
+        // or writer waits on it.
+        drop(previous);
+        WireResponse::Mutated {
+            epoch: outcome.epoch,
+            mutations: outcome.mutations as u32,
+        }
+    }
+
+    /// Feed one finished query into the daemon metrics (each query runs
+    /// on a fresh scratch pager, so its whole ledger is this query's).
+    fn observe_query(&self, pager: &Pager, elapsed_nanos: u64) {
+        let io = pager.io();
+        bridge::absorb_io(&self.metrics, io);
+        bridge::absorb_pool(&self.metrics, pager.pool().metrics());
+        bridge::record_query(&self.metrics, elapsed_nanos, io.total());
+    }
+
+    /// Evaluate a query frame under `mode`, with its per-operator trace
+    /// when `analyze`. Partial outcomes with nothing skipped answer as
+    /// plain `Entries`, so a healthy daemon's responses are identical in
+    /// both modes.
+    fn query(&self, home: &str, text: &str, mode: ConsistencyMode, analyze: bool) -> WireResponse {
+        let cluster = self.cluster();
+        let home = match self.resolve_home(&cluster, home) {
+            Ok(id) => id,
+            Err(resp) => return resp,
+        };
+        let query = match parse_query(text) {
+            Ok(q) => q,
+            Err(e) => return WireResponse::Error(format!("bad query: {e}")),
+        };
+        let pager = netdir_pager::default_pager();
+        let router = cluster.router();
+        let started = self.clock.now();
+        let answer = if analyze {
+            router
+                .query_analyzed(home, &pager, &query, mode)
+                .map(|(outcome, trace)| (outcome, Some(trace)))
+        } else {
+            router
+                .query_with(home, &pager, &query, mode)
+                .map(|outcome| (outcome, None))
+        };
+        let (outcome, trace) = match answer {
+            Ok(answer) => answer,
+            Err(e) => return WireResponse::Error(e.to_string()),
+        };
+        let elapsed = match &trace {
+            Some(trace) => trace.elapsed_nanos,
+            None => u64::try_from(self.clock.now().saturating_sub(started).as_nanos())
+                .unwrap_or(u64::MAX),
+        };
+        self.observe_query(&pager, elapsed);
+        match trace {
+            Some(trace) => WireResponse::Analyzed {
+                entries: outcome.entries,
+                trace,
+            },
+            None if outcome.is_complete() => WireResponse::Entries(outcome.entries),
+            None => WireResponse::Partial {
+                entries: outcome.entries,
+                skipped: outcome.partial,
+            },
+        }
+    }
+
+    /// Refresh the registry from every subsystem and render the
+    /// Prometheus exposition.
+    fn stats(&self) -> WireResponse {
+        let cluster = self.cluster();
+        let router = cluster.router();
+        bridge::sync_net(&self.metrics, router.net().snapshot());
+        bridge::sync_retry(&self.metrics, router.retry_stats().snapshot());
+        bridge::sync_health(&self.metrics, router.health().transitions());
+        if let Some(p) = router.planner() {
+            bridge::sync_planner(&self.metrics, p.snapshot());
+        }
+        if let Some(faults) = router.transport().faults() {
+            bridge::sync_fault(&self.metrics, faults.snapshot());
+        }
+        if let Some(writer) = &self.writer {
+            writer.journal.sync_metrics(&self.metrics);
+        }
+        WireResponse::Stats(self.metrics.render_prometheus())
+    }
+}
+
+impl WireService for DirectoryService {
+    fn handle(&self, req: WireRequest) -> WireResponse {
+        use ConsistencyMode::{Partial, Strict};
+        match req {
+            WireRequest::Ping | WireRequest::Shutdown => WireResponse::Pong,
+            WireRequest::Atomic { base, scope, filter } => {
+                entries_frame(self.cluster().store(self.home).atomic(&base, scope, &filter))
+            }
+            WireRequest::Ldap { base, scope, filter } => {
+                entries_frame(self.cluster().store(self.home).ldap(&base, scope, &filter))
+            }
+            WireRequest::Query { home, text } => self.query(&home, &text, Strict, false),
+            WireRequest::QueryPartial { home, text } => self.query(&home, &text, Partial, false),
+            WireRequest::QueryAnalyze { home, text } => self.query(&home, &text, Strict, true),
+            WireRequest::Stats => self.stats(),
+            WireRequest::Mutate { batch } => self.mutate(batch),
+        }
+    }
+}

@@ -5,74 +5,21 @@
 //! counts, same fault draws, same partial sets, same entry bytes).
 
 use netdir_filter::{parse_atomic, Scope};
-use netdir_model::{Directory, Dn, Entry};
+use netdir_model::{Directory, Dn};
 use netdir_obs::{ManualClock, MetricsRegistry};
 use netdir_query::parse_query;
 use netdir_server::{
     AdmissionConfig, AdmissionController, AdmissionSnapshot, BreakerConfig, BreakerState,
     ConsistencyMode, FaultConfig, RateLimit, RetryPolicy,
 };
-use netdir_server::ClusterBuilder;
 use netdir_wire::{
     encode_entries, ClientOptions, FaultPlan, ServerOptions, WireClient, WireCluster, WireError,
 };
 use std::sync::Arc;
 use std::time::Duration;
 
-fn dn(s: &str) -> Dn {
-    Dn::parse(s).unwrap()
-}
-
-/// Same fixture as the loopback tests: three zones under `dc=com` plus
-/// a disjoint `dc=org`, with a cross-zone value reference so an L3
-/// query must join entries owned by different servers.
-fn dir() -> Directory {
-    let mut d = Directory::new();
-    let mut add = |e: Entry| d.insert(e).unwrap();
-    let plain = |s: &str| Entry::builder(dn(s)).class("thing").build().unwrap();
-    let person = |s: &str, sn: &str| {
-        Entry::builder(dn(s))
-            .class("thing")
-            .attr("surName", sn)
-            .build()
-            .unwrap()
-    };
-    add(plain("dc=com"));
-    add(plain("dc=att, dc=com"));
-    add(plain("ou=people, dc=att, dc=com"));
-    add(person("uid=jag, ou=people, dc=att, dc=com", "jagadish"));
-    add(plain("dc=research, dc=att, dc=com"));
-    add(plain("ou=people, dc=research, dc=att, dc=com"));
-    add(person(
-        "uid=jag2, ou=people, dc=research, dc=att, dc=com",
-        "jagadish",
-    ));
-    add(plain("dc=org"));
-    add(plain("ou=tp, dc=att, dc=com"));
-    add(
-        Entry::builder(dn("TPName=mail, ou=tp, dc=att, dc=com"))
-            .class("trafficProfile")
-            .attr("sourcePort", 25i64)
-            .build()
-            .unwrap(),
-    );
-    add(
-        Entry::builder(dn("SLAPolicyName=mail, dc=research, dc=att, dc=com"))
-            .class("SLAPolicyRules")
-            .attr("SLATPRef", dn("TPName=mail, ou=tp, dc=att, dc=com"))
-            .build()
-            .unwrap(),
-    );
-    d
-}
-
-fn builder() -> ClusterBuilder {
-    ClusterBuilder::new()
-        .server("root", dn("dc=com"))
-        .server("att", dn("dc=att, dc=com"))
-        .server("research", dn("dc=research, dc=att, dc=com"))
-        .server("org", dn("dc=org"))
-}
+mod common;
+use common::{builder, dir, dn};
 
 /// The fixture minus everything the `research` zone owns — what a
 /// healthy cluster of only the surviving partitions would hold.
@@ -140,12 +87,13 @@ fn dead_partition_degrades_to_surviving_partitions() {
         let query = parse_query(text).unwrap();
         // Strict: the dead, unreplicated zone fails the whole query.
         assert!(
-            wire.query_from("att", &pager, &query).is_err(),
+            wire.cluster().query_from("att", &pager, &query).is_err(),
             "strict query should fail with a dead partition: {text}"
         );
         // Partial: byte-identical to querying the surviving partitions
         // alone, with the dead zone accounted for.
         let outcome = wire
+            .cluster()
             .query_from_with("att", &pager, &query, ConsistencyMode::Partial)
             .unwrap();
         let expected =
@@ -162,8 +110,9 @@ fn dead_partition_degrades_to_surviving_partitions() {
 
     // The breaker tripped on the dead server and the retry layer spent
     // (bounded) effort before giving up.
-    assert_eq!(wire.router().health().state(research_id), BreakerState::Open);
-    let retry = wire.retry_stats().snapshot();
+    let router = wire.cluster().router();
+    assert_eq!(router.health().state(research_id), BreakerState::Open);
+    let retry = router.retry_stats().snapshot();
     assert!(retry.retries >= 1, "no retries recorded: {retry:?}");
     assert!(retry.gave_up >= 1, "dead zone never abandoned: {retry:?}");
     // Bounded effort: 10 queries × ≤8 zone-fetches each × ≤2 attempts.
@@ -173,6 +122,12 @@ fn dead_partition_degrades_to_surviving_partitions() {
     );
     let faults = wire.fault_stats().unwrap().snapshot();
     assert!(faults.unreachable >= 1, "fault injection never fired");
+
+    // The injection counters reach the daemons' Stats exposition
+    // through the shared router's transport.
+    let exposition = wire.client(1).stats().unwrap();
+    let calls = format!("\nnetdir_fault_calls_total {}\n", faults.calls);
+    assert!(faults.calls > 0 && exposition.contains(&calls), "{calls:?} in:\n{exposition}");
 }
 
 /// Per-query observation: encoded entry bytes + skipped-zone reports.
@@ -212,6 +167,7 @@ fn chaos_run(
     for text in queries() {
         let query = parse_query(text).unwrap();
         let outcome = wire
+            .cluster()
             .query_from_with("att", &pager, &query, ConsistencyMode::Partial)
             .unwrap();
         results.push((
@@ -221,7 +177,7 @@ fn chaos_run(
     }
     (
         results,
-        wire.retry_stats().snapshot(),
+        wire.cluster().router().retry_stats().snapshot(),
         wire.fault_stats().unwrap().snapshot(),
     )
 }
@@ -297,7 +253,7 @@ fn overloaded_run(seed: u64) -> OverloadRun {
         .iter()
         .map(|text| {
             let query = parse_query(text).unwrap();
-            encode_entries(&wire.query_from("att", &pager, &query).unwrap())
+            encode_entries(&wire.cluster().query_from("att", &pager, &query).unwrap())
         })
         .collect();
 
@@ -309,7 +265,7 @@ fn overloaded_run(seed: u64) -> OverloadRun {
         "strict phase overdrew the bucket — raise BURST"
     );
     let remaining = u64::from(BURST) - after_queries.admitted;
-    let att = wire.server_id("att").unwrap();
+    let att = wire.cluster().server_id("att").unwrap();
     let probe = WireClient::connect(
         wire.addr(att),
         ClientOptions {
@@ -351,10 +307,10 @@ fn admission_under_chaos_answers_exactly_and_sheds_reproducibly() {
         .iter()
         .map(|text| {
             let query = parse_query(text).unwrap();
-            encode_entries(&baseline.query_from("att", &pager, &query).unwrap())
+            encode_entries(&baseline.cluster().query_from("att", &pager, &query).unwrap())
         })
         .collect();
-    let att = baseline.server_id("att").unwrap();
+    let att = baseline.cluster().server_id("att").unwrap();
     let (base, filter) = probe_filter();
     let (probe_baseline, _) = baseline
         .client(att)

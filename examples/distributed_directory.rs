@@ -92,7 +92,9 @@ fn main() {
     // owning its base — and difference them itself.
     let filter = parse_composite("(surName=jagadish)").unwrap();
     let search = |base: &str| {
-        decode_entries(&cluster.ldap(&dn(base), Scope::Sub, &filter).unwrap()).unwrap()
+        let owner = cluster.delegation().owner_group_of(&dn(base)).unwrap()[0];
+        decode_entries(&cluster.store(owner).ldap(&dn(base), Scope::Sub, &filter).unwrap())
+            .unwrap()
     };
     let att_all = search("dc=att, dc=com");
     let research_all = search("dc=research, dc=att, dc=com");

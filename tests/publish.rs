@@ -1,23 +1,26 @@
-//! Generation isolation on the publish path.
+//! Generation isolation on the publish path, through the daemon's own
+//! service.
 //!
-//! A daemon answers reads from an immutable [`Cluster`] generation. After
-//! each batch it builds the next generation from the journal's directory
-//! mirror under the journal lock and swaps it in as an `Arc`, exactly as
-//! `netdird`'s `ClusterService::mutate` does. The contract: a reader
-//! never sees half a batch, a generation it holds answers byte for byte
-//! the same however many batches land after it, and every published
-//! generation answers what the committed history says it should.
+//! A [`DirectoryService`] answers reads from an immutable [`Cluster`]
+//! generation. Each `Mutate` frame goes through the journal, then the
+//! service builds the next generation from the journal's directory
+//! mirror under the journal lock and swaps it in as an `Arc` — the code
+//! `netdird` runs. The contract: a reader never sees half a batch, a
+//! generation it holds answers byte for byte the same however many
+//! batches land after it, and every published generation answers what
+//! the committed history says it should.
 
 use netdir::model::{Directory, Dn, Entry};
+use netdir::obs::MetricsRegistry;
 use netdir::pager::record::Record;
 use netdir::pager::Pager;
 use netdir::query::parse_query;
 use netdir::server::{Cluster, ClusterBuilder, ConsistencyMode};
+use netdir::wire::{DirectoryService, WireRequest, WireResponse, WireService};
 use netdir_journal::{JournalStore, Mutation, MutationBatch};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
 
 const PEOPLE: &str = "(ou=people, dc=att, dc=com ? sub ? objectClass=person)";
 
@@ -60,38 +63,17 @@ fn shape(degree: usize) -> ClusterBuilder {
         .eval_threads(degree)
 }
 
-/// The write side of a daemon: the journal and the current generation.
-struct Publisher {
-    journal: JournalStore,
-    shape: ClusterBuilder,
-    current: RwLock<Arc<Cluster>>,
+/// A daemon's service owning the write path over `shape`.
+fn primary(shape: ClusterBuilder) -> DirectoryService {
+    let journal = JournalStore::create(&Pager::new(1024, 64), seed()).unwrap();
+    DirectoryService::journaled(journal, shape, None, MetricsRegistry::new())
 }
 
-impl Publisher {
-    fn new(shape: ClusterBuilder) -> Publisher {
-        let journal = JournalStore::create(&Pager::new(1024, 64), seed()).unwrap();
-        let first = journal.with_directory(|d| shape.clone().build(d));
-        Publisher {
-            journal,
-            shape,
-            current: RwLock::new(Arc::new(first)),
-        }
-    }
-
-    /// Apply one batch and publish the generation built from the
-    /// updated mirror. Returns the batch's epoch.
-    fn mutate(&self, batch: &MutationBatch) -> u64 {
-        let outcome = self.journal.apply(batch).unwrap();
-        let previous = self.journal.with_directory(|d| {
-            let next = self.shape.clone().build(d);
-            std::mem::replace(&mut *self.current.write().unwrap(), Arc::new(next))
-        });
-        drop(previous);
-        outcome.epoch
-    }
-
-    fn generation(&self) -> Arc<Cluster> {
-        self.current.read().unwrap().clone()
+/// Send one `Mutate` frame; returns the batch's epoch.
+fn mutate(daemon: &DirectoryService, batch: MutationBatch) -> u64 {
+    match daemon.handle(WireRequest::Mutate { batch }) {
+        WireResponse::Mutated { epoch, .. } => epoch,
+        other => panic!("Mutate answered {other:?}"),
     }
 }
 
@@ -120,13 +102,13 @@ fn uids(answer: &[Vec<u8>]) -> BTreeSet<String> {
 #[test]
 fn concurrent_readers_never_see_a_split_pair() {
     const BATCHES: usize = 60;
-    let publisher = Publisher::new(shape(1));
+    let daemon = primary(shape(1));
     let done = AtomicBool::new(false);
 
     std::thread::scope(|s| {
         s.spawn(|| {
             for i in 0..BATCHES {
-                assert_eq!(publisher.mutate(&pair_batch(i)), i as u64 + 1);
+                assert_eq!(mutate(&daemon, pair_batch(i)), i as u64 + 1);
             }
             done.store(true, Ordering::Release);
         });
@@ -135,7 +117,7 @@ fn concurrent_readers_never_see_a_split_pair() {
                 let mut last_len = 0;
                 loop {
                     let finished = done.load(Ordering::Acquire);
-                    let generation = publisher.generation();
+                    let generation = daemon.cluster();
                     let answer = ask(&generation, PEOPLE);
                     let names = uids(&answer);
                     // Batches are atomic: a{i} visible iff b{i} visible.
@@ -160,17 +142,17 @@ fn concurrent_readers_never_see_a_split_pair() {
             });
         }
     });
-    assert_eq!(publisher.journal.len(), SEED_LEN + 2 * BATCHES as u64);
+    assert_eq!(daemon.journal().unwrap().len(), SEED_LEN + 2 * BATCHES as u64);
 }
 
 #[test]
 fn a_held_generation_answers_byte_identically_after_later_writes() {
     for degree in [1, 4] {
-        let publisher = Publisher::new(shape(degree));
+        let daemon = primary(shape(degree));
         for i in 0..10 {
-            publisher.mutate(&pair_batch(i));
+            mutate(&daemon, pair_batch(i));
         }
-        let held = publisher.generation();
+        let held = daemon.cluster();
         let people = ask(&held, PEOPLE);
         let a_side_text = format!("(- {PEOPLE} (ou=people, dc=att, dc=com ? sub ? surName=b*))");
         let a_side = ask(&held, &a_side_text);
@@ -180,21 +162,24 @@ fn a_held_generation_answers_byte_identically_after_later_writes() {
         // Keep mutating after the hold — including deletes of entries
         // the held generation can see.
         for i in 10..20 {
-            publisher.mutate(&pair_batch(i));
+            mutate(&daemon, pair_batch(i));
         }
-        publisher.mutate(&MutationBatch::from_mutations(
-            (0..5)
-                .map(|i| Mutation::Delete(person(&format!("a{i:03}")).dn().clone()))
-                .collect(),
-        ));
+        mutate(
+            &daemon,
+            MutationBatch::from_mutations(
+                (0..5)
+                    .map(|i| Mutation::Delete(person(&format!("a{i:03}")).dn().clone()))
+                    .collect(),
+            ),
+        );
 
         // The held generation answers exactly as before, atomic and L0.
         assert_eq!(ask(&held, PEOPLE), people, "degree {degree}");
         assert_eq!(ask(&held, &a_side_text), a_side, "degree {degree}");
 
         // Meanwhile the published state moved on.
-        assert_eq!(publisher.journal.len(), SEED_LEN + 2 * 20 - 5);
-        let current = publisher.generation();
+        assert_eq!(daemon.journal().unwrap().len(), SEED_LEN + 2 * 20 - 5);
+        let current = daemon.cluster();
         assert_eq!(ask(&current, PEOPLE).len(), 2 * 20 - 5);
         assert_eq!(ask(&current, &a_side_text).len(), 20 - 5);
     }
@@ -235,13 +220,13 @@ proptest! {
         steps in proptest::collection::vec(0u8..48, 1..40),
         chunk in 1usize..6,
     ) {
-        let publisher = Publisher::new(shape(1));
+        let daemon = primary(shape(1));
         let (batches, after_each) = history_batches(&steps, chunk);
 
         let mut held = Vec::new();
-        for (i, batch) in batches.iter().enumerate() {
-            prop_assert_eq!(publisher.mutate(batch), (i + 1) as u64);
-            let generation = publisher.generation();
+        for (i, batch) in batches.into_iter().enumerate() {
+            prop_assert_eq!(mutate(&daemon, batch), (i + 1) as u64);
+            let generation = daemon.cluster();
             let answer = ask(&generation, PEOPLE);
             prop_assert_eq!(&uids(&answer), &after_each[i], "generation {} differs", i);
             held.push((generation, answer));
@@ -251,6 +236,6 @@ proptest! {
             prop_assert_eq!(&ask(generation, PEOPLE), answer, "generation {} drifted", i);
         }
         let last = after_each.last().unwrap();
-        prop_assert_eq!(publisher.journal.len(), SEED_LEN + last.len() as u64);
+        prop_assert_eq!(daemon.journal().unwrap().len(), SEED_LEN + last.len() as u64);
     }
 }
