@@ -36,6 +36,7 @@
 //! tune (DESIGN.md §3c).
 
 use crate::btree::StaticBTree;
+use crate::delta::{Delta, DeltaCursor};
 use crate::dn_table::{DnTable, RawHit, ScopeRange};
 use crate::suffix::SuffixIndex;
 use crate::trie::Trie;
@@ -44,7 +45,7 @@ use netdir_filter::atomic::IntOp;
 use netdir_filter::{AtomicFilter, CompositeFilter, LdapQuery, Scope};
 use netdir_model::{AttrName, Directory, Dn, Entry, Value};
 use netdir_pager::{ListWriter, PagedList, Pager, PagerResult};
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -92,7 +93,17 @@ fn int_interval(op: IntOp, rhs: i64) -> Option<(i64, i64)> {
 impl IndexedDirectory {
     /// Build table and indices from a directory instance.
     pub fn build(pager: &Pager, dir: &Directory) -> PagerResult<IndexedDirectory> {
-        let table = DnTable::build(pager, dir.iter_sorted())?;
+        IndexedDirectory::from_sorted(pager, &dir.iter_sorted().collect::<Vec<_>>())
+    }
+
+    /// Build table and indices from entries sorted by reverse-DN key,
+    /// each DN once (else [`DnTable::build`]'s error). Entries are stored
+    /// as they are, ids included.
+    pub fn from_sorted<E: Borrow<Entry>>(
+        pager: &Pager,
+        entries: &[E],
+    ) -> PagerResult<IndexedDirectory> {
+        let table = DnTable::build(pager, entries.iter().map(Borrow::borrow))?;
 
         let mut int_pairs: BTreeMap<AttrName, Vec<(i64, Posting)>> = BTreeMap::new();
         let mut tries: BTreeMap<AttrName, Trie> = BTreeMap::new();
@@ -102,7 +113,7 @@ impl IndexedDirectory {
 
         // Entries arrive in table order, so every posting list below is
         // born sorted by position.
-        for (pos, e) in dir.iter_sorted().enumerate() {
+        for (pos, e) in entries.iter().map(Borrow::<Entry>::borrow).enumerate() {
             let pos = pos as Posting;
             for (a, v) in e.pairs() {
                 let holders = presence.entry(a.clone()).or_default();
@@ -254,86 +265,107 @@ impl IndexedDirectory {
     }
 
     /// Read `candidates` of `range` in table order and hand those in
-    /// scope — and, when `verify` is given, passing it once decoded — to
-    /// `visit`. The single place records leave the table.
+    /// scope — and, when `verify`, passing `matches` once decoded — to
+    /// `visit`, merged in key order with the in-scope upserts of `delta`
+    /// that pass `matches`. A table record whose DN the delta holds is
+    /// skipped: the delta wins. The single place records leave the
+    /// table; with an empty delta it does nothing more than read it.
     fn visit_candidates(
         &self,
         range: &ScopeRange,
         candidates: Candidates<'_>,
-        verify: Option<&dyn Fn(&Entry) -> bool>,
+        verify: bool,
+        matches: &dyn Fn(&Entry) -> bool,
+        mut delta: DeltaCursor<'_>,
         mut visit: impl FnMut(RawHit<'_>) -> PagerResult<()>,
     ) -> PagerResult<()> {
         let ctx = self.table.pager().ctx();
         let mut examined = 0u64;
         let mut decoded = 0u64;
+        let merging = !delta.is_empty();
+        // Ascending positions, so the delta's shadow cursor only moves
+        // forward; it is cloned off before emission starts.
+        let mut shadow = delta.clone();
         let in_scope = |&pos: &Posting| {
             examined += 1;
-            self.table.in_scope(range, pos)
+            self.table.in_scope(range, pos) && !(merging && shadow.shadows(self.table.key(pos)))
         };
-        let read = |hit: RawHit<'_>| {
-            if let Some(verify) = verify {
+        let mut read = |hit: RawHit<'_>| {
+            if merging {
+                delta.emit(Some(hit.key()), matches, &mut visit)?;
+            }
+            if verify {
                 decoded += 1;
-                if !verify(&hit.decode(&ctx)?) {
+                if !matches(&hit.decode(&ctx)?) {
                     return Ok(());
                 }
             }
             visit(hit)
         };
         let done = match candidates {
-            Candidates::Range => self.table.read_raw(range.positions().filter(in_scope), read),
+            Candidates::Range => self.table.read_raw(range.positions().filter(in_scope), &mut read),
             Candidates::Postings(postings) => self
                 .table
-                .read_raw(postings.iter().copied().filter(in_scope), read),
+                .read_raw(postings.iter().copied().filter(in_scope), &mut read),
         };
         self.examined.fetch_add(examined, Ordering::Relaxed);
         self.decoded.fetch_add(decoded, Ordering::Relaxed);
-        done
+        done?;
+        if merging {
+            delta.emit(None, matches, &mut visit)?;
+        }
+        Ok(())
     }
 
-    /// Evaluate an atomic query, handing each matching entry to `visit`
-    /// in reverse-DN order as an undecoded [`RawHit`] — the core both
-    /// [`IndexedDirectory::evaluate_atomic`] and a store node's answer
-    /// path wrap.
+    /// Evaluate an atomic query over this table with `delta` merged in,
+    /// handing each matching entry to `visit` in reverse-DN order as an
+    /// undecoded [`RawHit`] — the core both
+    /// [`IndexedDirectory::evaluate_atomic`] (no delta) and a zone's
+    /// answer path wrap.
     pub fn visit_atomic(
         &self,
+        delta: &Delta,
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
         visit: impl FnMut(RawHit<'_>) -> PagerResult<()>,
     ) -> PagerResult<()> {
         let range = self.table.scope_range(base, scope);
-        if range.is_empty() {
+        let delta = DeltaCursor::new(delta, base, scope);
+        if range.is_empty() && delta.is_empty() {
             return Ok(());
         }
         let (candidates, exact) = self.candidates(filter, &range)?;
         let matches = |e: &Entry| filter.matches(e);
-        let verify: Option<&dyn Fn(&Entry) -> bool> = if exact { None } else { Some(&matches) };
-        self.visit_candidates(&range, candidates, verify, visit)
+        self.visit_candidates(&range, candidates, !exact, &matches, delta, visit)
     }
 
     /// Without the attribute indices: the scope range, every record
     /// verified against `matches`.
     fn visit_scan(
         &self,
+        delta: &Delta,
         base: &Dn,
         scope: Scope,
         matches: &dyn Fn(&Entry) -> bool,
         visit: impl FnMut(RawHit<'_>) -> PagerResult<()>,
     ) -> PagerResult<()> {
         let range = self.table.scope_range(base, scope);
-        self.visit_candidates(&range, Candidates::Range, Some(matches), visit)
+        let delta = DeltaCursor::new(delta, base, scope);
+        self.visit_candidates(&range, Candidates::Range, true, matches, delta, visit)
     }
 
     /// As [`IndexedDirectory::visit_atomic`] for a composite filter,
     /// which no index serves.
     pub fn visit_composite(
         &self,
+        delta: &Delta,
         base: &Dn,
         scope: Scope,
         filter: &CompositeFilter,
         visit: impl FnMut(RawHit<'_>) -> PagerResult<()>,
     ) -> PagerResult<()> {
-        self.visit_scan(base, scope, &|e| filter.matches(e), visit)
+        self.visit_scan(delta, base, scope, &|e| filter.matches(e), visit)
     }
 
     /// Collect a visit into a result list on the table's pager.
@@ -353,7 +385,7 @@ impl IndexedDirectory {
         scope: Scope,
         filter: &AtomicFilter,
     ) -> PagerResult<PagedList<Entry>> {
-        self.collect(|visit| self.visit_atomic(base, scope, filter, visit))
+        self.collect(|visit| self.visit_atomic(&Delta::default(), base, scope, filter, visit))
     }
 
     /// Evaluate an atomic query without consulting the attribute
@@ -365,7 +397,8 @@ impl IndexedDirectory {
         scope: Scope,
         filter: &AtomicFilter,
     ) -> PagerResult<PagedList<Entry>> {
-        self.collect(|visit| self.visit_scan(base, scope, &|e| filter.matches(e), visit))
+        let matches = |e: &Entry| filter.matches(e);
+        self.collect(|visit| self.visit_scan(&Delta::default(), base, scope, &matches, visit))
     }
 
     /// Evaluate a composite-filter LDAP query (the baseline language).
@@ -381,7 +414,7 @@ impl IndexedDirectory {
         scope: Scope,
         filter: &CompositeFilter,
     ) -> PagerResult<PagedList<Entry>> {
-        self.collect(|visit| self.visit_composite(base, scope, filter, visit))
+        self.collect(|visit| self.visit_composite(&Delta::default(), base, scope, filter, visit))
     }
 }
 

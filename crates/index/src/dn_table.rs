@@ -19,7 +19,7 @@ use netdir_filter::Scope;
 use netdir_model::dn::KEY_SEPARATOR;
 use netdir_model::{Dn, Entry};
 use netdir_pager::record::{PageCtx, Record};
-use netdir_pager::{ListWriter, PagedList, Pager, PagerResult};
+use netdir_pager::{ListWriter, PagedList, Pager, PagerError, PagerResult};
 
 /// A static, sorted, paged table of entries with in-memory sort keys.
 pub struct DnTable {
@@ -49,6 +49,38 @@ pub struct ScopeRange {
 }
 
 impl ScopeRange {
+    /// Resolve `(base, scope)` over `len` ascending keys, `key(i)` the
+    /// `i`-th: `O(log len)` comparisons. The one rule a table and a
+    /// delta both resolve scopes by; the base need not be stored.
+    pub(crate) fn resolve<'k>(
+        len: u64,
+        key: impl Fn(u64) -> &'k [u8],
+        base: &Dn,
+        scope: Scope,
+    ) -> ScopeRange {
+        let prefix = base.sort_key().as_bytes();
+        let lo = partition(0, len, &key, |k| k < prefix);
+        let hi = match scope {
+            // The base itself sorts at the head of its subtree.
+            Scope::Base => lo + u64::from(lo < len && key(lo) == prefix),
+            Scope::One | Scope::Sub => partition(lo, len, &key, |k| k.starts_with(prefix)),
+        };
+        ScopeRange {
+            lo,
+            hi,
+            one_prefix: (scope == Scope::One).then_some(prefix.len()),
+        }
+    }
+
+    /// Is a record keyed `key`, lying in the range, within the scope the
+    /// range was resolved for? Agrees with [`Scope::contains`].
+    pub(crate) fn admits(&self, key: &[u8]) -> bool {
+        match self.one_prefix {
+            None => true,
+            Some(n) => key[n..].iter().filter(|&&b| b == KEY_SEPARATOR).count() <= 1,
+        }
+    }
+
     /// The candidate positions, ascending.
     pub fn positions(&self) -> std::ops::Range<u64> {
         self.lo..self.hi
@@ -65,6 +97,25 @@ impl ScopeRange {
     }
 }
 
+/// First position in `lo..hi` whose key fails `pred` (keys passing it
+/// must form a prefix of the span, as for `partition_point`).
+fn partition<'k>(
+    mut lo: u64,
+    mut hi: u64,
+    key: &impl Fn(u64) -> &'k [u8],
+    pred: impl Fn(&[u8]) -> bool,
+) -> u64 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(key(mid)) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// One record lifted off the table undecoded: its sort key (borrowed
 /// from the table's memory) and its on-page image.
 pub struct RawHit<'a> {
@@ -75,7 +126,21 @@ pub struct RawHit<'a> {
     split: bool,
 }
 
-impl RawHit<'_> {
+impl<'a> RawHit<'a> {
+    /// A record held outside the table as its [`Record::encode`] image.
+    pub(crate) fn encoded(key: &'a [u8], image: Vec<u8>) -> RawHit<'a> {
+        RawHit {
+            key,
+            body: image,
+            split: false,
+        }
+    }
+
+    /// The record's sort key.
+    pub(crate) fn key(&self) -> &'a [u8] {
+        self.key
+    }
+
     /// Fully decode the entry.
     pub fn decode(&self, ctx: &PageCtx) -> PagerResult<Entry> {
         if self.split {
@@ -105,9 +170,11 @@ impl RawHit<'_> {
 }
 
 impl DnTable {
-    /// Bulk-load from entries **already sorted** by reverse-DN key.
-    ///
-    /// Usually obtained from [`netdir_model::Directory::iter_sorted`].
+    /// Bulk-load from entries **already sorted** by reverse-DN key, each
+    /// DN once. Usually obtained from
+    /// [`netdir_model::Directory::iter_sorted`]. Input out of order or
+    /// with a repeated DN is refused: binary search over such a table
+    /// would answer wrongly.
     pub fn build<'a, I>(pager: &Pager, entries: I) -> PagerResult<DnTable>
     where
         I: IntoIterator<Item = &'a Entry>,
@@ -118,10 +185,11 @@ impl DnTable {
         let mut prev_start = 0;
         for e in entries {
             let key = e.dn().sort_key().as_bytes();
-            debug_assert!(
-                key_bytes[prev_start..] <= *key,
-                "DnTable::build requires sorted input"
-            );
+            if !key_ends.is_empty() && key_bytes[prev_start..] >= *key {
+                return Err(PagerError::CorruptRecord {
+                    detail: format!("DN table input unsorted or repeated at {}", e.dn()),
+                });
+            }
             prev_start = key_bytes.len();
             key_bytes.extend_from_slice(key);
             key_ends.push(key_bytes.len());
@@ -161,42 +229,17 @@ impl DnTable {
     }
 
     /// The sort key of the record at `pos` (which must be `< len`).
-    fn key(&self, pos: u64) -> &[u8] {
+    pub(crate) fn key(&self, pos: u64) -> &[u8] {
         let pos = pos as usize;
         let start = if pos == 0 { 0 } else { self.key_ends[pos - 1] };
         &self.key_bytes[start..self.key_ends[pos]]
-    }
-
-    /// First position in `lo..hi` whose key fails `pred` (keys passing
-    /// it must form a prefix of the span, as for `partition_point`).
-    fn partition(&self, mut lo: u64, mut hi: u64, pred: impl Fn(&[u8]) -> bool) -> u64 {
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(self.key(mid)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
     }
 
     /// Resolve `(base, scope)` to table positions: `O(log N)` key
     /// comparisons, no I/O. The base need not be stored; its descendants
     /// still form the range.
     pub fn scope_range(&self, base: &Dn, scope: Scope) -> ScopeRange {
-        let prefix = base.sort_key().as_bytes();
-        let lo = self.partition(0, self.len(), |k| k < prefix);
-        let hi = match scope {
-            // The base itself sorts at the head of its subtree.
-            Scope::Base => lo + u64::from(lo < self.len() && self.key(lo) == prefix),
-            Scope::One | Scope::Sub => self.partition(lo, self.len(), |k| k.starts_with(prefix)),
-        };
-        ScopeRange {
-            lo,
-            hi,
-            one_prefix: (scope == Scope::One).then_some(prefix.len()),
-        }
+        ScopeRange::resolve(self.len(), |pos| self.key(pos), base, scope)
     }
 
     /// Is the record at `pos` (a position of `range`) within the scope
@@ -204,13 +247,7 @@ impl DnTable {
     /// only the in-memory key.
     pub fn in_scope(&self, range: &ScopeRange, pos: u64) -> bool {
         debug_assert!(range.positions().contains(&pos));
-        match range.one_prefix {
-            None => true,
-            Some(n) => {
-                let beyond = &self.key(pos)[n..];
-                beyond.iter().filter(|&&b| b == KEY_SEPARATOR).count() <= 1
-            }
-        }
+        range.admits(self.key(pos))
     }
 
     /// Lift the records at `positions` (ascending) off their pages,
@@ -298,6 +335,24 @@ mod tests {
         for (pos, e) in d.iter_sorted().enumerate() {
             assert_eq!(t.key(pos as u64), e.dn().sort_key().as_bytes());
         }
+    }
+
+    #[test]
+    fn unsorted_or_repeated_input_is_refused() {
+        let d = dir();
+        let sorted: Vec<&Entry> = d.iter_sorted().collect();
+        let mut swapped = sorted.clone();
+        swapped.swap(2, 3);
+        let mut repeated = sorted.clone();
+        repeated.insert(4, sorted[4]);
+        for bad in [swapped, repeated] {
+            let err = DnTable::build(&tiny_pager(), bad).err().expect("refused");
+            assert!(
+                matches!(err, netdir_pager::PagerError::CorruptRecord { .. }),
+                "{err}"
+            );
+        }
+        assert_eq!(DnTable::build(&tiny_pager(), sorted).unwrap().len(), 8);
     }
 
     #[test]

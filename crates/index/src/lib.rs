@@ -24,14 +24,19 @@
 //!   to a position range first, cut the filter's posting list to it, and
 //!   read the hits in page order as undecoded on-page images — always in
 //!   reverse-DN order, the form the L0–L3 operators consume.
+//! * [`delta`] — a zone's sorted **delta** over an immutable table:
+//!   upserts and tombstones for the DNs written since the table was
+//!   built, merged into every atomic answer in key order.
 
 pub mod btree;
+pub mod delta;
 pub mod directory_index;
 pub mod dn_table;
 pub mod suffix;
 pub mod trie;
 
 pub use btree::StaticBTree;
+pub use delta::{Delta, DeltaRecord, DeltaWrite};
 pub use directory_index::{AtomicCost, IndexedDirectory};
 pub use dn_table::{DnTable, RawHit, ScopeRange};
 pub use suffix::SuffixIndex;

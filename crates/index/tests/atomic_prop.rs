@@ -11,8 +11,8 @@
 //! box: a point lookup's count does not depend on the directory's size.
 
 use netdir_filter::atomic::IntOp;
-use netdir_filter::{parse_atomic, AtomicFilter, Scope};
-use netdir_index::IndexedDirectory;
+use netdir_filter::{parse_atomic, AtomicFilter, CompositeFilter, Scope};
+use netdir_index::{Delta, DeltaWrite, IndexedDirectory};
 use netdir_model::{Directory, Dn, Entry, Rdn};
 use netdir_pager::record::Record;
 use netdir_pager::{PagedList, Pager};
@@ -181,7 +181,7 @@ fn every_answer_is_byte_identical_to_the_oracle() {
                             .collect();
                         // As a store node ships it.
                         let mut shipped = Vec::new();
-                        idx.visit_atomic(&base, scope, &filter, |hit| {
+                        idx.visit_atomic(&Delta::default(), &base, scope, &filter, |hit| {
                             shipped.push(hit.into_encoded(&ctx)?);
                             Ok(())
                         })
@@ -205,6 +205,136 @@ fn every_answer_is_byte_identical_to_the_oracle() {
     // The grid is not vacuous.
     assert!(checked > 10_000, "{checked} cells");
     assert!(nonempty * 5 > checked, "{nonempty} of {checked} non-empty");
+}
+
+/// `forest(seed)` after seeded writes: deletes (of leaves, interior
+/// entries and the ghost subtree), modifies and adds, some under added
+/// parents. Returns the written directory and the delta those writes
+/// leave over a table of `forest(seed)`.
+fn written(seed: u64) -> (Directory, Delta) {
+    let before = forest(seed);
+    let mut after = forest(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xde17a);
+    let mut touched: Vec<Dn> = Vec::new();
+    let mut dns: Vec<Dn> = before.iter_sorted().map(|e| e.dn().clone()).collect();
+    for i in 0..rng.gen_range(8..30) {
+        let target = dns[rng.gen_range(0..dns.len())].clone();
+        match rng.gen_range(0..3) {
+            0 if after.contains(&target) => {
+                after.remove(&target).unwrap();
+            }
+            1 if after.contains(&target) => {
+                let add = [("kind".into(), netdir_model::Value::Str("red".into()))];
+                let drop = [("kind".into(), netdir_model::Value::Str("blue".into()))];
+                after.modify(&target, &add, &drop).unwrap();
+                after
+                    .modify(&target, &[("weight".into(), (i as i64 % 9).into())], &[])
+                    .unwrap();
+            }
+            _ => {
+                let child = target.child(Rdn::single("n", format!("w{i}")).unwrap());
+                let e = Entry::builder(child.clone())
+                    .class("node")
+                    .attr("name", ["a", "bc"][i % 2])
+                    .attr("kind", "red")
+                    .attr("weight", (i % 8) as i64);
+                after.insert(e.build().unwrap()).unwrap();
+                dns.push(child.clone());
+                touched.push(child);
+                continue;
+            }
+        }
+        touched.push(target);
+    }
+    let writes = touched
+        .iter()
+        .map(|dn| DeltaWrite {
+            dn,
+            entry: after.lookup(dn),
+            existed: before.contains(dn),
+        })
+        .collect();
+    let delta = Delta::default().with(writes);
+    (after, delta)
+}
+
+#[test]
+fn a_table_plus_its_delta_answers_like_the_written_directory() {
+    let mut checked = 0usize;
+    let mut shadowed = 0usize;
+    for seed in 0..4u64 {
+        let (after, delta) = written(seed);
+        assert!(delta.len() >= 8, "seed {seed}: {} records", delta.len());
+        let targets: Vec<Dn> = after
+            .iter_sorted()
+            .filter_map(|e| e.values(&"ref".into()).next()?.as_dn().cloned())
+            .take(2)
+            .collect();
+        let layout = PagedList::from_iter(&Pager::new(512, 16), after.iter_sorted().cloned())
+            .unwrap()
+            .page_record_counts();
+        // The written forest's table, and the empty table everything
+        // else is a delta over.
+        let over_base = forest(seed);
+        let everything = Delta::default().with(
+            after
+                .iter_sorted()
+                .map(|e| DeltaWrite {
+                    dn: e.dn(),
+                    entry: Some(e),
+                    existed: false,
+                })
+                .collect(),
+        );
+        for pager in [Pager::new(512, 16), Pager::compressed(512, 16)] {
+            let ctx = pager.ctx();
+            let cases = [
+                (IndexedDirectory::build(&pager, &over_base).unwrap(), &delta),
+                (
+                    IndexedDirectory::build(&pager, &Directory::new()).unwrap(),
+                    &everything,
+                ),
+                (
+                    IndexedDirectory::build(&pager, &after).unwrap(),
+                    &Delta::default(),
+                ),
+            ];
+            for (idx, delta) in &cases {
+                for base in bases(&after, &layout) {
+                    for scope in SCOPES {
+                        for filter in filters(&targets) {
+                            let what = format!("seed {seed} ({base} ? {scope} ? {filter})");
+                            let oracle: Vec<Vec<u8>> = after
+                                .iter_sorted()
+                                .filter(|e| scope.contains(&base, e.dn()) && filter.matches(e))
+                                .map(encoded)
+                                .collect();
+                            let mut shipped = Vec::new();
+                            idx.visit_atomic(delta, &base, scope, &filter, |hit| {
+                                shipped.push(hit.into_encoded(&ctx)?);
+                                Ok(())
+                            })
+                            .unwrap();
+                            assert_eq!(shipped, oracle, "{what}");
+                            let composite = CompositeFilter::Atomic(filter.clone());
+                            let mut scanned = Vec::new();
+                            idx.visit_composite(delta, &base, scope, &composite, |hit| {
+                                scanned.push(hit.into_encoded(&ctx)?);
+                                Ok(())
+                            })
+                            .unwrap();
+                            assert_eq!(scanned, oracle, "composite {what}");
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+            // Base hits the delta shadows were really in play.
+            shadowed += cases[0].1.records().filter(|r| r.entry().is_none()).count();
+        }
+    }
+    assert!(checked > 10_000, "{checked} cells");
+    assert!(shadowed > 0, "some delta deletes a table entry");
 }
 
 /// `dc=big` → `zones` zones → leaves, `entries` entries in all; leaves

@@ -15,10 +15,10 @@
 //!    replayed and applied, reported back as [`ApplyOutcome::epoch`].
 //!
 //! The store answers no queries. Readers are isolated one level up: a
-//! server builds its query generation inside
+//! server publishes its next query generation inside
 //! [`JournalStore::with_directory`] — under the store lock, so from
-//! exactly one committed state — and publishes it as an immutable `Arc`
-//! that later batches never touch.
+//! exactly one committed state — as an immutable `Arc` that later
+//! batches never touch.
 
 use crate::mutation::{Mutation, MutationBatch};
 use crate::wal::Wal;

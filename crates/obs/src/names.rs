@@ -85,6 +85,12 @@ pub const WAL_REPLAY_US: &str = "netdir_wal_replay_us";
 pub const MUTATION_BATCHES: &str = "netdir_mutation_batches_total";
 /// Individual mutations applied. From `JournalStats`.
 pub const MUTATIONS_APPLIED: &str = "netdir_mutations_applied_total";
+/// Delta records over the serving generation's zone bases, summed over
+/// zones, gauge. From `Cluster::delta_entries`.
+pub const DELTA_ENTRIES: &str = "netdir_delta_entries";
+/// Publishes that rebuilt the generation from the directory because a
+/// zone's delta outgrew its base. From `Cluster::compactions`.
+pub const COMPACTIONS: &str = "netdir_compactions_total";
 
 /// Requests admitted past the policy layer. From `AdmissionSnapshot`.
 pub const ADMISSION_ADMITTED: &str = "netdir_admission_admitted_total";
@@ -178,6 +184,8 @@ pub const TRACKED: &[&str] = &[
     WAL_REPLAY_US,
     MUTATION_BATCHES,
     MUTATIONS_APPLIED,
+    DELTA_ENTRIES,
+    COMPACTIONS,
     ADMISSION_ADMITTED,
     BUSY_REJECTIONS,
     ADMISSION_RATE_LIMITED,

@@ -20,7 +20,10 @@
 //! another's — is a function call on the querying thread;
 //! [`ClusterBuilder::build_with`] routes over any other transport, which
 //! is how the `netdir-wire` crate builds the same cluster over TCP
-//! sockets.
+//! sockets. Both partition a directory afresh; after a committed
+//! mutation batch, [`ClusterBuilder::publish`] makes the next in-process
+//! generation from the previous one in `O(batch)`, sharing its zones'
+//! bases and extending their deltas.
 //!
 //! Entries stay in their frozen `Entry::encode` encoding from page to
 //! answer. A zone's response is a list of images, vetted by
@@ -38,6 +41,7 @@ use crate::node::{decode_entries, ServerConfig, ZoneStore};
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::transport::{LocalTransport, Transport};
 use netdir_filter::{AtomicFilter, Scope};
+use netdir_index::DeltaWrite;
 use netdir_model::{Directory, Dn, Entry};
 use netdir_obs::{Clock, MonotonicClock};
 use netdir_pager::record::Record;
@@ -168,10 +172,10 @@ impl ClusterBuilder {
     }
 
     /// Attach a cost-based planner to the built cluster's router (see
-    /// [`Router::with_planner`]). Pass the *same* `Arc` when rebuilding
-    /// the cluster after a mutation so the stats catalog persists; call
-    /// [`Planner::bump_epoch`] at each rebuild so stale cached plans are
-    /// dropped.
+    /// [`Router::with_planner`]). Keep one shape, and so one planner,
+    /// across generations so the stats catalog persists;
+    /// [`ClusterBuilder::publish`] drops stale cached plans
+    /// ([`Planner::bump_epoch`]) at each publish.
     pub fn planner(mut self, planner: Arc<Planner>) -> Self {
         self.planner = Some(planner);
         self
@@ -182,13 +186,8 @@ impl ClusterBuilder {
         self.configs.len()
     }
 
-    /// Partition `dir` by longest-matching context without making any
-    /// store.
-    ///
-    /// Entries matching no context are dropped with a count returned in
-    /// [`ClusterParts::orphaned`] (a real deployment would reject them
-    /// at registration).
-    pub fn into_parts(self, dir: &Directory) -> ClusterParts {
+    /// The delegation table of the declared servers.
+    fn delegation(&self) -> Delegation {
         let mut delegation = Delegation::new();
         // Primaries register first so they head their owner groups.
         for (id, cfg) in self.configs.iter().enumerate() {
@@ -201,6 +200,17 @@ impl ClusterBuilder {
                 delegation.register(cfg.context.clone(), id);
             }
         }
+        delegation
+    }
+
+    /// Partition `dir` by longest-matching context without making any
+    /// store.
+    ///
+    /// Entries matching no context are dropped with a count returned in
+    /// [`ClusterParts::orphaned`] (a real deployment would reject them
+    /// at registration).
+    pub fn into_parts(self, dir: &Directory) -> ClusterParts {
+        let delegation = self.delegation();
         let mut partitions: Vec<Vec<Entry>> = vec![Vec::new(); self.configs.len()];
         let mut orphaned = 0usize;
         for e in dir.iter_sorted() {
@@ -241,7 +251,7 @@ impl ClusterBuilder {
         dir: &Directory,
         route: impl FnOnce(Delegation, Arc<[ZoneStore]>) -> Router,
     ) -> Cluster {
-        let eval_threads = self.eval_threads.max(1);
+        let eval_threads = self.eval_threads;
         let planner = self.planner.take();
         let parts = self.into_parts(dir);
         let stores: Arc<[ZoneStore]> = parts
@@ -250,15 +260,106 @@ impl ClusterBuilder {
             .zip(parts.partitions)
             .map(|(cfg, entries)| ZoneStore::new(cfg, entries))
             .collect();
-        let mut router = route(parts.delegation, stores.clone()).with_eval_threads(eval_threads);
-        if let Some(p) = planner {
-            router = router.with_planner(p);
-        }
+        let router = route(parts.delegation, stores.clone());
         Cluster {
             stores,
-            router,
+            router: wired(router, eval_threads, planner),
             orphaned: parts.orphaned,
+            compactions: 0,
         }
+    }
+
+    /// The in-process generation after a committed batch, from `prev`
+    /// (this shape's previous generation) and `dir` (the directory the
+    /// batch left). `touched` names every DN the batch wrote, each with
+    /// whether the directory held it before the batch.
+    ///
+    /// Each written DN is routed by the rule [`ClusterBuilder::build`]
+    /// partitions by, and its owners' zones get delta records for it
+    /// ([`ZoneStore::with_writes`]); every other zone, and every base, is
+    /// `prev`'s. That costs `O(|touched| log N + |delta|)`: no partition
+    /// is copied and no index is built. Once some zone's delta holds more
+    /// than [`COMPACT_MIN`] records and more than 1/[`COMPACT_FRACTION`]
+    /// of its base, the generation is instead rebuilt from `dir` (a
+    /// **compaction**, counted in [`Cluster::compactions`]), whose cost
+    /// the batches since the last one amortise. Either way the planner's
+    /// cached plans are dropped ([`Planner::bump_epoch`]).
+    pub fn publish(self, prev: &Cluster, dir: &Directory, touched: &[(Dn, bool)]) -> Cluster {
+        let delegation = self.delegation();
+        let mut touched: Vec<&(Dn, bool)> = touched.iter().collect();
+        touched.sort_by(|a, b| a.0.sort_key().cmp(b.0.sort_key()));
+        touched.dedup_by(|a, b| a.0 == b.0);
+        let mut writes: Vec<Vec<DeltaWrite<'_>>> = prev.stores.iter().map(|_| Vec::new()).collect();
+        let mut orphaned = prev.orphaned;
+        for (dn, existed) in touched {
+            let entry = dir.lookup(dn);
+            let Some(group) = delegation.owner_group_of(dn) else {
+                orphaned =
+                    (orphaned + usize::from(entry.is_some())).saturating_sub(usize::from(*existed));
+                continue;
+            };
+            for &id in group {
+                if let Some(w) = writes.get_mut(id) {
+                    w.push(DeltaWrite {
+                        dn,
+                        entry,
+                        existed: *existed,
+                    });
+                }
+            }
+        }
+        let stores: Vec<ZoneStore> = prev
+            .stores
+            .iter()
+            .zip(writes)
+            .map(|(zone, w)| {
+                if w.is_empty() {
+                    zone.clone()
+                } else {
+                    zone.with_writes(w)
+                }
+            })
+            .collect();
+        let compact = stores.len() != self.configs.len()
+            || stores
+                .iter()
+                .any(|z| z.delta().len() > COMPACT_MIN.max(z.base_len() / COMPACT_FRACTION));
+        let next = if compact {
+            Cluster {
+                compactions: prev.compactions + 1,
+                ..self.build(dir)
+            }
+        } else {
+            let stores: Arc<[ZoneStore]> = stores.into();
+            let router = Router::new(delegation, Box::new(LocalTransport::new(stores.clone())));
+            Cluster {
+                stores,
+                router: wired(router, self.eval_threads, self.planner),
+                orphaned,
+                compactions: prev.compactions,
+            }
+        };
+        if let Some(p) = next.router.planner() {
+            p.bump_epoch();
+        }
+        next
+    }
+}
+
+/// A zone's delta may hold this many records before its size relative
+/// to its base can trigger a compaction ([`ClusterBuilder::publish`]).
+pub const COMPACT_MIN: usize = 64;
+
+/// A zone compacts once its delta (past [`COMPACT_MIN`] records) exceeds
+/// its base's entry count divided by this.
+pub const COMPACT_FRACTION: usize = 8;
+
+/// `router` with a shape's evaluation degree and planner attached.
+fn wired(router: Router, eval_threads: usize, planner: Option<Arc<Planner>>) -> Router {
+    let router = router.with_eval_threads(eval_threads);
+    match planner {
+        Some(p) => router.with_planner(p),
+        None => router,
     }
 }
 
@@ -620,9 +721,24 @@ pub struct Cluster {
     stores: Arc<[ZoneStore]>,
     router: Router,
     orphaned: usize,
+    /// Compactions since the generation [`ClusterBuilder::build`] made,
+    /// carried across published generations.
+    compactions: u64,
 }
 
 impl Cluster {
+    /// Delta records over every zone's base (replicas counted per
+    /// zone): what the next compaction folds in.
+    pub fn delta_entries(&self) -> usize {
+        self.stores.iter().map(|z| z.delta().len()).sum()
+    }
+
+    /// Compactions [`ClusterBuilder::publish`] ran on the way from the
+    /// last [`ClusterBuilder::build`] to this generation.
+    pub fn compactions(&self) -> u64 {
+        self.compactions
+    }
+
     /// Network counters (messages, shipped entries/bytes).
     pub fn net(&self) -> &NetStats {
         self.router.net()

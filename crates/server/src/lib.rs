@@ -35,8 +35,8 @@ pub use admission::{
 };
 pub use delegation::Delegation;
 pub use distributed::{
-    Cluster, ClusterBuilder, ClusterParts, ConsistencyMode, PartitionError, QueryOutcome,
-    Router,
+    Cluster, ClusterBuilder, ClusterParts, ConsistencyMode, PartitionError, QueryOutcome, Router,
+    COMPACT_FRACTION, COMPACT_MIN,
 };
 pub use fault::{FaultConfig, FaultSnapshot, FaultStats, FaultTransport};
 pub use health::{BreakerConfig, BreakerState, BreakerTransitions, HealthTracker};

@@ -35,6 +35,7 @@ pub fn register_all(reg: &MetricsRegistry) {
             }
             names::ADMISSION_INFLIGHT
             | names::ADMISSION_QUEUE_DEPTH
+            | names::DELTA_ENTRIES
             | names::DEADLINE_ABANDONED
             | names::PLANNER_CATALOG_SHAPES
             | names::PLANNER_EPOCH => {

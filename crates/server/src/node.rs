@@ -1,26 +1,36 @@
-//! One directory server's zone: its configuration and its indexed store.
+//! One directory server's zone: its configuration, a shared base, and a
+//! sorted delta.
 //!
-//! A [`ZoneStore`] holds the entries partitioned to one server and
-//! answers atomic queries (and baseline LDAP searches) on the caller's
-//! thread — there is no store thread and no channel. Hits leave the
-//! table undecoded ([`IndexedDirectory::visit_atomic`]) and are handed
-//! out as their frozen [`Entry::encode`] images ([`RawHit::into_encoded`];
-//! on a v1 store the on-page bytes verbatim), so answering decodes
-//! nothing and writes no page, and shipped bytes are measured with the
-//! same codec the pager uses.
+//! A [`ZoneStore`] answers atomic queries (and baseline LDAP searches)
+//! on the caller's thread — there is no store thread and no channel.
+//! Hits leave the base table undecoded ([`IndexedDirectory::visit_atomic`])
+//! and are handed out as their frozen [`Entry::encode`] images
+//! ([`RawHit::into_encoded`]; on a v1 store the on-page bytes verbatim),
+//! so answering decodes nothing and writes no page, and shipped bytes are
+//! measured with the same codec the pager uses.
 //!
-//! The store is built **on first use**, by whichever request needs it
-//! first, and the build consumes the partition, so a zone never holds its
-//! entries twice. Building is the expensive part of a zone (every index
-//! over every entry); a cluster generation that is replaced before anyone
-//! reads it — a mutation published on top of another — never pays it.
+//! A zone is two parts:
+//!
+//! * the **base**: the entries partitioned to the server when the
+//!   cluster was last built, and, once first asked, the indexed store
+//!   built from them. Building is the expensive part of a zone (every
+//!   index over every entry), so it happens on first use, by whichever
+//!   request needs it first, and consumes the partition: a zone never
+//!   holds its base entries twice. The base sits behind an `Arc` that
+//!   every later generation of the zone shares until the next
+//!   compaction, so it is built at most once however many generations
+//!   are published on top of it;
+//! * the **delta**: the DNs written since, as a key-sorted list of
+//!   upserts and tombstones ([`Delta`]), merged into every answer. A
+//!   published batch extends it ([`ZoneStore::with_writes`]) and builds
+//!   nothing else.
 
 use netdir_filter::{AtomicFilter, CompositeFilter, Scope};
-use netdir_index::{IndexedDirectory, RawHit};
-use netdir_model::{Directory, Dn, Entry};
+use netdir_index::{Delta, DeltaWrite, IndexedDirectory, RawHit};
+use netdir_model::{Dn, Entry};
 use netdir_pager::record::Record;
 use netdir_pager::{Pager, PagerError, PagerResult};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Configuration of one server.
 #[derive(Debug, Clone)]
@@ -47,13 +57,11 @@ impl ServerConfig {
     }
 }
 
-/// One server's zone: the entries it owns and, once first asked, the
-/// indexed store built from them.
-pub struct ZoneStore {
-    /// The server's configuration.
-    pub config: ServerConfig,
-    /// Number of entries the server owns.
-    pub num_entries: usize,
+/// A zone's base: its partition until first asked, then the indexed
+/// store built from it.
+struct Base {
+    /// Entries in the partition.
+    len: usize,
     pager: Pager,
     /// The partition, until the store is built from it.
     partition: Mutex<Vec<Entry>>,
@@ -62,25 +70,7 @@ pub struct ZoneStore {
     store: OnceLock<Result<IndexedDirectory, String>>,
 }
 
-impl ZoneStore {
-    /// A zone owning `entries` (they must belong to the server's context;
-    /// the cluster builder partitions accordingly). Nothing is built yet.
-    pub fn new(config: ServerConfig, entries: Vec<Entry>) -> ZoneStore {
-        ZoneStore {
-            num_entries: entries.len(),
-            pager: Pager::new(config.page_size, config.frames),
-            config,
-            partition: Mutex::new(entries),
-            store: OnceLock::new(),
-        }
-    }
-
-    /// The pager under the zone's store (its I/O ledger and page count
-    /// are the server's storage footprint; no pages until first use).
-    pub fn pager(&self) -> &Pager {
-        &self.pager
-    }
-
+impl Base {
     /// The store, built by the first caller; later callers wait for that
     /// build rather than start their own.
     fn store(&self) -> Result<&IndexedDirectory, String> {
@@ -90,12 +80,79 @@ impl ZoneStore {
             );
             // A build that panicked took the partition with it; serving
             // an empty zone instead would be a silent wrong answer.
-            if entries.len() != self.num_entries {
+            if entries.len() != self.len {
                 return Err("store build failed: an earlier build did not finish".into());
             }
-            build_store(&self.pager, entries)
+            IndexedDirectory::from_sorted(&self.pager, &entries)
+                .map_err(|e| format!("store build failed: {e}"))
         });
         built.as_ref().map_err(String::clone)
+    }
+}
+
+/// One server's zone: a shared base plus the delta written over it.
+/// Cloning shares both.
+#[derive(Clone)]
+pub struct ZoneStore {
+    /// The server's configuration.
+    pub config: ServerConfig,
+    /// Number of entries the server owns.
+    pub num_entries: usize,
+    base: Arc<Base>,
+    delta: Delta,
+}
+
+impl ZoneStore {
+    /// A zone owning `entries`, sorted by reverse-DN key, each DN once
+    /// (they must belong to the server's context; the cluster builder
+    /// partitions accordingly). Nothing is built yet.
+    pub fn new(config: ServerConfig, entries: Vec<Entry>) -> ZoneStore {
+        ZoneStore {
+            num_entries: entries.len(),
+            base: Arc::new(Base {
+                len: entries.len(),
+                pager: Pager::new(config.page_size, config.frames),
+                partition: Mutex::new(entries),
+                store: OnceLock::new(),
+            }),
+            config,
+            delta: Delta::default(),
+        }
+    }
+
+    /// This zone with `writes` merged into its delta, on the same base:
+    /// `O(|writes| log |writes| + |delta|)`, and nothing is built.
+    pub fn with_writes(&self, writes: Vec<DeltaWrite<'_>>) -> ZoneStore {
+        let delta = self.delta.with(writes);
+        ZoneStore {
+            config: self.config.clone(),
+            num_entries: self.base.len.saturating_add_signed(delta.net_entries()),
+            base: Arc::clone(&self.base),
+            delta,
+        }
+    }
+
+    /// Entries in the base, written or not since.
+    pub fn base_len(&self) -> usize {
+        self.base.len
+    }
+
+    /// The delta over the base.
+    pub fn delta(&self) -> &Delta {
+        &self.delta
+    }
+
+    /// True iff both zones read the same base (one built, at most once,
+    /// for both).
+    pub fn shares_base(&self, other: &ZoneStore) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
+    }
+
+    /// The pager under the zone's base store (its I/O ledger and page
+    /// count are the server's storage footprint; no pages until first
+    /// use).
+    pub fn pager(&self) -> &Pager {
+        &self.base.pager
     }
 
     /// The entries `visit` yields, in their frozen wire encoding.
@@ -106,7 +163,7 @@ impl ZoneStore {
             &mut dyn FnMut(RawHit<'_>) -> PagerResult<()>,
         ) -> PagerResult<()>,
     ) -> Result<Vec<Vec<u8>>, String> {
-        let idx = self.store()?;
+        let idx = self.base.store()?;
         let ctx = idx.table().pager().ctx();
         let mut out = Vec::new();
         visit(idx, &mut |hit| {
@@ -125,7 +182,7 @@ impl ZoneStore {
         scope: Scope,
         filter: &AtomicFilter,
     ) -> Result<Vec<Vec<u8>>, String> {
-        self.answer(|idx, visit| idx.visit_atomic(base, scope, filter, visit))
+        self.answer(|idx, visit| idx.visit_atomic(&self.delta, base, scope, filter, visit))
     }
 
     /// Evaluate a baseline LDAP query (one base, one scope, a composite
@@ -136,20 +193,8 @@ impl ZoneStore {
         scope: Scope,
         filter: &CompositeFilter,
     ) -> Result<Vec<Vec<u8>>, String> {
-        self.answer(|idx, visit| idx.visit_composite(base, scope, filter, visit))
+        self.answer(|idx, visit| idx.visit_composite(&self.delta, base, scope, filter, visit))
     }
-}
-
-/// Build a zone's store; the error is what every request is answered
-/// with if it cannot be built.
-fn build_store(pager: &Pager, entries: Vec<Entry>) -> Result<IndexedDirectory, String> {
-    let mut dir = Directory::new();
-    for e in entries {
-        // Partitioned input is disjoint; a duplicate is a builder bug.
-        dir.insert(e)
-            .map_err(|e| format!("store build failed: invalid partition: {e}"))?;
-    }
-    IndexedDirectory::build(pager, &dir).map_err(|e| format!("store build failed: {e}"))
 }
 
 /// Decode wire-format entries.
@@ -187,6 +232,12 @@ mod tests {
         ZoneStore::new(ServerConfig::new("att", dn("dc=att, dc=com")), entries())
     }
 
+    fn image(e: &Entry) -> Vec<u8> {
+        let mut buf = Vec::new();
+        e.encode(&mut buf);
+        buf
+    }
+
     #[test]
     fn zone_answers_atomic_queries() {
         let hits = zone()
@@ -213,18 +264,8 @@ mod tests {
 
     #[test]
     fn shipped_bytes_are_the_frozen_entry_encoding() {
-        let mut dir = Directory::new();
-        for e in entries() {
-            dir.insert(e).unwrap();
-        }
-        let want: Vec<Vec<u8>> = dir
-            .subtree(&dn("ou=p, dc=att, dc=com"))
-            .map(|e| {
-                let mut buf = Vec::new();
-                e.encode(&mut buf);
-                buf
-            })
-            .collect();
+        // The entries as given, ids included: a zone renumbers nothing.
+        let want: Vec<Vec<u8>> = entries()[1..].iter().map(image).collect();
         let got = zone()
             .atomic(
                 &dn("ou=p, dc=att, dc=com"),
@@ -233,6 +274,45 @@ mod tests {
             )
             .unwrap();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_written_zone_shares_its_base_and_answers_through_its_delta() {
+        let first = zone();
+        let built = first.atomic(&dn("dc=att, dc=com"), Scope::Sub, &AtomicFilter::True);
+        assert_eq!(built.unwrap().len(), 3);
+        let pages = first.pager().pool().num_pages();
+        // Delete a base entry, modify another, add a new one.
+        let base = entries();
+        let modified = Entry::builder(base[1].dn().clone())
+            .class("thing")
+            .attr("surName", "srivastava")
+            .build()
+            .unwrap();
+        let added = Entry::builder(dn("uid=b, ou=p, dc=att, dc=com"))
+            .class("thing")
+            .attr("surName", "jagadish")
+            .build()
+            .unwrap();
+        let write = |dn, entry, existed| DeltaWrite { dn, entry, existed };
+        let next = first.with_writes(vec![
+            write(base[0].dn(), None, true),
+            write(base[1].dn(), Some(&modified), true),
+            write(added.dn(), Some(&added), false),
+        ]);
+        assert!(next.shares_base(&first));
+        assert_eq!((next.num_entries, next.delta().len()), (3, 3));
+        let got = next
+            .atomic(&dn("dc=att, dc=com"), Scope::Sub, &AtomicFilter::True)
+            .unwrap();
+        assert_eq!(got, vec![image(&modified), image(&base[2]), image(&added)]);
+        let f = netdir_filter::parse_composite("(surName=jagadish)").unwrap();
+        let jag = next.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap();
+        assert_eq!(jag, vec![image(&base[2]), image(&added)]);
+        // Nothing was rebuilt, and the first generation is unchanged.
+        assert_eq!(next.pager().pool().num_pages(), pages);
+        let old = first.atomic(&dn("dc=att, dc=com"), Scope::Sub, &AtomicFilter::True);
+        assert_eq!(old.unwrap(), base.iter().map(image).collect::<Vec<_>>());
     }
 
     #[test]

@@ -12,18 +12,24 @@
 //!   would recurse. A routed single-atomic answer is a `Query` frame.
 //! * `Query`, `QueryPartial` and `QueryAnalyze` run the cluster's router
 //!   as posed to the server the frame names (empty: the home server).
-//! * `Mutate` goes through the journal, or is refused without one.
+//! * `Mutate` goes through the journal, or is refused without one. A
+//!   committed batch is published in `O(batch)`: the next generation
+//!   shares every zone's base with the current one and carries the
+//!   batch's DNs in the written zones' sorted deltas. Only the first
+//!   read after start-up or after a compaction builds a base.
+//!   Batches apply and publish one at a time, in commit order.
 
 use crate::codec::{WireRequest, WireResponse};
 use crate::server::WireService;
 use netdir_journal::{JournalStore, MutationBatch};
-use netdir_obs::{Clock, MetricsRegistry, MonotonicClock};
+use netdir_model::Dn;
+use netdir_obs::{names, Clock, MetricsRegistry, MonotonicClock};
 use netdir_pager::Pager;
 use netdir_query::parse_query;
 use netdir_server::delegation::ServerId;
 use netdir_server::metrics as bridge;
 use netdir_server::{Cluster, ClusterBuilder, ConsistencyMode};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// The write side of a daemon that owns one.
 struct Writer {
@@ -32,23 +38,28 @@ struct Writer {
     /// catalog survives mutations.
     shape: ClusterBuilder,
     /// Validation, the WAL, and the directory mirror every generation is
-    /// partitioned from. It answers no query.
+    /// published from. It answers no query.
     journal: JournalStore,
     /// Where the WAL image persists between runs, if anywhere.
     wal_path: Option<String>,
+    /// Held from a batch's apply to its publish, so generations publish
+    /// in commit order: each one's delta builds on the one before.
+    commit: Mutex<()>,
 }
 
 /// One directory server's request handler.
 ///
-/// The read side is a generation — a [`Cluster`] partitioned from one
+/// The read side is a generation — a [`Cluster`] of zones over one
 /// state of the directory — swapped wholesale behind a lock: queries
 /// clone the `Arc` and keep evaluating against their generation even
-/// while a mutation publishes the next one. A generation's zones build
-/// their stores on the first request that reaches them, so publishing
-/// costs a partition, not an index build, and a generation replaced
-/// unread never builds at all. The optional write side is the journal:
-/// every `Mutate` frame validates and durably logs its batch there
-/// before the next generation is partitioned from the updated mirror.
+/// while a mutation publishes the next one. A zone is a base, built by
+/// the first request that reaches it and shared by every later
+/// generation, plus a small sorted delta of the DNs written since. The
+/// optional write side is the journal: every `Mutate` frame validates
+/// and durably logs its batch there, then publishes the next generation
+/// as the previous one with the batch's DNs in its deltas
+/// ([`ClusterBuilder::publish`]): no partition is copied and no index
+/// built, except at a compaction.
 pub struct DirectoryService {
     /// The current generation.
     cluster: RwLock<Arc<Cluster>>,
@@ -104,6 +115,7 @@ impl DirectoryService {
                 shape,
                 journal,
                 wal_path,
+                commit: Mutex::new(()),
             }),
             ..DirectoryService::new(Arc::new(first), 0, metrics)
         }
@@ -117,7 +129,9 @@ impl DirectoryService {
             .clone()
     }
 
-    /// The journal, on a service that owns the write path.
+    /// The journal, on a service that owns the write path. Batches go
+    /// through `Mutate` frames: one applied here directly would not be
+    /// published.
     pub fn journal(&self) -> Option<&JournalStore> {
         self.writer.as_ref().map(|w| &w.journal)
     }
@@ -133,13 +147,23 @@ impl DirectoryService {
     }
 
     /// Apply one batch: journal first (validate → WAL → apply), then
-    /// partition the next generation from the updated mirror and swap
-    /// it in. In-flight queries finish on the old generation; the next
-    /// query sees the mutation (and builds the new generation's store).
+    /// publish the next generation — the current one with the batch's
+    /// DNs merged into its zones' deltas — and swap it in. In-flight
+    /// queries finish on the old generation; the next query sees the
+    /// mutation.
     fn mutate(&self, batch: MutationBatch) -> WireResponse {
         let Some(writer) = &self.writer else {
             return WireResponse::Error("this node is read-only; mutate the primary daemon".into());
         };
+        let _commit = writer.commit.lock().unwrap_or_else(|e| e.into_inner());
+        // Which DNs the batch writes, and which of them exist before it.
+        let touched: Vec<(Dn, bool)> = writer.journal.with_directory(|dir| {
+            batch
+                .mutations()
+                .iter()
+                .map(|m| (m.dn().clone(), dir.contains(m.dn())))
+                .collect()
+        });
         let outcome = match writer.journal.apply(&batch) {
             Ok(o) => o,
             Err(e) => return WireResponse::Error(e.to_string()),
@@ -154,25 +178,13 @@ impl DirectoryService {
                 Err(e) => eprintln!("netdird: warning: cannot snapshot WAL: {e}"),
             }
         }
-        // Built and swapped under the journal lock, so each generation
-        // is one committed state and concurrent batches publish in
-        // commit order.
-        let previous = writer.journal.with_directory(|dir| {
-            let next = writer.shape.clone().build(dir);
-            // Cached plans were chosen against the old generation's list
-            // sizes; drop them (the catalog itself survives and
-            // re-converges).
-            if let Some(p) = next.router().planner() {
-                p.bump_epoch();
-            }
-            std::mem::replace(
-                &mut *self.cluster.write().unwrap_or_else(|e| e.into_inner()),
-                Arc::new(next),
-            )
-        });
-        // Freed outside both locks (or by its last reader), so no reader
-        // or writer waits on it.
-        drop(previous);
+        // Published under the commit lock from the mirror this batch
+        // left, so each generation is one committed state.
+        let previous = self.cluster();
+        let next = writer
+            .journal
+            .with_directory(|dir| writer.shape.clone().publish(&previous, dir, &touched));
+        *self.cluster.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
         WireResponse::Mutated {
             epoch: outcome.epoch,
             mutations: outcome.mutations as u32,
@@ -254,6 +266,12 @@ impl DirectoryService {
         if let Some(writer) = &self.writer {
             writer.journal.sync_metrics(&self.metrics);
         }
+        self.metrics
+            .gauge(names::DELTA_ENTRIES)
+            .set(cluster.delta_entries() as u64);
+        self.metrics
+            .counter(names::COMPACTIONS)
+            .set(cluster.compactions());
         WireResponse::Stats(self.metrics.render_prometheus())
     }
 }

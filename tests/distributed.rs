@@ -1,9 +1,10 @@
 //! Section 8.3 integration: distributed evaluation equals single-server
 //! evaluation on every language level, across partitionings — and both
 //! equal the naive oracle byte for byte, at every evaluation degree,
-//! with and without the planner. Plus the cost of the seam itself,
-//! counted: building a cluster starts no thread, and a generation
-//! nobody reads never builds its store.
+//! with and without the planner, with every entry carrying the
+//! directory's own id. Plus the cost of the seam itself, counted:
+//! building a cluster starts no thread, and generations published on one
+//! base build it once, on first read.
 
 use netdir::model::{Directory, Dn, Entry};
 use netdir::pager::record::Record;
@@ -12,17 +13,17 @@ use netdir::query::agg::CompiledAggFilter;
 use netdir::query::boolean::BoolOp;
 use netdir::query::hs_stack::HsOp;
 use netdir::query::{naive, parse_query, AggSelFilter, Planner, Query};
-use netdir::server::{ClusterBuilder, ConsistencyMode};
+use netdir::server::{Cluster, ClusterBuilder, ConsistencyMode};
 use netdir::workloads::qos::QOS_BASE;
 use netdir::workloads::{qos_fig12, synth_forest, tops_fig11, SynthParams};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use rand::SeedableRng;
+use std::collections::HashSet;
 use std::sync::Arc;
 
-fn dn(s: &str) -> Dn {
-    Dn::parse(s).unwrap()
-}
+mod common;
+
+use common::{dn, random_forest, random_query, three_zones};
 
 fn compare_one(
     dir: &Directory,
@@ -155,67 +156,11 @@ fn synthetic_forest_random_zone_cuts() {
     );
 }
 
-/// A seeded forest under `dc=test`: `kind`, `weight` and DN-valued `ref`
-/// attributes give every operator family work to do.
-fn random_forest(rng: &mut StdRng, n: usize) -> (Directory, Vec<Dn>) {
-    let mut d = Directory::new();
-    let root = dn("dc=test");
-    d.insert(Entry::builder(root.clone()).class("thing").build().unwrap())
-        .unwrap();
-    let mut dns = vec![root];
-    for i in 0..n {
-        let parent = dns[rng.gen_range(0..dns.len())].clone();
-        let child = dn(&format!("n=e{i}, {parent}"));
-        let mut b = Entry::builder(child.clone())
-            .class("thing")
-            .attr("kind", ["red", "blue", "green"][rng.gen_range(0..3)])
-            .attr("weight", rng.gen_range(0..6) as i64);
-        if rng.gen_bool(0.3) {
-            b = b.attr("ref", dns[rng.gen_range(0..dns.len())].clone());
-        }
-        d.insert(b.build().unwrap()).unwrap();
-        dns.push(child);
-    }
-    (d, dns)
-}
-
-/// A random L0–L3 query tree of `depth` over bases drawn from `dns`.
-fn random_query(rng: &mut StdRng, dns: &[Dn], depth: usize) -> String {
-    if depth == 0 {
-        // Bases near the top, where subtrees span zones.
-        let base = &dns[rng.gen_range(0..dns.len().min(12))];
-        let scope = ["base", "one", "sub", "sub"][rng.gen_range(0..4)];
-        let filter = ["kind=red", "kind=blue", "objectClass=thing", "weight<=2", "ref=*"]
-            [rng.gen_range(0..5)];
-        return format!("({base} ? {scope} ? {filter})");
-    }
-    let sub = |rng: &mut StdRng| random_query(rng, dns, depth - 1);
-    match rng.gen_range(0..7) {
-        0 => format!("(& {} {})", sub(rng), sub(rng)),
-        1 => format!("(| {} {})", sub(rng), sub(rng)),
-        2 => format!("(- {} {})", sub(rng), sub(rng)),
-        3 => {
-            let op = ["p", "c", "a", "d"][rng.gen_range(0..4)];
-            format!("({op} {} {})", sub(rng), sub(rng))
-        }
-        4 => {
-            let op = ["c", "d"][rng.gen_range(0..2)];
-            format!("({op} {} {} count($2) > {})", sub(rng), sub(rng), rng.gen_range(0..2))
-        }
-        5 => format!("(g {} count($1) > {})", sub(rng), rng.gen_range(0..2)),
-        _ => {
-            let op = ["vd", "dv"][rng.gen_range(0..2)];
-            format!("({op} {} {} ref)", sub(rng), sub(rng))
-        }
-    }
-}
-
 /// The answer oracle: `q` evaluated from its definitions with the naive
-/// nested-loop operators over the in-memory directory. `served` maps a
-/// sort key to the entry as its server stores it — each server numbers
-/// its own entries in key order, and the id is part of the image.
-fn oracle(dir: &Directory, served: &HashMap<Vec<u8>, Entry>, q: &Query) -> Vec<Entry> {
-    let eval = |q: &Query| oracle(dir, served, q);
+/// nested-loop operators over the in-memory directory. Entries are the
+/// directory's own, ids included: every server stores them as they are.
+fn oracle(dir: &Directory, q: &Query) -> Vec<Entry> {
+    let eval = |q: &Query| oracle(dir, q);
     let witness = |agg: &Option<AggSelFilter>| match agg {
         None => CompiledAggFilter::exists_witness(),
         Some(f) => CompiledAggFilter::compile(f, true).unwrap(),
@@ -228,7 +173,7 @@ fn oracle(dir: &Directory, served: &HashMap<Vec<u8>, Entry>, q: &Query) -> Vec<E
         } => dir
             .subtree(base)
             .filter(|e| scope.contains(base, e.dn()) && filter.matches(e))
-            .map(|e| served[e.dn().sort_key().as_bytes()].clone())
+            .cloned()
             .collect(),
         Query::And(a, b) => naive::naive_boolean(BoolOp::And, &eval(a), &eval(b)),
         Query::Or(a, b) => naive::naive_boolean(BoolOp::Or, &eval(a), &eval(b)),
@@ -262,58 +207,35 @@ fn oracle(dir: &Directory, served: &HashMap<Vec<u8>, Entry>, q: &Query) -> Vec<E
     }
 }
 
-/// Every entry as the servers of `shape` store it.
-fn as_served(shape: &ClusterBuilder, dir: &Directory) -> HashMap<Vec<u8>, Entry> {
-    let mut served = HashMap::new();
-    for partition in shape.clone().into_parts(dir).partitions {
-        let mut zone = Directory::new();
-        for e in partition {
-            zone.insert(e).unwrap();
-        }
-        for e in zone.iter_sorted() {
-            served.insert(e.dn().sort_key().as_bytes().to_vec(), e.clone());
-        }
-    }
-    served
-}
-
 fn image(e: &Entry) -> Vec<u8> {
     let mut buf = Vec::new();
     e.encode(&mut buf);
     buf
 }
 
+/// A seeded forest, its three-zone shape, and the generator after both.
+fn zoned_forest(seed: u64) -> (Directory, Vec<Dn>, ClusterBuilder, StdRng) {
+    let mut rng = StdRng::seed_from_u64(0xD157 + seed);
+    let (dir, dns) = random_forest(&mut rng, 120);
+    let zoned = three_zones(&dns);
+    (dir, dns, zoned, rng)
+}
+
 #[test]
 fn every_configuration_answers_the_naive_oracle_byte_for_byte() {
     let (mut checked, mut nonempty) = (0usize, 0usize);
     for seed in 0..3u64 {
-        let mut rng = StdRng::seed_from_u64(0xD157 + seed);
-        let (dir, dns) = random_forest(&mut rng, 120);
-        // Three zones — the root and two subtrees cut out of it — with
-        // the second cut replicated on a secondary.
-        let cuts: Vec<Dn> = dns[1..]
-            .iter()
-            .filter(|d| d.depth() == 2 && dns.iter().any(|o| d.is_parent_of(o)))
-            .take(2)
-            .cloned()
-            .collect();
-        assert_eq!(cuts.len(), 2, "seed {seed} has two subtrees to cut");
+        let (dir, dns, zoned, mut rng) = zoned_forest(seed);
         let single = ClusterBuilder::new().server("root", Dn::root());
-        let zoned = ClusterBuilder::new()
-            .server("root", dn("dc=test"))
-            .server("z0", cuts[0].clone())
-            .server("z1", cuts[1].clone())
-            .secondary("z1-copy", cuts[1].clone());
         let queries: Vec<Query> = (0..12)
             .map(|i| parse_query(&random_query(&mut rng, &dns, i % 3)).unwrap())
             .collect();
+        let expected: Vec<Vec<Vec<u8>>> = queries
+            .iter()
+            .map(|q| oracle(&dir, q).iter().map(image).collect())
+            .collect();
+        nonempty += expected.iter().filter(|want| !want.is_empty()).count();
         for shape in [single, zoned] {
-            let served = as_served(&shape, &dir);
-            let expected: Vec<Vec<Vec<u8>>> = queries
-                .iter()
-                .map(|q| oracle(&dir, &served, q).iter().map(image).collect())
-                .collect();
-            nonempty += expected.iter().filter(|want| !want.is_empty()).count();
             for degree in [1, 4] {
                 for planner in [false, true] {
                     let mut b = shape.clone().eval_threads(degree);
@@ -340,7 +262,21 @@ fn every_configuration_answers_the_naive_oracle_byte_for_byte() {
         }
     }
     assert_eq!(checked, 3 * 2 * 2 * 2 * 12);
-    assert!(nonempty * 2 > 3 * 2 * 12, "{nonempty}: most answers have entries to compare");
+    assert!(nonempty * 2 > 3 * 12, "{nonempty}: most answers have entries to compare");
+}
+
+#[test]
+fn a_multi_zone_answer_carries_the_directorys_ids() {
+    let (dir, _, zoned, _) = zoned_forest(0);
+    let cluster = zoned.build(&dir);
+    let q = parse_query("(dc=test ? sub ? objectClass=thing)").unwrap();
+    let got = cluster.query_from("root", &Pager::new(512, 32), &q).unwrap();
+    assert_eq!(got.len(), dir.len(), "every zone answers");
+    let ids: HashSet<u64> = got.iter().map(Entry::id).collect();
+    assert_eq!(ids.len(), got.len(), "ids are distinct across zones");
+    for e in &got {
+        assert_eq!(e.id(), dir.lookup(e.dn()).unwrap().id(), "{}", e.dn());
+    }
 }
 
 /// Threads of this process, from the kernel.
@@ -385,20 +321,38 @@ fn a_single_server_cluster_starts_no_thread() {
 
 #[test]
 fn a_generation_replaced_unread_never_builds_its_store() {
-    let dir = tops_fig11();
+    let mut dir = tops_fig11();
     let shape = ClusterBuilder::new().server("root", Dn::root());
     let q = parse_query("(dc=com ? sub ? objectClass=QHP)").unwrap();
-    // Publish, then publish again before anyone reads: the first
-    // generation's store is never built — its zone wrote no page.
-    let unread = shape.clone().build(&dir);
-    let current = shape.clone().build(&dir);
-    assert_eq!(unread.store(0).pager().pool().num_pages(), 0);
-    drop(unread);
-    assert_eq!(current.store(0).pager().pool().num_pages(), 0);
-    // The first read builds the current generation's store, once.
-    current.query_from("root", &Pager::new(2048, 32), &q).unwrap();
-    let built = current.store(0).pager().pool().num_pages();
+    let ask = |generation: &Cluster| {
+        let hits = generation
+            .query_from("root", &Pager::new(2048, 32), &q)
+            .unwrap();
+        (hits.len(), generation.store(0).pager().pool().num_pages())
+    };
+    // One QHP more per batch, under an existing subscriber.
+    fn add(dir: &mut Directory, name: &str) -> Vec<(Dn, bool)> {
+        let qhp = dn(&format!(
+            "QHPName={name}, uid=jag, ou=userProfiles, dc=research, dc=att, dc=com"
+        ));
+        let e = Entry::builder(qhp.clone()).class("QHP").build().unwrap();
+        dir.insert(e).unwrap();
+        vec![(qhp, false)]
+    }
+    // Build, then publish twice before anyone reads: the generations
+    // share one base, and nothing is built — the zone wrote no page.
+    let first = shape.clone().build(&dir);
+    let touched = add(&mut dir, "extra1");
+    let second = shape.clone().publish(&first, &dir, &touched);
+    let touched = add(&mut dir, "extra2");
+    let third = shape.clone().publish(&second, &dir, &touched);
+    drop(first);
+    assert!(third.store(0).shares_base(second.store(0)));
+    assert_eq!(third.store(0).pager().pool().num_pages(), 0);
+    // The first read builds the shared base, once, for every generation
+    // on it; each answers its own state.
+    let (hits, built) = ask(&third);
     assert!(built > 0);
-    current.query_from("root", &Pager::new(2048, 32), &q).unwrap();
-    assert_eq!(current.store(0).pager().pool().num_pages(), built);
+    assert_eq!(ask(&second), (hits - 1, built));
+    assert_eq!(ask(&third), (hits, built));
 }
