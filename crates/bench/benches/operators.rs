@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netdir_bench::setup;
 use netdir_index::IndexedDirectory;
 use netdir_model::{AttrName, Directory, Dn, Entry};
-use netdir_pager::{PagedList, Pager};
+use netdir_pager::{Operand, PagedList, Pager};
 use netdir_query::agg::CompiledAggFilter;
 use netdir_query::agg_simple::simple_agg_select;
 use netdir_query::ast::{AggAttribute, AggSelFilter, Aggregate, AttrRef, EntryAgg};
@@ -115,7 +115,7 @@ fn bench_agg(c: &mut Criterion) {
     g.finish();
 }
 
-fn er_lists(pager: &Pager, n: usize, m: usize) -> (PagedList<Entry>, PagedList<Entry>) {
+fn er_lists(pager: &Pager, n: usize, m: usize) -> (Operand<Entry>, Operand<Entry>) {
     let dir = ref_graph(
         RefGraphParams {
             sources: n,
@@ -133,8 +133,8 @@ fn er_lists(pager: &Pager, n: usize, m: usize) -> (PagedList<Entry>, PagedList<E
         .filter(|e| e.has_class(&"target".into()))
         .cloned();
     (
-        PagedList::from_iter(pager, src).unwrap(),
-        PagedList::from_iter(pager, tgt).unwrap(),
+        PagedList::from_iter(pager, src).unwrap().into(),
+        PagedList::from_iter(pager, tgt).unwrap().into(),
     )
 }
 

@@ -8,7 +8,7 @@
 
 use netdir_bench::{baseline, cells, measure, setup, table};
 use netdir_model::Entry;
-use netdir_pager::PagedList;
+use netdir_pager::{Operand, PagedList};
 use netdir_query::agg::CompiledAggFilter;
 use netdir_query::er_join::er_select;
 use netdir_query::RefOp;
@@ -19,7 +19,7 @@ fn lists(
     n: usize,
     m: usize,
     seed: u64,
-) -> (PagedList<Entry>, PagedList<Entry>) {
+) -> (Operand<Entry>, Operand<Entry>) {
     let dir = ref_graph(
         RefGraphParams {
             sources: n,
@@ -37,8 +37,8 @@ fn lists(
         .filter(|e| e.has_class(&"target".into()))
         .cloned();
     (
-        PagedList::from_iter(pager, sources).expect("sources"),
-        PagedList::from_iter(pager, targets).expect("targets"),
+        PagedList::from_iter(pager, sources).expect("sources").into(),
+        PagedList::from_iter(pager, targets).expect("targets").into(),
     )
 }
 

@@ -13,7 +13,7 @@ use netdir_bench::{cells, table};
 use netdir_model::{Directory, Dn, Entry};
 use netdir_pager::Pager;
 use netdir_query::{classify, parse_query};
-use netdir_server::node::decode_entries;
+use netdir_server::node::{decode_entries, images};
 use netdir_server::ClusterBuilder;
 use netdir_filter::{parse_composite, Scope};
 
@@ -78,8 +78,8 @@ fn main() {
         let search = |base: &str| {
             // Answered by the server owning the base, from its zone alone.
             let owner = cluster.delegation().owner_group_of(&dn(base)).unwrap()[0];
-            decode_entries(&cluster.store(owner).ldap(&dn(base), Scope::Sub, &filter).unwrap())
-                .unwrap()
+            let hits = cluster.store(owner).ldap(&dn(base), Scope::Sub, &filter).unwrap();
+            decode_entries(&images(hits)).unwrap()
         };
         let att = search("dc=att, dc=com");
         let research = search("dc=research, dc=att, dc=com");

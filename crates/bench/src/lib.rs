@@ -18,7 +18,7 @@
 //!   `run_experiments --smoke`.
 
 use netdir_model::Entry;
-use netdir_pager::{IoSnapshot, ListWriter, PagedList, Pager, PagerResult};
+use netdir_pager::{IoSnapshot, ListWriter, Operand, PagedList, Pager, PagerResult};
 
 pub mod load;
 pub mod mutation;
@@ -63,7 +63,7 @@ pub mod setup {
         pager: &Pager,
         n: usize,
         seed: u64,
-    ) -> (PagedList<Entry>, PagedList<Entry>) {
+    ) -> (Operand<Entry>, Operand<Entry>) {
         let dir = synth_forest(
             SynthParams {
                 entries: n,
@@ -82,8 +82,8 @@ pub mod setup {
             .filter(|e| e.values(&"kind".into()).any(|v| v.as_str() == Some("blue")))
             .cloned();
         (
-            PagedList::from_iter(pager, red).expect("write L1"),
-            PagedList::from_iter(pager, blue).expect("write L2"),
+            PagedList::from_iter(pager, red).expect("write L1").into(),
+            PagedList::from_iter(pager, blue).expect("write L2").into(),
         )
     }
 
@@ -106,8 +106,8 @@ pub mod baseline {
     pub fn paged_naive_hs(
         pager: &Pager,
         op: HsOp,
-        l1: &PagedList<Entry>,
-        l2: &PagedList<Entry>,
+        l1: &Operand<Entry>,
+        l2: &Operand<Entry>,
     ) -> PagerResult<PagedList<Entry>> {
         let filter = CompiledAggFilter::exists_witness();
         let mut out = ListWriter::new(pager);
@@ -139,8 +139,8 @@ pub mod baseline {
     pub fn paged_naive_er(
         pager: &Pager,
         op: netdir_query::RefOp,
-        l1: &PagedList<Entry>,
-        l2: &PagedList<Entry>,
+        l1: &Operand<Entry>,
+        l2: &Operand<Entry>,
         attr: &netdir_model::AttrName,
     ) -> PagerResult<PagedList<Entry>> {
         let filter = CompiledAggFilter::exists_witness();

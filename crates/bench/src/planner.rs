@@ -121,7 +121,7 @@ pub fn planner_sweep(cfg: &SweepConfig, registry: &MetricsRegistry) -> Vec<Plann
     // Training pass: one naive evaluation per cell through an observing
     // source, so the catalog holds this workload's real list sizes
     // before any plan is chosen.
-    let observing = ObservingSource::new(&idx, planner.catalog());
+    let observing = ObservingSource::new(&idx, planner.catalog(), &pager);
     let trainer = Evaluator::new(&observing, &pager);
     for (_, q) in &cells {
         trainer.evaluate(q).expect("planner training pass");

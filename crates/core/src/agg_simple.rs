@@ -7,16 +7,17 @@
 //! input list — one accumulating per-entry and set-level aggregates, one
 //! selecting — hence `O(|L1|/B)` I/O. When the filter involves no set
 //! aggregates the first scan already selects and the second is skipped.
+//! Both scans of an operand held in memory as a run read memory.
 
 use crate::agg::{CompiledAggFilter, GlobalState, WitnessState};
 use netdir_model::Entry;
-use netdir_pager::{ListWriter, PagedList, Pager, PagerResult};
+use netdir_pager::{ListWriter, Operand, PagedList, Pager, PagerResult};
 
-/// Evaluate `(g L1 filter)` over a sorted entry list. Output stays sorted
+/// Evaluate `(g L1 filter)` over a sorted operand. Output stays sorted
 /// (selection preserves order).
 pub fn simple_agg_select(
     pager: &Pager,
-    l1: &PagedList<Entry>,
+    l1: &Operand<Entry>,
     filter: &CompiledAggFilter,
 ) -> PagerResult<PagedList<Entry>> {
     let no_wit = WitnessState::default();
@@ -65,14 +66,14 @@ mod tests {
             .unwrap()
     }
 
-    fn input(pager: &Pager) -> PagedList<Entry> {
+    fn input(pager: &Pager) -> Operand<Entry> {
         let mut v = vec![
             entry("one", &[5]),
             entry("two", &[2, 7]),
             entry("three", &[3, 4, 9]),
         ];
         v.sort_by(|a, b| a.dn().cmp(b.dn()));
-        PagedList::from_iter(pager, v).unwrap()
+        PagedList::from_iter(pager, v).unwrap().into()
     }
 
     fn names(l: &PagedList<Entry>) -> Vec<String> {
@@ -136,7 +137,7 @@ mod tests {
     fn empty_input() {
         let pager = tiny_pager();
         let f = compile(AggAttribute::CountAll, IntOp::Ge, AggAttribute::Const(0));
-        let out = simple_agg_select(&pager, &PagedList::empty(&pager), &f).unwrap();
+        let out = simple_agg_select(&pager, &Operand::List(PagedList::empty(&pager)), &f).unwrap();
         assert!(out.is_empty());
     }
 
@@ -147,7 +148,7 @@ mod tests {
             .map(|i| entry(&format!("e{i:04}"), &[i % 10]))
             .collect();
         v.sort_by(|a, b| a.dn().cmp(b.dn()));
-        let l1 = PagedList::from_iter(&pager, v).unwrap();
+        let l1 = Operand::List(PagedList::from_iter(&pager, v).unwrap());
         let ea = EntryAgg::Agg(Aggregate::Min, AttrRef::Own("priority".into()));
         let f = compile(
             AggAttribute::Entry(ea.clone()),

@@ -5,10 +5,11 @@
 //! compare keys, emit per the operator's truth table. Each input page is
 //! read once and each output page written once — `O((|L1|+|L2|)/B)` I/Os —
 //! and the output is again sorted, which is what lets operators pipeline
-//! without re-sorting (Section 8.2).
+//! without re-sorting (Section 8.2). An operand held in memory as a run
+//! costs no input I/O at all.
 
 use netdir_model::Entry;
-use netdir_pager::{ListWriter, PagedList, Pager, PagerResult};
+use netdir_pager::{ListWriter, Operand, PagedList, Pager, PagerResult};
 use std::cmp::Ordering;
 
 /// Which boolean operator a merge computes.
@@ -22,16 +23,17 @@ pub enum BoolOp {
     Diff,
 }
 
-/// Merge two sorted entry lists under `op`, producing a sorted list.
+/// Merge two sorted operands under `op`, producing a sorted list.
 ///
 /// The merge is fully lazy: cursors compare the records' reverse-DN
-/// *page keys* (extracted without decoding) and emitted records pass
-/// through as raw bytes — no entry on either input is ever materialized.
+/// sort keys (a run's as carried, a list's extracted without decoding)
+/// and emitted records pass through as raw bytes — no entry on either
+/// input is ever materialized.
 pub fn merge(
     pager: &Pager,
     op: BoolOp,
-    l1: &PagedList<Entry>,
-    l2: &PagedList<Entry>,
+    l1: &Operand<Entry>,
+    l2: &Operand<Entry>,
 ) -> PagerResult<PagedList<Entry>> {
     let mut out = ListWriter::new(pager);
     let mut it1 = l1.iter_raw();
@@ -93,10 +95,10 @@ mod tests {
             .unwrap()
     }
 
-    fn list(pager: &Pager, dns: &[&str]) -> PagedList<Entry> {
+    fn list(pager: &Pager, dns: &[&str]) -> Operand<Entry> {
         let mut v: Vec<Entry> = dns.iter().map(|s| entry(s)).collect();
         v.sort_by(|a, b| a.dn().cmp(b.dn()));
-        PagedList::from_iter(pager, v).unwrap()
+        PagedList::from_iter(pager, v).unwrap().into()
     }
 
     fn dns(l: &PagedList<Entry>) -> Vec<String> {
@@ -126,7 +128,7 @@ mod tests {
     fn empty_operands() {
         let pager = tiny_pager();
         let a = list(&pager, &["dc=a"]);
-        let empty = PagedList::empty(&pager);
+        let empty = Operand::List(PagedList::empty(&pager));
         assert_eq!(dns(&merge(&pager, BoolOp::And, &a, &empty).unwrap()), Vec::<String>::new());
         assert_eq!(dns(&merge(&pager, BoolOp::Or, &a, &empty).unwrap()), vec!["dc=a"]);
         assert_eq!(dns(&merge(&pager, BoolOp::Or, &empty, &a).unwrap()), vec!["dc=a"]);

@@ -46,12 +46,14 @@ pub fn predicted_io(q: &Query, inputs: CostInputs) -> f64 {
 /// Predicted I/O (in pages, up to constants) for evaluating *one*
 /// operator node, given the pages flowing into it.
 ///
-/// `input_pages` is the cumulative size of the node's direct inputs:
-/// the children's output pages for operators, the node's own output
-/// pages for atomic leaves (a leaf's work is producing its list). Every
-/// operator below L3 is a single linear pass over sorted inputs
-/// (Theorems 6.1/8.3); the ER join adds Theorem 7.1's sort-merge
-/// `m · log` factor.
+/// `input_pages` is the cumulative size of the node's direct inputs in
+/// pages: the children's output pages for operators, the node's own
+/// output pages for atomic leaves. A leaf staged on pages costs writing
+/// them; a leaf its source hands over as an in-memory run occupies none,
+/// so a pipelined edge predicts zero pages, for the leaf and for the
+/// operator reading it. Every operator below L3 is a single linear pass
+/// over sorted inputs (Theorems 6.1/8.3); the ER join adds Theorem 7.1's
+/// sort-merge `m · log` factor.
 ///
 /// As with [`predicted_io`], zero input pages predict zero I/O; only the
 /// `log` argument carries a floor.

@@ -19,13 +19,17 @@
 //! max values per attribute).
 //!
 //! Only DN-typed values participate: in the typed model of Section 3,
-//! references are values of the `distinguishedName` type.
+//! references are values of the `distinguishedName` type. An operand
+//! held in memory as a run is scanned from memory; the pair lists are
+//! staged on pages, where the external sorts need them.
 
 use crate::agg::{Annotated, CompiledAggFilter, GlobalState, WitnessState};
 use crate::ast::RefOp;
 use netdir_model::{AttrName, Entry, Value};
 use netdir_pager::record::{codec, Record};
-use netdir_pager::{external_sort_by, ExtSortConfig, ListWriter, PagedList, Pager, PagerResult};
+use netdir_pager::{
+    external_sort_by, ExtSortConfig, ListWriter, Operand, PagedList, Pager, PagerResult,
+};
 
 /// A pair in the `LP` list of Figure 3: a referenced-DN key plus the
 /// witness contribution of the referencing side.
@@ -77,8 +81,8 @@ impl Record for RefPair {
 pub fn er_select(
     pager: &Pager,
     op: RefOp,
-    l1: &PagedList<Entry>,
-    l2: &PagedList<Entry>,
+    l1: &Operand<Entry>,
+    l2: &Operand<Entry>,
     attr: &AttrName,
     filter: &CompiledAggFilter,
 ) -> PagerResult<PagedList<Entry>> {
@@ -95,8 +99,8 @@ fn sort_cfg() -> ExtSortConfig {
 /// `dv`: Q1 entries referenced by some Q2 entry's `attr`.
 fn dv_select(
     pager: &Pager,
-    l1: &PagedList<Entry>,
-    l2: &PagedList<Entry>,
+    l1: &Operand<Entry>,
+    l2: &Operand<Entry>,
     attr: &AttrName,
     filter: &CompiledAggFilter,
 ) -> PagerResult<PagedList<Entry>> {
@@ -125,8 +129,8 @@ fn dv_select(
 /// `vd`: Q1 entries holding a reference to some Q2 entry.
 fn vd_select(
     pager: &Pager,
-    l1: &PagedList<Entry>,
-    l2: &PagedList<Entry>,
+    l1: &Operand<Entry>,
+    l2: &Operand<Entry>,
     attr: &AttrName,
     filter: &CompiledAggFilter,
 ) -> PagerResult<PagedList<Entry>> {
@@ -186,7 +190,7 @@ fn vd_select(
 /// states and set-level aggregates, select. Output stays sorted.
 fn merge_and_select(
     pager: &Pager,
-    l1: &PagedList<Entry>,
+    l1: &Operand<Entry>,
     pairs: &PagedList<KeyedWitness>,
     filter: &CompiledAggFilter,
 ) -> PagerResult<PagedList<Entry>> {
@@ -254,7 +258,7 @@ mod tests {
     }
 
     /// Policies referencing profiles, Figure 12 style.
-    fn setup(pager: &Pager) -> (PagedList<Entry>, PagedList<Entry>) {
+    fn setup(pager: &Pager) -> (Operand<Entry>, Operand<Entry>) {
         let profiles: Vec<Entry> = ["lsplitOff", "csplitOff", "smtp"]
             .iter()
             .map(|n| {
@@ -287,8 +291,8 @@ mod tests {
         let mut pr = profiles;
         pr.sort_by(|a, b| a.dn().cmp(b.dn()));
         (
-            PagedList::from_iter(pager, ps).unwrap(),
-            PagedList::from_iter(pager, pr).unwrap(),
+            PagedList::from_iter(pager, ps).unwrap().into(),
+            PagedList::from_iter(pager, pr).unwrap().into(),
         )
     }
 
@@ -396,7 +400,8 @@ mod tests {
             false,
         )
         .unwrap();
-        let best = crate::agg_simple::simple_agg_select(&pager, &referencing, &g).unwrap();
+        let best =
+            crate::agg_simple::simple_agg_select(&pager, &referencing.into(), &g).unwrap();
         assert_eq!(names(&best, "SLAPolicyName"), vec!["mail"]);
     }
 
@@ -465,7 +470,7 @@ mod tests {
     fn empty_inputs() {
         let pager = tiny_pager();
         let (policies, profiles) = setup(&pager);
-        let empty = PagedList::empty(&pager);
+        let empty = Operand::List(PagedList::empty(&pager));
         for op in [RefOp::ValueDn, RefOp::DnValue] {
             assert!(er_select(&pager, op, &empty, &profiles, &"SLATPRef".into(), &exists())
                 .unwrap()

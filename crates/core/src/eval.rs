@@ -9,12 +9,21 @@
 //!
 //! [`Evaluator`] walks the tree in reverse topological (post-) order,
 //! evaluating atomic leaves through an [`AtomicSource`] (an indexed
-//! directory, a remote server stub — anything that yields sorted entry
-//! lists) and operators through the algorithms of this crate. Every
-//! intermediate result is a paged list on the evaluator's pager, so a
-//! single I/O ledger covers the whole tree; [`Evaluator::evaluate_traced`]
-//! additionally reports per-node I/O and cardinalities — the raw material
-//! of the Theorem 8.3/8.4 experiments.
+//! directory, a cluster's router — anything that yields sorted entries)
+//! and operators through the algorithms of this crate. Every result is
+//! an [`Operand`], and what it is follows from where it came from:
+//!
+//! * an atomic leaf is whatever its source hands out. A router's zone
+//!   answers are already in memory, keyed, so they arrive as a **run**
+//!   and flow into the operator above without touching a page — the
+//!   pipelined edge of §8.2. An [`IndexedDirectory`] stages its leaf on
+//!   pages: it is the external-memory reference the constant-memory
+//!   bound and the cost experiments measure;
+//! * every operator writes its output to a paged list on the evaluator's
+//!   pager, so a single I/O ledger covers every page the tree touches.
+//!
+//! [`Evaluator::evaluate_traced`] additionally reports per-node I/O and
+//! cardinalities — the raw material of the Theorem 8.3/8.4 experiments.
 
 use crate::agg::CompiledAggFilter;
 use crate::ast::Query;
@@ -23,30 +32,32 @@ use crate::{agg_simple, boolean, er_join, hs_stack};
 use netdir_filter::{AtomicFilter, Scope};
 use netdir_index::IndexedDirectory;
 use netdir_model::{Dn, Entry};
-use netdir_pager::{parallel_map, IoSnapshot, PagedList, Pager, PagerResult};
+use netdir_pager::{parallel_map, IoSnapshot, Operand, Pager, PagerResult};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
-/// A source of atomic-query results: sorted entry lists.
+/// A source of atomic-query results: sorted entries.
 pub trait AtomicSource {
-    /// Evaluate `(base ? scope ? filter)` to a reverse-DN-sorted list.
+    /// Evaluate `(base ? scope ? filter)` to reverse-DN-sorted entries.
     fn evaluate_atomic(
         &self,
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
-    ) -> PagerResult<PagedList<Entry>>;
+    ) -> PagerResult<Operand<Entry>>;
 }
 
+/// The staged reference: a leaf is written to pages, as the external-
+/// memory algorithms and their cost experiments assume.
 impl AtomicSource for IndexedDirectory {
     fn evaluate_atomic(
         &self,
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
-    ) -> PagerResult<PagedList<Entry>> {
-        IndexedDirectory::evaluate_atomic(self, base, scope, filter)
+    ) -> PagerResult<Operand<Entry>> {
+        IndexedDirectory::evaluate_atomic(self, base, scope, filter).map(Operand::List)
     }
 }
 
@@ -59,7 +70,8 @@ pub struct NodeTrace {
     pub input_len: u64,
     /// Result cardinality.
     pub output_len: u64,
-    /// Result size in pages.
+    /// Result size in pages: 0 for a leaf its source hands over as an
+    /// in-memory run (a pipelined edge).
     pub output_pages: u64,
     /// I/O spent evaluating this node (excluding its children).
     pub io: IoSnapshot,
@@ -87,7 +99,7 @@ pub struct ParReport {
 /// workers contend on different locks. Replaces the earlier `RefCell`
 /// map, which panicked on reentrant use and blocked `Sync`.
 struct Memo {
-    shards: [Mutex<HashMap<Query, PagedList<Entry>>>; Memo::SHARDS],
+    shards: [Mutex<HashMap<Query, Operand<Entry>>>; Memo::SHARDS],
 }
 
 impl Memo {
@@ -99,13 +111,13 @@ impl Memo {
         }
     }
 
-    fn shard(&self, q: &Query) -> &Mutex<HashMap<Query, PagedList<Entry>>> {
+    fn shard(&self, q: &Query) -> &Mutex<HashMap<Query, Operand<Entry>>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         q.hash(&mut h);
         &self.shards[(h.finish() as usize) % Memo::SHARDS]
     }
 
-    fn get(&self, q: &Query) -> Option<PagedList<Entry>> {
+    fn get(&self, q: &Query) -> Option<Operand<Entry>> {
         self.shard(q)
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -113,7 +125,7 @@ impl Memo {
             .cloned()
     }
 
-    fn insert(&self, q: &Query, out: &PagedList<Entry>) {
+    fn insert(&self, q: &Query, out: &Operand<Entry>) {
         self.shard(q)
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -160,8 +172,9 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
         self
     }
 
-    /// Evaluate `q` to a sorted entry list.
-    pub fn evaluate(&self, q: &Query) -> QueryResult<PagedList<Entry>> {
+    /// Evaluate `q` to sorted entries: the root's output list, or the
+    /// source's own answer when the root is an atomic leaf.
+    pub fn evaluate(&self, q: &Query) -> QueryResult<Operand<Entry>> {
         self.eval_node(q, &mut None)
     }
 
@@ -169,7 +182,7 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
     ///
     /// See [`Evaluator::evaluate_parallel_report`]; this discards the
     /// scheduling report.
-    pub fn evaluate_parallel(&self, q: &Query, degree: usize) -> QueryResult<PagedList<Entry>>
+    pub fn evaluate_parallel(&self, q: &Query, degree: usize) -> QueryResult<Operand<Entry>>
     where
         S: Sync,
     {
@@ -193,7 +206,7 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
         &self,
         q: &Query,
         degree: usize,
-    ) -> QueryResult<(PagedList<Entry>, ParReport)>
+    ) -> QueryResult<(Operand<Entry>, ParReport)>
     where
         S: Sync,
     {
@@ -234,7 +247,7 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
         let root = build(q, &mut nodes, &mut children, &mut parent);
 
         let mut pending: Vec<usize> = children.iter().map(|c| c.len()).collect();
-        let mut results: Vec<Option<PagedList<Entry>>> = vec![None; nodes.len()];
+        let mut results: Vec<Option<Operand<Entry>>> = vec![None; nodes.len()];
         let mut ready: Vec<usize> = (0..nodes.len()).filter(|&i| pending[i] == 0).collect();
         let mut report = ParReport {
             degree,
@@ -246,7 +259,7 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
             report.ready_widths.push(ready.len());
             let wave = std::mem::take(&mut ready);
             let (outs, workers) = parallel_map(degree, wave.clone(), |_, idx: usize| {
-                let kids: Vec<PagedList<Entry>> = children[idx]
+                let kids: Vec<Operand<Entry>> = children[idx]
                     .iter()
                     .map(|&k| results[k].clone().expect("child resolved before parent"))
                     .collect();
@@ -274,8 +287,8 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
     fn eval_ready(
         &self,
         q: &Query,
-        children: &[PagedList<Entry>],
-    ) -> QueryResult<PagedList<Entry>> {
+        children: &[Operand<Entry>],
+    ) -> QueryResult<Operand<Entry>> {
         if let Some(memo) = &self.memo {
             if let Some(hit) = memo.get(q) {
                 return Ok(hit);
@@ -292,7 +305,7 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
     pub fn evaluate_traced(
         &self,
         q: &Query,
-    ) -> QueryResult<(PagedList<Entry>, Vec<NodeTrace>)> {
+    ) -> QueryResult<(Operand<Entry>, Vec<NodeTrace>)> {
         let mut traces = Some(Vec::new());
         let out = self.eval_node(q, &mut traces)?;
         Ok((out, traces.expect("traces preserved")))
@@ -302,14 +315,14 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
         &self,
         q: &Query,
         traces: &mut Option<Vec<NodeTrace>>,
-    ) -> QueryResult<PagedList<Entry>> {
+    ) -> QueryResult<Operand<Entry>> {
         if let Some(memo) = &self.memo {
             if let Some(hit) = memo.get(q) {
                 return Ok(hit);
             }
         }
         // Children first (their I/O is attributed to them).
-        let children: Vec<PagedList<Entry>> = children_of(q)
+        let children: Vec<Operand<Entry>> = children_of(q)
             .into_iter()
             .map(|c| self.eval_node(c, traces))
             .collect::<QueryResult<_>>()?;
@@ -326,9 +339,9 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
     fn apply(
         &self,
         q: &Query,
-        children: &[PagedList<Entry>],
+        children: &[Operand<Entry>],
         traces: &mut Option<Vec<NodeTrace>>,
-    ) -> QueryResult<PagedList<Entry>> {
+    ) -> QueryResult<Operand<Entry>> {
         let before = self.pager.io();
         let started = std::time::Instant::now();
         let out = match q {
@@ -343,7 +356,7 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
                     Query::Or(..) => boolean::BoolOp::Or,
                     _ => boolean::BoolOp::Diff,
                 };
-                boolean::merge(&self.pager, op, &children[0], &children[1])?
+                boolean::merge(&self.pager, op, &children[0], &children[1])?.into()
             }
             Query::Hier { op, agg, .. } => {
                 let filter = compile_structural(agg)?;
@@ -355,6 +368,7 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
                     None,
                     &filter,
                 )?
+                .into()
             }
             Query::HierPath { op, agg, .. } => {
                 let filter = compile_structural(agg)?;
@@ -366,14 +380,16 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
                     Some(&children[2]),
                     &filter,
                 )?
+                .into()
             }
             Query::AggSelect { filter, .. } => {
                 let compiled = CompiledAggFilter::compile(filter, false)?;
-                agg_simple::simple_agg_select(&self.pager, &children[0], &compiled)?
+                agg_simple::simple_agg_select(&self.pager, &children[0], &compiled)?.into()
             }
             Query::EmbedRef { op, attr, agg, .. } => {
                 let filter = compile_structural(agg)?;
                 er_join::er_select(&self.pager, *op, &children[0], &children[1], attr, &filter)?
+                    .into()
             }
         };
         let input_len = children.iter().map(|c| c.len()).sum();
@@ -385,7 +401,7 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
         &self,
         traces: &mut Option<Vec<NodeTrace>>,
         q: &Query,
-        out: &PagedList<Entry>,
+        out: &Operand<Entry>,
         input_len: u64,
         before: IoSnapshot,
         started: std::time::Instant,

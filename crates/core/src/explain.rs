@@ -17,7 +17,7 @@ use crate::eval::{AtomicSource, Evaluator, NodeTrace};
 use crate::lang::classify;
 use netdir_model::Entry;
 use netdir_obs::{OperatorSpan, QueryTrace};
-use netdir_pager::{PagedList, Pager};
+use netdir_pager::{Operand, Pager};
 use std::fmt::Write as _;
 
 /// Render the static plan for `q`.
@@ -117,7 +117,7 @@ pub fn explain_traced<S: AtomicSource>(
     source: &S,
     pager: &Pager,
     q: &Query,
-) -> QueryResult<(PagedList<Entry>, String)> {
+) -> QueryResult<(Operand<Entry>, String)> {
     let (out, traces) = Evaluator::new(source, pager).evaluate_traced(q)?;
     let mut text = explain(q);
     writeln!(text, "measured (post-order):").expect("writing to a String cannot fail");
@@ -141,7 +141,7 @@ pub fn analyze<S: AtomicSource>(
     source: &S,
     pager: &Pager,
     q: &Query,
-) -> QueryResult<(PagedList<Entry>, QueryTrace)> {
+) -> QueryResult<(Operand<Entry>, QueryTrace)> {
     let started = std::time::Instant::now();
     let (out, traces) = Evaluator::new(source, pager).evaluate_traced(q)?;
     let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);

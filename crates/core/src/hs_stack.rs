@@ -33,17 +33,21 @@
 //! ("associate values with entry rt in list L1", then scan L1) is realized
 //! by this chain, which *is* the annotated L1 in sorted order.
 //!
-//! I/O: every input page read once, every annotated/output page written
-//! and read O(1) times, chain blocks kept ≥ half full by the arena —
-//! the `O((|L1|+|L2|[+|L3|])/B)` of Theorems 5.1 and 6.2. Memory: the
-//! frame stack is O(directory depth); the unbounded buffers live on pages.
+//! I/O: every input page read once (an operand held in memory as a run
+//! reads none), every annotated/output page written and read O(1) times,
+//! chain blocks kept ≥ half full by the arena — the
+//! `O((|L1|+|L2|[+|L3|])/B)` of Theorems 5.1 and 6.2. Memory: the frame
+//! stack is O(directory depth); the unbounded buffers live on pages.
 
 use crate::agg::{Annotated, CompiledAggFilter, GlobalState, WitnessState};
 use crate::ast::{HierOp, HierPathOp};
 use netdir_model::Entry;
 use netdir_pager::chain::{Chain, ChainArena};
 use netdir_pager::record::PageCtx;
-use netdir_pager::{ListWriter, PagedList, Pager, PagerResult, RawRecord};
+use netdir_pager::{
+    ListWriter, Operand, PagedList, Pager, PagerResult, RawOperandReader, RawRecord,
+};
+use std::borrow::Cow;
 
 /// The six operators, unified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,16 +113,17 @@ const L1: u8 = 1;
 const L2: u8 = 2;
 const L3: u8 = 4;
 
-/// An entry that may still be raw page bytes. The engine routes, stacks
-/// and counts elements by sort key alone; the entry decodes only at the
-/// first operation that actually reads its attributes (or must re-encode
-/// it into an [`Annotated`] record).
-enum LazyEntry {
-    Raw(RawRecord<Entry>),
+/// An entry that may still be raw bytes, lent by a run or lifted off a
+/// page. The engine routes, stacks and counts elements by sort key
+/// alone; the entry decodes only at the first operation that actually
+/// reads its attributes (or must re-encode it into an [`Annotated`]
+/// record).
+enum LazyEntry<'a> {
+    Raw(Cow<'a, RawRecord<Entry>>),
     Ready(Entry),
 }
 
-impl LazyEntry {
+impl LazyEntry<'_> {
     /// Decode in place (idempotent).
     fn force(&mut self, ctx: &PageCtx) -> PagerResult<()> {
         if let LazyEntry::Raw(raw) = self {
@@ -160,40 +165,48 @@ impl LazyEntry {
     }
 }
 
-struct MergedElem {
+struct MergedElem<'a> {
     key: Vec<u8>,
     depth: usize,
     labels: u8,
-    entry: LazyEntry,
+    entry: LazyEntry<'a>,
 }
 
-/// K-way merge of up to three sorted entry lists, coalescing equal keys.
+/// One operand of a [`Merge`]: its cursor, the record under it, and the
+/// operand's label bit.
+struct Head<'a> {
+    record: Option<Cow<'a, RawRecord<Entry>>>,
+    cursor: RawOperandReader<'a, Entry>,
+    label: u8,
+}
+
+/// K-way merge of up to three sorted operands, coalescing equal keys.
 /// Cursors carry raw records: comparison, depth and labels all come from
-/// the page key, so merging itself decodes nothing.
+/// the sort key, so merging itself decodes nothing.
 struct Merge<'a> {
-    heads: Vec<(Option<RawRecord<Entry>>, netdir_pager::RawListReader<Entry>, u8)>,
-    _lists: std::marker::PhantomData<&'a ()>,
+    heads: Vec<Head<'a>>,
 }
 
 impl<'a> Merge<'a> {
-    fn new(lists: &[(&'a PagedList<Entry>, u8)]) -> PagerResult<Merge<'a>> {
-        let mut heads = Vec::with_capacity(lists.len());
-        for (list, label) in lists {
-            let mut it = list.iter_raw();
-            let head = it.next().transpose()?;
-            heads.push((head, it, *label));
+    fn new(operands: &[(&'a Operand<Entry>, u8)]) -> PagerResult<Merge<'a>> {
+        let mut heads = Vec::with_capacity(operands.len());
+        for &(operand, label) in operands {
+            let mut cursor = operand.iter_raw();
+            let record = cursor.next().transpose()?;
+            heads.push(Head {
+                record,
+                cursor,
+                label,
+            });
         }
-        Ok(Merge {
-            heads,
-            _lists: std::marker::PhantomData,
-        })
+        Ok(Merge { heads })
     }
 
-    fn next(&mut self) -> PagerResult<Option<MergedElem>> {
+    fn next(&mut self) -> PagerResult<Option<MergedElem<'a>>> {
         // Find the minimum key among heads.
         let mut min_key: Option<&[u8]> = None;
-        for (head, _, _) in &self.heads {
-            if let Some(r) = head {
+        for head in &self.heads {
+            if let Some(r) = &head.record {
                 let k = r.key();
                 if min_key.is_none_or(|m| k < m) {
                     min_key = Some(k);
@@ -204,21 +217,22 @@ impl<'a> Merge<'a> {
             return Ok(None);
         };
         let mut labels = 0u8;
-        let mut entry: Option<RawRecord<Entry>> = None;
-        for (head, it, label) in &mut self.heads {
+        let mut entry: Option<Cow<'a, RawRecord<Entry>>> = None;
+        for head in &mut self.heads {
             let matches = head
+                .record
                 .as_ref()
                 .is_some_and(|r| r.key() == min_key.as_slice());
             if matches {
-                labels |= *label;
-                let r = head.take().expect("matched head");
+                labels |= head.label;
+                let r = head.record.take().expect("matched head");
                 if entry.is_none() {
                     entry = Some(r);
                 }
-                *head = it.next().transpose()?;
+                head.record = head.cursor.next().transpose()?;
             }
         }
-        let entry = entry.expect("at least one list held the min key");
+        let entry = entry.expect("at least one operand held the min key");
         // Depth = number of 0x00 RDN separators in the reverse-DN key.
         let depth = min_key.iter().filter(|&&b| b == 0).count();
         Ok(Some(MergedElem {
@@ -230,11 +244,11 @@ impl<'a> Merge<'a> {
     }
 }
 
-struct Frame {
+struct Frame<'a> {
     key: Vec<u8>,
     depth: usize,
     labels: u8,
-    entry: Option<LazyEntry>,
+    entry: Option<LazyEntry<'a>>,
     /// Below ops: this frame's own witness state (ancestors in L2).
     /// Above ops: accumulated witnesses among processed descendants.
     wit: WitnessState,
@@ -250,17 +264,17 @@ struct Frame {
 pub fn hs_select(
     pager: &Pager,
     op: HsOp,
-    l1: &PagedList<Entry>,
-    l2: &PagedList<Entry>,
-    l3: Option<&PagedList<Entry>>,
+    l1: &Operand<Entry>,
+    l2: &Operand<Entry>,
+    l3: Option<&Operand<Entry>>,
     filter: &CompiledAggFilter,
 ) -> PagerResult<PagedList<Entry>> {
     debug_assert_eq!(op.is_constrained(), l3.is_some());
-    let mut lists: Vec<(&PagedList<Entry>, u8)> = vec![(l1, L1), (l2, L2)];
+    let mut operands: Vec<(&Operand<Entry>, u8)> = vec![(l1, L1), (l2, L2)];
     if let Some(l3) = l3 {
-        lists.push((l3, L3));
+        operands.push((l3, L3));
     }
-    let mut merge = Merge::new(&lists)?;
+    let mut merge = Merge::new(&operands)?;
     let mut globals = GlobalState::default();
 
     if op.is_below() {
@@ -279,7 +293,7 @@ fn run_below(
     globals: &mut GlobalState,
 ) -> PagerResult<PagedList<Entry>> {
     let ctx = pager.ctx();
-    let mut stack: Vec<Frame> = vec![root_frame(filter)];
+    let mut stack: Vec<Frame<'_>> = vec![root_frame(filter)];
     let needs_globals = filter.needs_globals();
     // Without entry-set aggregates, select inline; with them, stage the
     // annotated stream and re-scan (the figures' two phases).
@@ -393,7 +407,7 @@ fn run_above(
     out.finish()
 }
 
-fn root_frame(filter: &CompiledAggFilter) -> Frame {
+fn root_frame<'a>(filter: &CompiledAggFilter) -> Frame<'a> {
     Frame {
         key: Vec::new(),
         depth: 0,
@@ -408,7 +422,7 @@ fn is_ancestor_key(anc: &[u8], key: &[u8]) -> bool {
     key.starts_with(anc) && anc.len() < key.len()
 }
 
-fn pop_to_ancestor_below(stack: &mut Vec<Frame>, key: &[u8]) {
+fn pop_to_ancestor_below(stack: &mut Vec<Frame<'_>>, key: &[u8]) {
     while !is_ancestor_key(&stack.last().expect("root").key, key) {
         stack.pop();
     }
@@ -418,7 +432,7 @@ fn pop_to_ancestor_below(stack: &mut Vec<Frame>, key: &[u8]) {
 /// filter aggregates over witness attributes.
 fn add_top_witness(
     w: &mut WitnessState,
-    top: &mut Frame,
+    top: &mut Frame<'_>,
     filter: &CompiledAggFilter,
     ctx: &PageCtx,
 ) -> PagerResult<()> {
@@ -437,7 +451,7 @@ fn add_top_witness(
 /// `below(rl)` assignments, generalized from counts to [`WitnessState`]).
 fn witness_at_push(
     op: HsOp,
-    top: &mut Frame,
+    top: &mut Frame<'_>,
     filter: &CompiledAggFilter,
     elem_depth: usize,
     ctx: &PageCtx,
@@ -480,7 +494,7 @@ fn witness_at_push(
 
 fn pop_above(
     op: HsOp,
-    stack: &mut Vec<Frame>,
+    stack: &mut Vec<Frame<'_>>,
     arena: &mut ChainArena<Annotated>,
     filter: &CompiledAggFilter,
     globals: &mut GlobalState,
@@ -530,10 +544,10 @@ mod tests {
             .unwrap()
     }
 
-    fn list(pager: &Pager, dns: &[&str]) -> PagedList<Entry> {
+    fn list(pager: &Pager, dns: &[&str]) -> Operand<Entry> {
         let mut v: Vec<Entry> = dns.iter().map(|s| entry(s)).collect();
         v.sort_by(|a, b| a.dn().cmp(b.dn()));
-        PagedList::from_iter(pager, v).unwrap()
+        PagedList::from_iter(pager, v).unwrap().into()
     }
 
     fn dns(l: &PagedList<Entry>) -> Vec<String> {
@@ -547,9 +561,9 @@ mod tests {
     fn plain(
         pager: &Pager,
         op: HsOp,
-        l1: &PagedList<Entry>,
-        l2: &PagedList<Entry>,
-        l3: Option<&PagedList<Entry>>,
+        l1: &Operand<Entry>,
+        l2: &Operand<Entry>,
+        l3: Option<&Operand<Entry>>,
     ) -> Vec<String> {
         let f = CompiledAggFilter::exists_witness();
         dns(&hs_select(pager, op, l1, l2, l3, &f).unwrap())
@@ -640,7 +654,7 @@ mod tests {
         let l1 = list(&pager, &["uid=a, ou=p, dc=att, dc=com"]);
         let l2 = list(&pager, &["dc=com", "dc=att, dc=com"]);
         // Without blockers both ancestors witness.
-        let empty = PagedList::empty(&pager);
+        let empty = Operand::List(PagedList::empty(&pager));
         assert_eq!(
             plain(&pager, HsOp::AncestorsConstrained, &l1, &l2, Some(&empty)),
             vec!["uid=a, ou=p, dc=att, dc=com"]
@@ -760,7 +774,7 @@ mod tests {
     fn empty_inputs() {
         let pager = tiny_pager();
         let l = list(&pager, ALL);
-        let empty = PagedList::empty(&pager);
+        let empty = Operand::List(PagedList::empty(&pager));
         for op in [HsOp::Parents, HsOp::Children, HsOp::Ancestors, HsOp::Descendants] {
             assert!(plain(&pager, op, &empty, &l, None).is_empty());
             assert!(plain(&pager, op, &l, &empty, None).is_empty());

@@ -41,7 +41,7 @@ use crate::eval::AtomicSource;
 use netdir_obs::QueryTrace;
 use netdir_filter::{AtomicFilter, Scope};
 use netdir_model::{Dn, Entry};
-use netdir_pager::{PagedList, PagerResult};
+use netdir_pager::{Operand, Pager, PagerResult};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -279,6 +279,10 @@ impl Planner {
     /// trace of `q` into the catalog. Spans are pre-order, exactly the
     /// order a pre-order walk of `q` visits nodes; a mismatched trace
     /// (different query) is ignored rather than mis-attributed.
+    ///
+    /// A leaf's size is its span's `pages_out`, which is its size only
+    /// when the source staged it; a source whose leaves are runs reports
+    /// 0 there and feeds the catalog through an [`ObservingSource`].
     pub fn observe_trace(&self, q: &Query, trace: &QueryTrace) {
         if trace.spans.len() != q.num_nodes() {
             return;
@@ -336,19 +340,36 @@ impl Planner {
 }
 
 /// An [`AtomicSource`] wrapper that records every atomic result's
-/// observed cardinality and page count into a [`StatsCatalog`].
+/// observed cardinality and size in pages into a [`StatsCatalog`].
+///
+/// A result's size is the pages it takes up on the evaluator's pager
+/// ([`Operand::pages_on`]): a staged list's own, and for a run handed
+/// over in memory the pages it would fill. A pipelined leaf costs its
+/// parent no I/O, but the operator outputs above it are written in
+/// proportion to its size, so the chooser still needs it to rank
+/// operand orders.
 ///
 /// The observation happens strictly *after* the inner source's I/O
 /// completes — the catalog lock is never held across page reads.
 pub struct ObservingSource<'a, S: AtomicSource> {
     inner: &'a S,
     catalog: &'a StatsCatalog,
+    pager: &'a Pager,
 }
 
 impl<'a, S: AtomicSource> ObservingSource<'a, S> {
-    /// Wrap `inner`, feeding observations to `catalog`.
-    pub fn new(inner: &'a S, catalog: &'a StatsCatalog) -> ObservingSource<'a, S> {
-        ObservingSource { inner, catalog }
+    /// Wrap `inner`, feeding observations to `catalog`, sized on `pager`
+    /// (the scratch pager the evaluator writes to).
+    pub fn new(
+        inner: &'a S,
+        catalog: &'a StatsCatalog,
+        pager: &'a Pager,
+    ) -> ObservingSource<'a, S> {
+        ObservingSource {
+            inner,
+            catalog,
+            pager,
+        }
     }
 }
 
@@ -358,10 +379,10 @@ impl<S: AtomicSource> AtomicSource for ObservingSource<'_, S> {
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
-    ) -> PagerResult<PagedList<Entry>> {
+    ) -> PagerResult<Operand<Entry>> {
         let out = self.inner.evaluate_atomic(base, scope, filter)?;
         self.catalog
-            .observe(base, scope, filter, out.len(), out.num_pages());
+            .observe(base, scope, filter, out.len(), out.pages_on(self.pager));
         Ok(out)
     }
 }
@@ -492,7 +513,7 @@ mod tests {
         let rare = atom("dc=test", AtomicFilter::eq("kind", "rare"));
         let broad1 = atom("dc=test", AtomicFilter::True);
         let broad2 = atom("dc=test", AtomicFilter::present("weight"));
-        let observing = ObservingSource::new(&idx, planner.catalog());
+        let observing = ObservingSource::new(&idx, planner.catalog(), &pager);
         let ev = Evaluator::new(&observing, &pager);
         for a in [&rare, &broad1, &broad2] {
             ev.evaluate(a).unwrap();

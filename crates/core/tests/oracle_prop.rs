@@ -1,13 +1,16 @@
 //! Property tests: the external-memory operators agree element-for-element
 //! with the naive quadratic oracles (direct transcriptions of Definitions
-//! 4.1/5.1/6.1/6.2/7.1) on randomized forests.
+//! 4.1/5.1/6.1/6.2/7.1) on randomized forests — over paged lists, over
+//! in-memory runs, and over the two mixed.
 
 use netdir_filter::atomic::IntOp;
 use netdir_model::{Dn, Entry};
-use netdir_pager::{PagedList, Pager};
+use netdir_pager::record::Record;
+use netdir_pager::{Operand, PagedList, Pager, RawRecord};
 use netdir_query::agg::CompiledAggFilter;
 use netdir_query::ast::{AggAttribute, AggSelFilter, Aggregate, AttrRef, EntryAgg, RefOp};
 use netdir_query::boolean::{merge, BoolOp};
+use netdir_query::er_join::er_select;
 use netdir_query::hs_stack::{hs_select, HsOp};
 use netdir_query::naive;
 use proptest::prelude::*;
@@ -55,9 +58,30 @@ fn arb_entries() -> impl Strategy<Value = Vec<Entry>> {
     })
 }
 
-fn paged(pager: &Pager, v: &[Entry]) -> PagedList<Entry> {
-    PagedList::from_iter(pager, v.iter().cloned()).unwrap()
+fn paged(pager: &Pager, v: &[Entry]) -> Operand<Entry> {
+    PagedList::from_iter(pager, v.iter().cloned()).unwrap().into()
 }
+
+/// `v` as an in-memory run, keyed as a zone hands its answer out.
+fn run(v: &[Entry]) -> Operand<Entry> {
+    Operand::run(
+        v.iter()
+            .map(|e| {
+                let mut image = Vec::new();
+                e.encode(&mut image);
+                RawRecord::keyed(e.dn().sort_key().as_bytes().to_vec(), image)
+            })
+            .collect(),
+    )
+}
+
+/// `v` both ways: `[paged list, run]`.
+fn both(pager: &Pager, v: &[Entry]) -> [Operand<Entry>; 2] {
+    [paged(pager, v), run(v)]
+}
+
+/// Every pairing of kinds, mixed ones included.
+const KINDS: [(usize, usize); 4] = [(0, 0), (0, 1), (1, 0), (1, 1)];
 
 fn dns(v: &[Entry]) -> Vec<String> {
     v.iter().map(|e| e.dn().to_string()).collect()
@@ -100,19 +124,20 @@ proptest! {
     #[test]
     fn hs_ops_match_oracle(l1 in arb_entries(), l2 in arb_entries(), l3 in arb_entries()) {
         let pager = netdir_pager::tiny_pager();
-        let p1 = paged(&pager, &l1);
-        let p2 = paged(&pager, &l2);
-        let p3 = paged(&pager, &l3);
+        let (p1, p2, p3) = (both(&pager, &l1), both(&pager, &l2), both(&pager, &l3));
         let f = CompiledAggFilter::exists_witness();
-        for op in [HsOp::Parents, HsOp::Children, HsOp::Ancestors, HsOp::Descendants] {
-            let fast = hs_select(&pager, op, &p1, &p2, None, &f).unwrap().to_vec().unwrap();
-            let slow = naive::naive_hs_select(op, &l1, &l2, &[], &f);
-            prop_assert_eq!(dns(&fast), dns(&slow), "op {:?}", op);
-        }
-        for op in [HsOp::AncestorsConstrained, HsOp::DescendantsConstrained] {
-            let fast = hs_select(&pager, op, &p1, &p2, Some(&p3), &f).unwrap().to_vec().unwrap();
-            let slow = naive::naive_hs_select(op, &l1, &l2, &l3, &f);
-            prop_assert_eq!(dns(&fast), dns(&slow), "op {:?}", op);
+        for (i, j) in KINDS {
+            let (p1, p2, p3) = (&p1[i], &p2[j], &p3[i]);
+            for op in [HsOp::Parents, HsOp::Children, HsOp::Ancestors, HsOp::Descendants] {
+                let fast = hs_select(&pager, op, p1, p2, None, &f).unwrap().to_vec().unwrap();
+                let slow = naive::naive_hs_select(op, &l1, &l2, &[], &f);
+                prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} kinds {:?}", op, (i, j));
+            }
+            for op in [HsOp::AncestorsConstrained, HsOp::DescendantsConstrained] {
+                let fast = hs_select(&pager, op, p1, p2, Some(p3), &f).unwrap().to_vec().unwrap();
+                let slow = naive::naive_hs_select(op, &l1, &l2, &l3, &f);
+                prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} kinds {:?}", op, (i, j));
+            }
         }
     }
 
@@ -123,25 +148,27 @@ proptest! {
         filter in arb_agg_filter(),
     ) {
         let pager = netdir_pager::tiny_pager();
-        let p1 = paged(&pager, &l1);
-        let p2 = paged(&pager, &l2);
+        let (p1, p2) = (both(&pager, &l1), both(&pager, &l2));
         let f = CompiledAggFilter::compile(&filter, true).unwrap();
-        for op in [HsOp::Parents, HsOp::Children, HsOp::Ancestors, HsOp::Descendants] {
-            let fast = hs_select(&pager, op, &p1, &p2, None, &f).unwrap().to_vec().unwrap();
-            let slow = naive::naive_hs_select(op, &l1, &l2, &[], &f);
-            prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} filter {}", op, filter);
+        for (i, j) in KINDS {
+            for op in [HsOp::Parents, HsOp::Children, HsOp::Ancestors, HsOp::Descendants] {
+                let fast = hs_select(&pager, op, &p1[i], &p2[j], None, &f).unwrap().to_vec().unwrap();
+                let slow = naive::naive_hs_select(op, &l1, &l2, &[], &f);
+                prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} filter {}", op, filter);
+            }
         }
     }
 
     #[test]
     fn boolean_ops_match_oracle(l1 in arb_entries(), l2 in arb_entries()) {
         let pager = netdir_pager::tiny_pager();
-        let p1 = paged(&pager, &l1);
-        let p2 = paged(&pager, &l2);
-        for op in [BoolOp::And, BoolOp::Or, BoolOp::Diff] {
-            let fast = merge(&pager, op, &p1, &p2).unwrap().to_vec().unwrap();
-            let slow = naive::naive_boolean(op, &l1, &l2);
-            prop_assert_eq!(dns(&fast), dns(&slow), "op {:?}", op);
+        let (p1, p2) = (both(&pager, &l1), both(&pager, &l2));
+        for (i, j) in KINDS {
+            for op in [BoolOp::And, BoolOp::Or, BoolOp::Diff] {
+                let fast = merge(&pager, op, &p1[i], &p2[j]).unwrap().to_vec().unwrap();
+                let slow = naive::naive_boolean(op, &l1, &l2);
+                prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} kinds {:?}", op, (i, j));
+            }
         }
     }
 
@@ -223,19 +250,18 @@ proptest! {
         } else {
             CompiledAggFilter::exists_witness()
         };
-        let ps = paged(&pager, &sources);
-        let pt = paged(&pager, &targets);
-
+        let (ps, pt) = (both(&pager, &sources), both(&pager, &targets));
         // vd: sources referencing live targets.
-        let fast = netdir_query::er_join::er_select(&pager, RefOp::ValueDn, &ps, &pt, &attr, &filter)
-            .unwrap().to_vec().unwrap();
-        let slow = naive::naive_er_select(RefOp::ValueDn, &sources, &targets, &attr, &filter);
-        prop_assert_eq!(dns(&fast), dns(&slow), "vd");
-
+        let vd = naive::naive_er_select(RefOp::ValueDn, &sources, &targets, &attr, &filter);
         // dv: targets referenced by sources.
-        let fast = netdir_query::er_join::er_select(&pager, RefOp::DnValue, &pt, &ps, &attr, &filter)
-            .unwrap().to_vec().unwrap();
-        let slow = naive::naive_er_select(RefOp::DnValue, &targets, &sources, &attr, &filter);
-        prop_assert_eq!(dns(&fast), dns(&slow), "dv");
+        let dv = naive::naive_er_select(RefOp::DnValue, &targets, &sources, &attr, &filter);
+        for (i, j) in KINDS {
+            let fast = er_select(&pager, RefOp::ValueDn, &ps[i], &pt[j], &attr, &filter)
+                .unwrap().to_vec().unwrap();
+            prop_assert_eq!(dns(&fast), dns(&vd), "vd kinds {:?}", (i, j));
+            let fast = er_select(&pager, RefOp::DnValue, &pt[i], &ps[j], &attr, &filter)
+                .unwrap().to_vec().unwrap();
+            prop_assert_eq!(dns(&fast), dns(&dv), "dv kinds {:?}", (i, j));
+        }
     }
 }

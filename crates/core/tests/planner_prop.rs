@@ -127,7 +127,7 @@ fn planned_queries_are_byte_identical_and_read_no_more_pages() {
             // Training pass: a naive evaluation through an observing
             // source populates the stats catalog with this tree's real
             // atomic list sizes (some agg trees are rejected — skip).
-            let observing = ObservingSource::new(&idx, planner.catalog());
+            let observing = ObservingSource::new(&idx, planner.catalog(), &pager);
             if Evaluator::new(&observing, &pager).evaluate(&q).is_err() {
                 continue;
             }
@@ -229,7 +229,7 @@ fn template_traffic_replays_cached_plans_verbatim() {
     // constants: the second must be a cache hit with the same steps and
     // identical bytes.
     let first_q = parse_query(&template("red", &dns)).unwrap();
-    let observing = ObservingSource::new(&idx, planner.catalog());
+    let observing = ObservingSource::new(&idx, planner.catalog(), &pager);
     Evaluator::new(&observing, &pager).evaluate(&first_q).unwrap();
 
     let first = planner.plan(&first_q);

@@ -31,7 +31,7 @@ pub struct DeltaRecord {
 
 impl DeltaRecord {
     /// The DN's sort key.
-    pub(crate) fn key(&self) -> &[u8] {
+    pub fn key(&self) -> &[u8] {
         &self.key
     }
 

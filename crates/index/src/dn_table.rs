@@ -136,8 +136,8 @@ impl<'a> RawHit<'a> {
         }
     }
 
-    /// The record's sort key.
-    pub(crate) fn key(&self) -> &'a [u8] {
+    /// The record's sort key, as the table (or delta) holds it in memory.
+    pub fn key(&self) -> &'a [u8] {
         self.key
     }
 

@@ -6,6 +6,8 @@
 //! it and as an evaluator's operand list holds it — is byte-identical
 //! to the oracle `iter_sorted().filter(scope.contains && filter.matches)`.
 //!
+//! Keys: the sort key a hit carries out of the index is its image's.
+//!
 //! Cost: the core counts the candidates it examines and the records it
 //! decodes. Counts repeat exactly, so they can be asserted on a one-core
 //! box: a point lookup's count does not depend on the directory's size.
@@ -335,6 +337,70 @@ fn a_table_plus_its_delta_answers_like_the_written_directory() {
     }
     assert!(checked > 10_000, "{checked} cells");
     assert!(shadowed > 0, "some delta deletes a table entry");
+}
+
+/// The key beside every hit a zone hands out — from a base page, from a
+/// delta upsert, or past a base position a tombstone shadows — is the
+/// sort key of the image it travels with: what a caller would otherwise
+/// derive by parsing the image's DN. Both page formats.
+#[test]
+fn every_key_a_zone_hands_out_is_its_images_sort_key() {
+    let (mut base_hits, mut delta_hits, mut shadowed) = (0usize, 0usize, 0usize);
+    for seed in 0..4u64 {
+        let (after, delta) = written(seed);
+        let upserts: Vec<&[u8]> = delta
+            .records()
+            .filter(|r| r.entry().is_some())
+            .map(|r| r.key())
+            .collect();
+        let tombstones: Vec<&[u8]> = delta
+            .records()
+            .filter(|r| r.entry().is_none())
+            .map(|r| r.key())
+            .collect();
+        let layout = PagedList::from_iter(&Pager::new(512, 16), after.iter_sorted().cloned())
+            .unwrap()
+            .page_record_counts();
+        for pager in [Pager::new(512, 16), Pager::compressed(512, 16)] {
+            let ctx = pager.ctx();
+            let idx = IndexedDirectory::build(&pager, &forest(seed)).unwrap();
+            for base in bases(&after, &layout) {
+                for scope in SCOPES {
+                    for filter in [AtomicFilter::True, AtomicFilter::eq("kind", "red")] {
+                        let what = format!("seed {seed} ({base} ? {scope} ? {filter})");
+                        let mut keys: Vec<Vec<u8>> = Vec::new();
+                        idx.visit_atomic(&delta, &base, scope, &filter, |hit| {
+                            let key = hit.key().to_vec();
+                            let image = hit.into_encoded(&ctx)?;
+                            let derived = Entry::page_key_of_encoded(&image)?.unwrap();
+                            assert_eq!(key, derived, "{what}");
+                            keys.push(key);
+                            Ok(())
+                        })
+                        .unwrap();
+                        for key in &keys {
+                            if upserts.contains(&key.as_slice()) {
+                                delta_hits += 1;
+                            } else {
+                                base_hits += 1;
+                            }
+                        }
+                        // A tombstone inside the answer's key span shadowed
+                        // a base position the walk stepped over.
+                        if let (Some(first), Some(last)) = (keys.first(), keys.last()) {
+                            shadowed += tombstones
+                                .iter()
+                                .filter(|t| first.as_slice() < **t && **t < last.as_slice())
+                                .count();
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(base_hits > 1_000, "{base_hits} base hits");
+    assert!(delta_hits > 100, "{delta_hits} delta hits");
+    assert!(shadowed > 100, "{shadowed} shadowed positions stepped over");
 }
 
 /// `dc=big` → `zones` zones → leaves, `entries` entries in all; leaves

@@ -46,7 +46,10 @@ pub use disk::{Disk, LatencyDisk, MemDisk, PageId, PAGE_HEADER_BYTES};
 pub use error::{PagerError, PagerResult};
 pub use extsort::{external_sort, external_sort_by, external_sort_by_par, ExtSortConfig};
 pub use intern::Interner;
-pub use list::{ListReader, ListWriter, PagedList, RawListReader, RawRecord};
+pub use list::{
+    ListReader, ListWriter, Operand, OperandReader, PagedList, RawListReader, RawOperandReader,
+    RawRecord,
+};
 pub use par::{parallel_map, WorkerReport};
 pub use pool::{
     BufferPool, FrameGuard, PoolConfig, PoolMetricsSnapshot, ReplacementPolicy,

@@ -1,8 +1,13 @@
-//! Append-only paged sequential lists.
+//! Append-only paged sequential lists, and the sorted operands operators
+//! read.
 //!
-//! A [`PagedList`] is the currency of every operator in the evaluation
-//! engine: "each of L1 and L2 are sorted lists of directory entries"
-//! (Figures 2–6).
+//! "Each of L1 and L2 are sorted lists of directory entries" (Figures
+//! 2–6). An operator reads such a list as an [`Operand`]: either a
+//! [`PagedList`] — what every operator writes its output to — or a
+//! **run**, records already in memory in key order, each carrying the
+//! sort key its producer held ([`RawRecord::keyed`]). Both are read
+//! through one sorted cursor ([`Operand::iter_raw`]); a run costs no
+//! page I/O and is never re-keyed.
 //!
 //! Two on-page layouts exist, discriminated by the page header word
 //! (see [`crate::PageFormat`]):
@@ -30,6 +35,7 @@ use crate::disk::{PageId, PAGE_HEADER_BYTES};
 use crate::error::{PagerError, PagerResult};
 use crate::record::{codec, PageCtx, Record, LEN_PREFIX_BYTES};
 use crate::{PageFormat, Pager};
+use std::borrow::Cow;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -141,7 +147,7 @@ fn walk_records<'a>(
 }
 
 /// A not-yet-decoded record: its sort key and body bytes, lifted off a
-/// page. The zero-copy currency of the lazy evaluation paths — boolean
+/// page or held in a run. The zero-copy currency of the lazy evaluation paths — boolean
 /// merges and hierarchy stacks compare and route records by [`key`]
 /// alone and only [`decode`] the ones actually emitted or inspected.
 ///
@@ -177,6 +183,21 @@ impl<T> std::fmt::Debug for RawRecord<T> {
     }
 }
 
+impl<T> RawRecord<T> {
+    /// A record held as its full [`Record::encode`] image beside the sort
+    /// key its producer already holds (an index keeps every key in
+    /// memory). The key is taken as given, never derived from the image:
+    /// this is how a run's records are made.
+    pub fn keyed(key: Vec<u8>, image: Vec<u8>) -> RawRecord<T> {
+        RawRecord {
+            key,
+            body: image,
+            split: false,
+            _marker: PhantomData,
+        }
+    }
+}
+
 impl<T: Record> RawRecord<T> {
     /// The record's sort key (empty for keyless record types on v1
     /// pages — see [`Record::page_key_of_encoded`]).
@@ -191,6 +212,17 @@ impl<T: Record> RawRecord<T> {
         } else {
             T::decode(&self.body)
         }
+    }
+
+    /// The full [`Record::encode`] image, which a run record always is; a
+    /// v2 body lifted off a page is not one.
+    fn image(&self) -> PagerResult<&[u8]> {
+        if self.split {
+            return Err(PagerError::CorruptRecord {
+                detail: "a page-format body outside its page".into(),
+            });
+        }
+        Ok(&self.body)
     }
 }
 
@@ -807,6 +839,165 @@ impl<T: Record> Iterator for RawListReader<T> {
     }
 }
 
+/// A sorted operand: a run of keyed records in memory, or a paged list.
+///
+/// An operator reads either through one cursor and cannot tell them
+/// apart except by cost: a run's records are lent from memory with the
+/// keys they were made with ([`RawRecord::keyed`]), so reading one costs
+/// no page I/O and no key derivation, and a record is copied only when an
+/// operator emits it onto an output page. Cloning shares the records or
+/// the page table.
+pub enum Operand<T> {
+    /// Records in key order, held in memory.
+    Run(Arc<[RawRecord<T>]>),
+    /// Records on pages.
+    List(PagedList<T>),
+}
+
+impl<T> Clone for Operand<T> {
+    fn clone(&self) -> Self {
+        match self {
+            Operand::Run(run) => Operand::Run(Arc::clone(run)),
+            Operand::List(list) => Operand::List(list.clone()),
+        }
+    }
+}
+
+impl<T> std::fmt::Debug for Operand<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Operand::Run(run) => f.debug_struct("Run").field("len", &run.len()).finish(),
+            Operand::List(list) => list.fmt(f),
+        }
+    }
+}
+
+impl<T> From<PagedList<T>> for Operand<T> {
+    fn from(list: PagedList<T>) -> Self {
+        Operand::List(list)
+    }
+}
+
+impl<T: Record> Operand<T> {
+    /// A run of `records`, which must be in key order.
+    pub fn run(records: Vec<RawRecord<T>>) -> Self {
+        Operand::Run(records.into())
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> u64 {
+        match self {
+            Operand::Run(run) => run.len() as u64,
+            Operand::List(list) => list.len(),
+        }
+    }
+
+    /// True iff there are no records.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Pages the records occupy: 0 for a run.
+    pub fn num_pages(&self) -> u64 {
+        match self {
+            Operand::Run(_) => 0,
+            Operand::List(list) => list.num_pages(),
+        }
+    }
+
+    /// The operand's size in pages of `pager`: a list's own pages, or
+    /// for a run the v1 pages writing it there would fill. Nothing is
+    /// written or read.
+    pub fn pages_on(&self, pager: &Pager) -> u64 {
+        match self {
+            Operand::Run(run) => {
+                let payload = pager.payload_size();
+                let (mut pages, mut used) = (0, payload);
+                for r in run.iter() {
+                    let need = LEN_PREFIX_BYTES + r.body.len();
+                    if used + need > payload {
+                        pages += 1;
+                        used = 0;
+                    }
+                    used += need;
+                }
+                pages
+            }
+            Operand::List(list) => list.num_pages(),
+        }
+    }
+
+    /// The sorted cursor: undecoded records, lent from a run or lifted
+    /// off a list's pages.
+    pub fn iter_raw(&self) -> RawOperandReader<'_, T> {
+        match self {
+            Operand::Run(run) => RawOperandReader::Run(run.iter()),
+            Operand::List(list) => RawOperandReader::List(list.iter_raw()),
+        }
+    }
+
+    /// Sequential scan, decoded.
+    pub fn iter(&self) -> OperandReader<'_, T> {
+        match self {
+            Operand::Run(run) => OperandReader::Run(run.iter()),
+            Operand::List(list) => OperandReader::List(list.iter()),
+        }
+    }
+
+    /// Materialize every record in memory.
+    pub fn to_vec(&self) -> PagerResult<Vec<T>> {
+        self.iter().collect()
+    }
+
+    /// Every record's frozen [`Record::encode`] image, in order: a run's
+    /// as held, a list's as [`PagedList::to_encoded`] reads them.
+    pub fn to_encoded(&self) -> PagerResult<Vec<Vec<u8>>> {
+        match self {
+            Operand::Run(run) => run.iter().map(|r| r.image().map(<[u8]>::to_vec)).collect(),
+            Operand::List(list) => list.to_encoded(),
+        }
+    }
+}
+
+/// [`Operand::iter_raw`]: a run's records are borrowed, a list's are
+/// lifted off its pages.
+pub enum RawOperandReader<'a, T> {
+    /// Over a run.
+    Run(std::slice::Iter<'a, RawRecord<T>>),
+    /// Over a paged list.
+    List(RawListReader<T>),
+}
+
+impl<'a, T: Record> Iterator for RawOperandReader<'a, T> {
+    type Item = PagerResult<Cow<'a, RawRecord<T>>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            RawOperandReader::Run(run) => run.next().map(|r| Ok(Cow::Borrowed(r))),
+            RawOperandReader::List(list) => list.next().map(|r| r.map(Cow::Owned)),
+        }
+    }
+}
+
+/// [`Operand::iter`]: decoded records.
+pub enum OperandReader<'a, T> {
+    /// Over a run.
+    Run(std::slice::Iter<'a, RawRecord<T>>),
+    /// Over a paged list.
+    List(ListReader<T>),
+}
+
+impl<T: Record> Iterator for OperandReader<'_, T> {
+    type Item = PagerResult<T>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            OperandReader::Run(run) => run.next().map(|r| T::decode(r.image()?)),
+            OperandReader::List(list) => list.next(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1128,6 +1319,74 @@ mod tests {
             list.iter_raw().collect::<PagerResult<_>>().unwrap();
         let decoded: Vec<Keyed> = raws.iter().map(|r| r.decode(&ctx).unwrap()).collect();
         assert_eq!(decoded, items);
+    }
+
+    /// A run as a producer holding keys makes it.
+    fn keyed_run(items: &[Keyed]) -> Operand<Keyed> {
+        Operand::run(
+            items
+                .iter()
+                .map(|it| {
+                    let mut image = Vec::new();
+                    it.encode(&mut image);
+                    RawRecord::keyed(it.name.as_bytes().to_vec(), image)
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn a_run_reads_like_the_list_of_its_records_with_no_io() {
+        for pager in [tiny_pager(), tiny_compressed()] {
+            let items = keyed_items(120);
+            let list: Operand<Keyed> = PagedList::from_iter(&pager, items.clone()).unwrap().into();
+            let run = keyed_run(&items);
+            let raw = |op: &Operand<Keyed>| -> Vec<(Vec<u8>, Keyed)> {
+                op.iter_raw()
+                    .map(|r| {
+                        let r = r.unwrap();
+                        (r.key().to_vec(), r.decode(&pager.ctx()).unwrap())
+                    })
+                    .collect()
+            };
+            pager.flush().unwrap();
+            pager.reset_io();
+            let before = pager.pool().metrics();
+            assert_eq!(raw(&run), raw(&list));
+            assert_eq!(run.to_vec().unwrap(), items);
+            assert_eq!(run.to_encoded().unwrap(), list.to_encoded().unwrap());
+            assert_eq!((run.len(), run.num_pages()), (120, 0));
+            assert!(list.num_pages() > 1);
+            // Only the list's reads touched the pool.
+            let fetched = pager.pool().metrics().hits + pager.pool().metrics().misses
+                - before.hits
+                - before.misses;
+            assert_eq!(fetched, 2 * list.num_pages());
+        }
+    }
+
+    #[test]
+    fn a_run_is_sized_by_the_pages_writing_it_would_fill() {
+        let pager = tiny_pager();
+        let items = keyed_items(120);
+        let list: Operand<Keyed> = PagedList::from_iter(&pager, items.clone()).unwrap().into();
+        let run = keyed_run(&items);
+        assert!(list.num_pages() > 1);
+        assert_eq!(list.pages_on(&pager), list.num_pages());
+        pager.reset_io();
+        assert_eq!(run.pages_on(&pager), list.num_pages());
+        assert_eq!(pager.io().total(), 0);
+        assert_eq!(keyed_run(&[]).pages_on(&pager), 0);
+    }
+
+    #[test]
+    fn a_page_format_body_is_no_run_record() {
+        let pager = tiny_compressed();
+        let list = PagedList::from_iter(&pager, keyed_items(3)).unwrap();
+        let lifted: Vec<RawRecord<Keyed>> = list.iter_raw().collect::<PagerResult<_>>().unwrap();
+        let run = Operand::run(lifted);
+        assert!(run.to_vec().is_err());
+        assert!(run.to_encoded().is_err());
     }
 
     #[test]

@@ -26,12 +26,16 @@
 //! bases and extending their deltas.
 //!
 //! Entries stay in their frozen `Entry::encode` encoding from page to
-//! answer. A zone's response is a list of images, vetted by
-//! [`Entry::validate_encoded`] without building an entry; zones merge by
-//! the images' sort keys straight into the queried server's scratch
-//! list; and the final list is read back as images
-//! ([`QueryOutcome::entries`]), the bytes an answer frame carries.
-//! In-process callers that want [`Entry`]s decode at their own edge
+//! answer. A zone's response is a list of images, each with the sort key
+//! the zone's table holds for it, vetted by [`Entry::validate_encoded`]
+//! without building an entry. The zones' answers merge by those keys into
+//! one in-memory **run** ([`Operand::Run`]) that the operator above reads
+//! directly: a routed leaf is never staged on the queried server's
+//! scratch pages and its keys are never derived again. Operators write
+//! their outputs to scratch pages, and the final result is read back as
+//! images ([`QueryOutcome::entries`]), the bytes an answer frame
+//! carries; a query that is one atomic leaf answers straight from its
+//! run. In-process callers that want [`Entry`]s decode at their own edge
 //! ([`Router::query`], [`Cluster::query_from`]).
 
 use crate::delegation::{Delegation, ServerId};
@@ -44,8 +48,7 @@ use netdir_filter::{AtomicFilter, Scope};
 use netdir_index::DeltaWrite;
 use netdir_model::{Directory, Dn, Entry};
 use netdir_obs::{Clock, MonotonicClock};
-use netdir_pager::record::Record;
-use netdir_pager::{parallel_map, ListWriter, PagedList, Pager, PagerError, PagerResult};
+use netdir_pager::{parallel_map, Operand, Pager, PagerError, PagerResult, RawRecord};
 use netdir_query::eval::{AtomicSource, Evaluator};
 use netdir_query::planner::{ObservingSource, Planner};
 use netdir_query::{Query, QueryError, QueryResult};
@@ -537,20 +540,14 @@ impl Router {
         query: &Query,
         mode: ConsistencyMode,
     ) -> QueryResult<QueryOutcome> {
-        let source = RoutingSource {
-            router: self,
-            home,
-            pager: pager.clone(),
-            mode,
-            partial: Mutex::new(Vec::new()),
-        };
+        let source = RoutingSource::new(self, home, mode);
         // With a planner attached, evaluate the chosen (byte-identical)
         // plan and feed every atomic result back into the stats catalog.
         let planned = self.planner.as_ref().map(|p| p.plan(query));
         let query = planned.as_ref().map_or(query, |p| &p.query);
         let out = match &self.planner {
             Some(p) => {
-                let observing = ObservingSource::new(&source, p.catalog());
+                let observing = ObservingSource::new(&source, p.catalog(), pager);
                 let evaluator = Evaluator::new(&observing, pager);
                 if self.eval_threads > 1 {
                     evaluator.evaluate_parallel(query, self.eval_threads)?
@@ -585,28 +582,24 @@ impl Router {
         query: &Query,
         mode: ConsistencyMode,
     ) -> QueryResult<(QueryOutcome, netdir_obs::QueryTrace)> {
-        let source = RoutingSource {
-            router: self,
-            home,
-            pager: pager.clone(),
-            mode,
-            partial: Mutex::new(Vec::new()),
-        };
+        let source = RoutingSource::new(self, home, mode);
         // Traced evaluation stays sequential regardless of `eval_threads`:
         // per-node I/O attribution snapshots the shared ledger around each
         // node, which is only meaningful when nodes run one at a time.
         let planned = self.planner.as_ref().map(|p| p.plan(query));
         let query = planned.as_ref().map_or(query, |p| &p.query);
         let started = self.clock.now();
-        let (out, traces) = Evaluator::new(&source, pager).evaluate_traced(query)?;
+        // Observed feedback as in `query_with`: the leaves' cardinalities
+        // and sizes calibrate the planner's estimates. (The trace cannot:
+        // it reports a routed leaf at the 0 pages it occupies.)
+        let (out, traces) = match &self.planner {
+            Some(p) => Evaluator::new(&ObservingSource::new(&source, p.catalog(), pager), pager)
+                .evaluate_traced(query)?,
+            None => Evaluator::new(&source, pager).evaluate_traced(query)?,
+        };
         let elapsed =
             u64::try_from(self.clock.now().saturating_sub(started).as_nanos()).unwrap_or(u64::MAX);
         let trace = netdir_query::build_trace(query, &traces, elapsed);
-        // Observed-vs-predicted feedback: per-node cardinalities from the
-        // ANALYZE trace calibrate the planner's estimates.
-        if let Some(p) = &self.planner {
-            p.observe_trace(query, &trace);
-        }
         Ok((
             QueryOutcome {
                 entries: out.to_encoded()?,
@@ -618,24 +611,20 @@ impl Router {
 
     /// Evaluate one atomic query as posed to server `home`: ship it to
     /// every zone intersecting its scope and merge the sorted responses,
-    /// as entry images. This is the building block wire daemons expose
-    /// directly.
+    /// as entry images. The merge happens in memory, so the scratch
+    /// space `_pager` is never touched; it stays in the signature for
+    /// symmetry with [`Router::query_with`].
     pub fn atomic(
         &self,
         home: ServerId,
-        pager: &Pager,
+        _pager: &Pager,
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
     ) -> PagerResult<Vec<Vec<u8>>> {
-        let source = RoutingSource {
-            router: self,
-            home,
-            pager: pager.clone(),
-            mode: ConsistencyMode::Strict,
-            partial: Mutex::new(Vec::new()),
-        };
-        source.evaluate_atomic(base, scope, filter)?.to_encoded()
+        RoutingSource::new(self, home, ConsistencyMode::Strict)
+            .evaluate_atomic(base, scope, filter)?
+            .to_encoded()
     }
 
     /// Fetch one zone's share of an atomic query, with failover across
@@ -648,7 +637,8 @@ impl Router {
     /// reproduces them. A response holding an image
     /// [`Entry::decode`] would reject is a corrupt payload: it charges
     /// the server and is fetched again. The images are vetted, never
-    /// decoded.
+    /// decoded, and come back as records keyed by the keys they came
+    /// with.
     fn fetch_zone(
         &self,
         zone: &Dn,
@@ -657,7 +647,7 @@ impl Router {
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
-    ) -> Result<Vec<Vec<u8>>, PartitionError> {
+    ) -> Result<Vec<RawRecord<Entry>>, PartitionError> {
         let fail = |detail: String| PartitionError {
             zone: zone.clone(),
             servers: group.to_vec(),
@@ -679,13 +669,17 @@ impl Router {
                 self.retry_stats.record_attempt();
                 match self.transport.atomic(id, home, base, scope, filter) {
                     Ok(resp) => match resp
-                        .encoded
+                        .entries
                         .iter()
-                        .try_for_each(|image| Entry::validate_encoded(image).map(|_dn| ()))
+                        .try_for_each(|hit| Entry::validate_encoded(&hit.image).map(|_dn| ()))
                     {
                         Ok(()) => {
                             self.health.record_success(id);
-                            return Ok(resp.encoded);
+                            return Ok(resp
+                                .entries
+                                .into_iter()
+                                .map(|hit| RawRecord::keyed(hit.key, hit.image))
+                                .collect());
                         }
                         Err(e) => {
                             // Corrupt payload: charge the server and let
@@ -820,11 +814,11 @@ impl Cluster {
     }
 }
 
-/// [`AtomicSource`] that routes atomic queries across the cluster.
+/// [`AtomicSource`] that routes atomic queries across the cluster. Its
+/// leaves are runs: the zones' keyed answers, merged in memory.
 struct RoutingSource<'r> {
     router: &'r Router,
     home: ServerId,
-    pager: Pager,
     mode: ConsistencyMode,
     /// Zones skipped so far (Partial mode), deduplicated by context.
     /// A `Mutex` (not `RefCell`) so the source is `Sync` — parallel
@@ -832,7 +826,16 @@ struct RoutingSource<'r> {
     partial: Mutex<Vec<PartitionError>>,
 }
 
-impl RoutingSource<'_> {
+impl<'r> RoutingSource<'r> {
+    fn new(router: &'r Router, home: ServerId, mode: ConsistencyMode) -> RoutingSource<'r> {
+        RoutingSource {
+            router,
+            home,
+            mode,
+            partial: Mutex::new(Vec::new()),
+        }
+    }
+
     fn record_skip(&self, err: PartitionError) {
         let mut partial = self.partial.lock().unwrap_or_else(|e| e.into_inner());
         if !partial.iter().any(|p| p.zone == err.zone) {
@@ -853,7 +856,7 @@ impl AtomicSource for RoutingSource<'_> {
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
-    ) -> PagerResult<PagedList<Entry>> {
+    ) -> PagerResult<Operand<Entry>> {
         let zones: Vec<(&Dn, &[ServerId])> = match scope {
             Scope::Base => self.router.delegation.zone_of(base).into_iter().collect(),
             Scope::One | Scope::Sub => self.router.delegation.zones_for_subtree(base),
@@ -866,7 +869,7 @@ impl AtomicSource for RoutingSource<'_> {
         // merged bytes, the Strict-mode first error, and the Partial-mode
         // skip accounting are identical to the sequential loop.
         let degree = self.router.eval_threads;
-        let outcomes: Vec<Result<Vec<Vec<u8>>, PartitionError>> =
+        let outcomes: Vec<Result<Vec<RawRecord<Entry>>, PartitionError>> =
             if degree > 1 && zones.len() > 1 {
                 let Ok((outcomes, _reports)) =
                     parallel_map(degree, zones, |_, (zone, group)| {
@@ -884,11 +887,13 @@ impl AtomicSource for RoutingSource<'_> {
                     })
                     .collect()
             };
-        let mut responses: Vec<Vec<Vec<u8>>> = Vec::with_capacity(outcomes.len());
+        let (mut run, mut answering) = (Vec::new(), 0);
         for outcome in outcomes {
             match outcome {
-                Ok(images) if images.is_empty() => {}
-                Ok(images) => responses.push(images),
+                Ok(records) => {
+                    answering += usize::from(!records.is_empty());
+                    run.extend(records);
+                }
                 Err(err) => match self.mode {
                     ConsistencyMode::Strict => {
                         return Err(PagerError::CorruptRecord {
@@ -899,24 +904,14 @@ impl AtomicSource for RoutingSource<'_> {
                 },
             }
         }
-        let mut images: Vec<&[u8]> = responses.iter().flatten().map(Vec::as_slice).collect();
-        if responses.len() > 1 {
+        if answering > 1 {
             // Zones interleave in key order (a carved-out subzone sorts
-            // inside its parent zone's range), so merge by the images'
-            // sort keys. Zones are disjoint; the stable sort keeps
+            // inside its parent zone's range), so merge by the keys the
+            // zones sent. Zones are disjoint; the stable sort keeps
             // delegation order on a tie all the same.
-            let mut keyed = images
-                .into_iter()
-                .map(|image| Ok((Entry::page_key_of_encoded(image)?, image)))
-                .collect::<PagerResult<Vec<_>>>()?;
-            keyed.sort_by(|a, b| a.0.cmp(&b.0));
-            images = keyed.into_iter().map(|(_, image)| image).collect();
+            run.sort_by(|a, b| a.key().cmp(b.key()));
         }
-        let mut out = ListWriter::new(&self.pager);
-        for image in images {
-            out.push_raw_parts(&[], image, false)?;
-        }
-        out.finish()
+        Ok(Operand::run(run))
     }
 }
 
@@ -1196,7 +1191,25 @@ mod tests {
         assert_eq!(plain.len(), out.entries.len());
         assert_eq!(trace.spans.len(), q.num_nodes());
         assert_eq!(trace.root_entries(), out.entries.len() as u64);
-        assert!(trace.predicted_io > 0.0);
+        // Both leaves are routed runs: pipelined edges occupy no page and
+        // predict none. The root's output is the one paged list.
+        assert!(trace.spans[1..].iter().all(|s| s.pages_out == 0));
+        assert_eq!(trace.spans[0].pages_out, 1);
+        assert_eq!(trace.predicted_io, 0.0);
+        // An operator reading an operator's paged output predicts its
+        // pages.
+        let nested = parse_query(
+            "(- (c (dc=com ? sub ? objectClass=thing) \
+                   (dc=research, dc=att, dc=com ? base ? objectClass=thing)) \
+                (dc=org ? base ? objectClass=thing))",
+        )
+        .unwrap();
+        let (_, trace) = c
+            .router()
+            .query_analyzed(0, &pager, &nested, ConsistencyMode::Strict)
+            .unwrap();
+        assert_eq!(trace.spans[0].predicted_io, 1.0);
+        assert_eq!(trace.predicted_io, 1.0);
     }
 
     #[test]
@@ -1244,6 +1257,71 @@ mod tests {
             .query_analyzed(1, &pager, &q, ConsistencyMode::Strict)
             .unwrap();
         assert!(planner.snapshot().catalog_observations > before);
+    }
+
+    #[test]
+    fn a_planner_sizes_routed_leaves_by_the_pages_they_would_fill() {
+        // A routed leaf is a run and occupies no page, but the outputs
+        // above it are written in proportion to its size: the catalog
+        // must see that size for an and-chain to merge its small operand
+        // first, on the plain and the ANALYZE path alike.
+        let mut d = Directory::new();
+        d.insert(Entry::builder(dn("dc=test")).class("thing").build().unwrap())
+            .unwrap();
+        for i in 0..80 {
+            let e = Entry::builder(dn(&format!("n=e{i}, dc=test")))
+                .class("thing")
+                .attr("kind", if i % 4 == 0 { "rare" } else { "common" })
+                .attr("weight", i % 7)
+                .build()
+                .unwrap();
+            d.insert(e).unwrap();
+        }
+        let (rare, all, weighted) = (
+            "(dc=test ? sub ? kind=rare)",
+            "(dc=test ? sub ? objectClass=thing)",
+            "(dc=test ? sub ? weight=*)",
+        );
+        let chain = parse_query(&format!("(& (& {all} {weighted}) {rare})")).unwrap();
+        let plain = ClusterBuilder::new().server("all", dn("dc=test")).build(&d);
+        let pager = Pager::new(512, 128);
+        let want = plain.query_from("all", &pager, &chain).unwrap();
+        for analyzed in [false, true] {
+            let planner = Arc::new(Planner::new());
+            let c = ClusterBuilder::new()
+                .server("all", dn("dc=test"))
+                .planner(planner.clone())
+                .build(&d);
+            for text in [rare, all, weighted] {
+                let q = parse_query(text).unwrap();
+                if analyzed {
+                    let (_, trace) = c
+                        .router()
+                        .query_analyzed(0, &pager, &q, ConsistencyMode::Strict)
+                        .unwrap();
+                    assert_eq!(trace.spans[0].pages_out, 0, "a routed leaf is a run");
+                } else {
+                    c.query_from("all", &pager, &q).unwrap();
+                }
+            }
+            let sized = |filter: AtomicFilter| {
+                planner.catalog().lookup(&dn("dc=test"), Scope::Sub, &filter).unwrap().pages
+            };
+            let small = sized(AtomicFilter::eq("kind", "rare"));
+            let large = sized(AtomicFilter::eq("objectClass", "thing"));
+            assert!(small >= 1.0 && large > small, "analyzed {analyzed}: {small} vs {large}");
+            let planned = planner.plan(&chain);
+            assert!(
+                planned
+                    .steps
+                    .iter()
+                    .any(|s| matches!(s, netdir_query::planner::Step::ReorderBool { .. })),
+                "analyzed {analyzed}: {:?}",
+                planned.steps
+            );
+            assert!(planned.predicted_chosen < planned.predicted_naive);
+            assert_eq!(c.query_from("all", &pager, &chain).unwrap(), want);
+        }
     }
 
     #[test]

@@ -233,8 +233,8 @@ impl Transport for FaultTransport {
 
         let mut resp = self.inner.atomic(target, home, base, scope, filter)?;
         if self.cfg.truncate_nth == Some(n) {
-            if let Some(last) = resp.encoded.last_mut() {
-                last.truncate(last.len() / 2);
+            if let Some(last) = resp.entries.last_mut() {
+                last.image.truncate(last.image.len() / 2);
                 self.stats.inner.truncated.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -289,7 +289,7 @@ mod tests {
         (0..n)
             .map(|_| {
                 t.atomic(0, 1, &dn("dc=a"), Scope::Sub, &AtomicFilter::present("surName"))
-                    .map(|r| r.encoded.len())
+                    .map(|r| r.entries.len())
             })
             .collect()
     }
@@ -355,19 +355,19 @@ mod tests {
         let ok = t
             .atomic(0, 1, &dn("dc=a"), Scope::Sub, &AtomicFilter::True)
             .unwrap();
-        let full_len = ok.encoded.last().unwrap().len();
+        let full_len = ok.entries.last().unwrap().image.len();
         let corrupt = t
             .atomic(0, 1, &dn("dc=a"), Scope::Sub, &AtomicFilter::True)
             .unwrap();
-        assert_eq!(corrupt.encoded.last().unwrap().len(), full_len / 2);
+        assert_eq!(corrupt.entries.last().unwrap().image.len(), full_len / 2);
         assert!(
-            crate::node::decode_entries(&corrupt.encoded).is_err(),
+            crate::node::decode_entries(&crate::node::images(corrupt.entries)).is_err(),
             "truncated payload must fail to decode"
         );
         let again = t
             .atomic(0, 1, &dn("dc=a"), Scope::Sub, &AtomicFilter::True)
             .unwrap();
-        assert_eq!(again.encoded.last().unwrap().len(), full_len);
+        assert_eq!(again.entries.last().unwrap().image.len(), full_len);
         assert_eq!(t.faults().unwrap().snapshot().truncated, 1);
     }
 

@@ -41,7 +41,7 @@ pub use distributed::{
 pub use fault::{FaultConfig, FaultSnapshot, FaultStats, FaultTransport};
 pub use health::{BreakerConfig, BreakerState, BreakerTransitions, HealthTracker};
 pub use net::{NetSnapshot, NetStats};
-pub use node::{ServerConfig, ZoneStore};
+pub use node::{KeyedImage, ServerConfig, ZoneStore};
 pub use retry::{RetryPolicy, RetrySnapshot, RetryStats, Retryable};
 pub use transport::{
     AtomicResponse, LocalTransport, Transport, TransportError, TransportErrorKind,

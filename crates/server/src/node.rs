@@ -6,8 +6,11 @@
 //! Hits leave the base table undecoded ([`IndexedDirectory::visit_atomic`])
 //! and are handed out as their frozen [`Entry::encode`] images
 //! ([`RawHit::into_encoded`]; on a v1 store the on-page bytes verbatim),
-//! so answering decodes nothing and writes no page, and shipped bytes are
-//! measured with the same codec the pager uses.
+//! each beside the sort key the table (or the delta) holds for it in
+//! memory ([`KeyedImage`]). So answering decodes nothing and writes no
+//! page, a caller merging or operating on the answer never derives a
+//! key, and shipped bytes are measured with the same codec the pager
+//! uses.
 //!
 //! A zone is two parts:
 //!
@@ -90,6 +93,21 @@ impl Base {
     }
 }
 
+/// One entry of a zone's answer: its frozen [`Entry::encode`] image
+/// beside its sort key. A zone answers with these in key order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyedImage {
+    /// The entry's reverse-DN sort key.
+    pub key: Vec<u8>,
+    /// The entry's image.
+    pub image: Vec<u8>,
+}
+
+/// The images of `answer`, in its order: what an answer frame carries.
+pub fn images(answer: Vec<KeyedImage>) -> Vec<Vec<u8>> {
+    answer.into_iter().map(|hit| hit.image).collect()
+}
+
 /// One server's zone: a shared base plus the delta written over it.
 /// Cloning shares both.
 #[derive(Clone)]
@@ -155,19 +173,23 @@ impl ZoneStore {
         &self.base.pager
     }
 
-    /// The entries `visit` yields, in their frozen wire encoding.
+    /// The entries `visit` yields, in their frozen wire encoding, with
+    /// their keys.
     fn answer(
         &self,
         visit: impl FnOnce(
             &IndexedDirectory,
             &mut dyn FnMut(RawHit<'_>) -> PagerResult<()>,
         ) -> PagerResult<()>,
-    ) -> Result<Vec<Vec<u8>>, String> {
+    ) -> Result<Vec<KeyedImage>, String> {
         let idx = self.base.store()?;
         let ctx = idx.table().pager().ctx();
         let mut out = Vec::new();
         visit(idx, &mut |hit| {
-            out.push(hit.into_encoded(&ctx)?);
+            out.push(KeyedImage {
+                key: hit.key().to_vec(),
+                image: hit.into_encoded(&ctx)?,
+            });
             Ok(())
         })
         .map_err(|e| e.to_string())?;
@@ -175,13 +197,13 @@ impl ZoneStore {
     }
 
     /// Evaluate an atomic query: the matching entries' images, sorted by
-    /// reverse DN.
+    /// reverse DN, with their keys.
     pub fn atomic(
         &self,
         base: &Dn,
         scope: Scope,
         filter: &AtomicFilter,
-    ) -> Result<Vec<Vec<u8>>, String> {
+    ) -> Result<Vec<KeyedImage>, String> {
         self.answer(|idx, visit| idx.visit_atomic(&self.delta, base, scope, filter, visit))
     }
 
@@ -192,7 +214,7 @@ impl ZoneStore {
         base: &Dn,
         scope: Scope,
         filter: &CompositeFilter,
-    ) -> Result<Vec<Vec<u8>>, String> {
+    ) -> Result<Vec<KeyedImage>, String> {
         self.answer(|idx, visit| idx.visit_composite(&self.delta, base, scope, filter, visit))
     }
 }
@@ -202,9 +224,9 @@ pub fn decode_entries(encoded: &[Vec<u8>]) -> Result<Vec<Entry>, PagerError> {
     encoded.iter().map(|b| Entry::decode(b)).collect()
 }
 
-/// Total wire bytes of an encoded response.
-pub fn wire_bytes(encoded: &[Vec<u8>]) -> u64 {
-    encoded.iter().map(|b| b.len() as u64).sum()
+/// Total wire bytes of an answer: its images (keys do not ship).
+pub fn wire_bytes(answer: &[KeyedImage]) -> u64 {
+    answer.iter().map(|hit| hit.image.len() as u64).sum()
 }
 
 #[cfg(test)]
@@ -247,7 +269,7 @@ mod tests {
                 &AtomicFilter::eq("surName", "jagadish"),
             )
             .unwrap();
-        let hits = decode_entries(&hits).unwrap();
+        let hits = decode_entries(&images(hits)).unwrap();
         assert_eq!(hits.len(), 3);
         // Sorted on the wire.
         for w in hits.windows(2) {
@@ -273,7 +295,7 @@ mod tests {
                 &AtomicFilter::present("surName"),
             )
             .unwrap();
-        assert_eq!(got, want);
+        assert_eq!(images(got), want);
     }
 
     #[test]
@@ -305,14 +327,14 @@ mod tests {
         let got = next
             .atomic(&dn("dc=att, dc=com"), Scope::Sub, &AtomicFilter::True)
             .unwrap();
-        assert_eq!(got, vec![image(&modified), image(&base[2]), image(&added)]);
+        assert_eq!(images(got), vec![image(&modified), image(&base[2]), image(&added)]);
         let f = netdir_filter::parse_composite("(surName=jagadish)").unwrap();
         let jag = next.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap();
-        assert_eq!(jag, vec![image(&base[2]), image(&added)]);
+        assert_eq!(images(jag), vec![image(&base[2]), image(&added)]);
         // Nothing was rebuilt, and the first generation is unchanged.
         assert_eq!(next.pager().pool().num_pages(), pages);
         let old = first.atomic(&dn("dc=att, dc=com"), Scope::Sub, &AtomicFilter::True);
-        assert_eq!(old.unwrap(), base.iter().map(image).collect::<Vec<_>>());
+        assert_eq!(images(old.unwrap()), base.iter().map(image).collect::<Vec<_>>());
     }
 
     #[test]
@@ -333,7 +355,8 @@ mod tests {
             ask(scope, &AtomicFilter::True);
         }
         let f = netdir_filter::parse_composite("(surName=jagadish)").unwrap();
-        assert_eq!(zone.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap().len(), 3);
+        let hits = zone.ldap(&dn("dc=att, dc=com"), Scope::Sub, &f).unwrap();
+        assert_eq!(hits.len(), 3);
         assert_eq!(zone.pager().pool().num_pages(), pages);
     }
 

@@ -16,8 +16,11 @@
 //! and [`FaultTransport`](crate::FaultTransport) decorates either.
 //!
 //! Either way a response is a list of frozen `Entry::encode` images, the
-//! bytes a page or a frame holds; the router vets them without decoding
-//! and forwards them as they are.
+//! bytes a page or a frame holds, each with its sort key; the router vets
+//! the images without decoding and hands them, keyed, to the operator
+//! above as they are. Keys never cross a socket: a zone in this process
+//! lends the ones its table holds, and a socket derives them once on
+//! receipt.
 //!
 //! [`NetStats`] lives behind the trait: each transport owns its
 //! counters and records a round trip whenever the target is not the
@@ -28,7 +31,7 @@
 use crate::delegation::ServerId;
 use crate::fault::FaultStats;
 use crate::net::NetStats;
-use crate::node::{wire_bytes, ZoneStore};
+use crate::node::{wire_bytes, KeyedImage, ZoneStore};
 use netdir_filter::{AtomicFilter, Scope};
 use netdir_model::Dn;
 use std::fmt;
@@ -138,8 +141,8 @@ pub type TransportResult<T> = Result<T, TransportError>;
 /// One atomic sub-query's response as it crossed the transport.
 #[derive(Debug)]
 pub struct AtomicResponse {
-    /// Sorted entries in their on-page encoding.
-    pub encoded: Vec<Vec<u8>>,
+    /// The entries in key order: each on-page image with its sort key.
+    pub entries: Vec<KeyedImage>,
     /// Bytes that actually crossed the transport for this response —
     /// payload bytes in process, full frame bytes for sockets.
     pub wire_bytes: u64,
@@ -201,19 +204,19 @@ impl Transport for LocalTransport {
         scope: Scope,
         filter: &AtomicFilter,
     ) -> TransportResult<AtomicResponse> {
-        let encoded = self
+        let entries = self
             .stores
             .get(target)
             .ok_or_else(|| TransportError::addressing(format!("no server with id {target}")))?
             .atomic(base, scope, filter)
             .map_err(TransportError::remote)?;
-        let bytes = wire_bytes(&encoded);
+        let bytes = wire_bytes(&entries);
         if target != home {
-            self.net.record_round_trip(encoded.len() as u64, bytes);
+            self.net.record_round_trip(entries.len() as u64, bytes);
         }
         Ok(AtomicResponse {
             wire_bytes: bytes,
-            encoded,
+            entries,
         })
     }
 
@@ -229,7 +232,7 @@ impl Transport for LocalTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{decode_entries, ServerConfig};
+    use crate::node::{decode_entries, images, ServerConfig};
     use netdir_model::Entry;
 
     fn dn(s: &str) -> Dn {
@@ -259,7 +262,7 @@ mod tests {
         let resp = t
             .atomic(0, 0, &dn("dc=a"), Scope::Sub, &AtomicFilter::present("surName"))
             .unwrap();
-        assert_eq!(resp.encoded.len(), 2);
+        assert_eq!(resp.entries.len(), 2);
         assert!(resp.wire_bytes > 0);
         assert_eq!(t.net().snapshot().requests, 0);
     }
@@ -270,7 +273,7 @@ mod tests {
         let resp = t
             .atomic(1, 0, &dn("dc=b"), Scope::Sub, &AtomicFilter::present("surName"))
             .unwrap();
-        let entries = decode_entries(&resp.encoded).unwrap();
+        let entries = decode_entries(&images(resp.entries)).unwrap();
         assert_eq!(entries.len(), 1);
         let snap = t.net().snapshot();
         assert_eq!(snap.requests, 1);

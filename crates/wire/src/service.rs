@@ -28,7 +28,8 @@ use netdir_pager::Pager;
 use netdir_query::parse_query;
 use netdir_server::delegation::ServerId;
 use netdir_server::metrics as bridge;
-use netdir_server::{Cluster, ClusterBuilder, ConsistencyMode};
+use netdir_server::node::images;
+use netdir_server::{Cluster, ClusterBuilder, ConsistencyMode, KeyedImage};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// The write side of a daemon that owns one.
@@ -73,10 +74,10 @@ pub struct DirectoryService {
     clock: Arc<dyn Clock>,
 }
 
-/// A zone's answer as a frame.
-fn entries_frame(answer: Result<Vec<Vec<u8>>, String>) -> WireResponse {
+/// A zone's answer as a frame: the images only (a peer derives keys).
+fn entries_frame(answer: Result<Vec<KeyedImage>, String>) -> WireResponse {
     match answer {
-        Ok(encoded) => WireResponse::Entries(encoded),
+        Ok(answer) => WireResponse::Entries(images(answer)),
         Err(e) => WireResponse::Error(e),
     }
 }

@@ -8,13 +8,22 @@
 //! transport charges, so `exp_distributed --wire` reports what truly
 //! crossed the loopback.
 //!
+//! Keys do not cross the wire: a frame carries images only, and this
+//! transport derives each image's sort key once, on receipt, for the
+//! router's in-memory merge and the operators above it. A response
+//! holding an image with no key is refused as a retryable corrupt
+//! payload, like any other the router's vetting catches.
+//!
 //! [`Router`]: netdir_server::Router
 
 use crate::client::{ClientOptions, WireClient, WireError};
 use netdir_filter::{AtomicFilter, Scope};
-use netdir_model::Dn;
+use netdir_model::{Dn, Entry};
+use netdir_pager::record::Record;
 use netdir_server::delegation::ServerId;
-use netdir_server::{AtomicResponse, NetStats, Transport, TransportError, TransportResult};
+use netdir_server::{
+    AtomicResponse, KeyedImage, NetStats, Transport, TransportError, TransportResult,
+};
 use std::net::SocketAddr;
 
 /// Preserve the retry classification across the error-type boundary, so
@@ -81,8 +90,18 @@ impl Transport for SocketTransport {
         if target != home {
             self.net.record_round_trip(encoded.len() as u64, frame_bytes);
         }
+        let entries = encoded
+            .into_iter()
+            .map(|image| match Entry::page_key_of_encoded(&image) {
+                Ok(Some(key)) => Ok(KeyedImage { key, image }),
+                // An image with no sort key is a corrupt payload: charge
+                // the server and fetch again, as for any other.
+                Ok(None) => Err(TransportError::new("corrupt response: an image without a key")),
+                Err(e) => Err(TransportError::new(format!("corrupt response: {e}"))),
+            })
+            .collect::<TransportResult<_>>()?;
         Ok(AtomicResponse {
-            encoded,
+            entries,
             wire_bytes: frame_bytes,
         })
     }

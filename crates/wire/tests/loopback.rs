@@ -4,7 +4,10 @@
 //! real frames crossing real sockets.
 
 use netdir_filter::{parse_atomic, parse_composite, Scope};
+use netdir_model::Entry;
+use netdir_pager::record::Record;
 use netdir_query::{classify, parse_query, Language};
+use netdir_server::node::images;
 use netdir_wire::{
     encode_entries, ClientOptions, ServerOptions, WireCluster, WireError,
 };
@@ -120,15 +123,43 @@ fn atomic_and_search_frames_match_the_owning_store() {
     let base = dn("ou=people, dc=att, dc=com");
     let atomic = parse_atomic("surName=jagadish").unwrap();
     let got = client.atomic(&base, Scope::Sub, &atomic).unwrap();
-    let want = in_process.store(att).atomic(&base, Scope::Sub, &atomic).unwrap();
+    let want = images(in_process.store(att).atomic(&base, Scope::Sub, &atomic).unwrap());
     assert!(!want.is_empty());
     assert_eq!(encode_entries(&got), want);
 
     let composite = parse_composite("(&(objectClass=thing)(surName=jagadish))").unwrap();
     let got = client.search(&base, Scope::Sub, &composite).unwrap();
-    let want = in_process.store(att).ldap(&base, Scope::Sub, &composite).unwrap();
+    let want = images(in_process.store(att).ldap(&base, Scope::Sub, &composite).unwrap());
     assert!(!want.is_empty());
     assert_eq!(encode_entries(&got), want);
+}
+
+/// Keys never cross the wire: the socket transport derives each one on
+/// receipt, and it must be exactly the key the owning zone holds in
+/// memory for that image — the image's own sort key.
+#[test]
+fn keys_derived_on_receipt_match_the_owning_zones() {
+    let dir = dir();
+    let in_process = builder().build(&dir);
+    let wire = WireCluster::launch_default(builder(), &dir).unwrap();
+    let transport = wire.cluster().router().transport();
+    let filters = [parse_atomic("objectClass=thing").unwrap(), parse_atomic("surName=*").unwrap()];
+    let mut checked = 0;
+    for target in 0..wire.cluster().num_servers() {
+        let zone = in_process.store(target);
+        for filter in &filters {
+            let base = zone.config.context.clone();
+            let got = transport.atomic(target, 0, &base, Scope::Sub, filter).unwrap();
+            let want = zone.atomic(&base, Scope::Sub, filter).unwrap();
+            assert_eq!(got.entries, want, "{base}");
+            for hit in &got.entries {
+                let derived = Entry::page_key_of_encoded(&hit.image).unwrap().unwrap();
+                assert_eq!(hit.key, derived, "{base}");
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= dir.len(), "{checked} keys checked");
 }
 
 #[test]
@@ -201,7 +232,13 @@ fn analyze_over_tcp_traces_every_operator_and_matches_strict() {
         let query = parse_query(text).unwrap();
         assert_eq!(trace.spans.len(), query.num_nodes(), "span per node: {text}");
         assert_eq!(trace.root_entries(), entries.len() as u64, "{text}");
-        assert!(trace.predicted_io > 0.0, "no prediction: {text}");
+        // Every query here is one operator over routed leaves: the leaves
+        // reach it as in-memory runs, so no edge occupies a page or
+        // predicts one, and the root's output is the only paged list.
+        let leaves = &trace.spans[1..];
+        assert!(leaves.iter().all(|s| s.pages_out == 0), "staged leaf: {text}");
+        assert!(trace.spans[0].pages_out > 0, "{text}");
+        assert_eq!(trace.predicted_io, 0.0, "{text}");
         let span_io: u64 = trace.spans.iter().map(|s| s.observed_io()).sum();
         assert_eq!(trace.observed_io, span_io, "totals must reconcile: {text}");
         // The rendering carries the per-operator story end to end.

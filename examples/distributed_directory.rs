@@ -14,7 +14,7 @@ use netdir::filter::{parse_composite, Scope};
 use netdir::model::{Directory, Dn, Entry};
 use netdir::pager::Pager;
 use netdir::query::parse_query;
-use netdir::server::node::decode_entries;
+use netdir::server::node::{decode_entries, images};
 use netdir::server::ClusterBuilder;
 
 fn dn(s: &str) -> Dn {
@@ -93,8 +93,8 @@ fn main() {
     let filter = parse_composite("(surName=jagadish)").unwrap();
     let search = |base: &str| {
         let owner = cluster.delegation().owner_group_of(&dn(base)).unwrap()[0];
-        decode_entries(&cluster.store(owner).ldap(&dn(base), Scope::Sub, &filter).unwrap())
-            .unwrap()
+        let hits = cluster.store(owner).ldap(&dn(base), Scope::Sub, &filter).unwrap();
+        decode_entries(&images(hits)).unwrap()
     };
     let att_all = search("dc=att, dc=com");
     let research_all = search("dc=research, dc=att, dc=com");

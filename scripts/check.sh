@@ -1,7 +1,9 @@
 #!/bin/sh
 # Full pre-merge gate: release build, the whole test suite, clippy
-# (all targets, warnings promoted to errors), and ndlint (the workspace
-# invariant linter — see DESIGN.md §11). Run from anywhere in the repo.
+# (all targets, warnings promoted to errors), ndlint (the workspace
+# invariant linter — see DESIGN.md §11), and the committed E12 table
+# (results/exp_distributed.txt) regenerated and diffed. Run from
+# anywhere in the repo.
 #
 #   scripts/check.sh                the gate
 #   scripts/check.sh --chaos        gate + the seeded fault-injection
@@ -103,6 +105,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # The invariant linter is part of the default gate: clock discipline,
 # wire-tag freeze, metric-name registry, no-lock-across-io, panic-path.
 cargo run --release -q -p netdir-analysis --bin ndlint
+# E12's default table is counts only (requests, entries and bytes
+# shipped, answers), so it must regenerate byte for byte: a change that
+# moves what a query ships commits the new table and says why.
+cargo run --release -q -p netdir-bench --bin exp_distributed > target/exp_distributed.txt
+diff -u results/exp_distributed.txt target/exp_distributed.txt
 
 if [ "$chaos" = 1 ]; then
   echo "check.sh: running seeded fault-injection suites"

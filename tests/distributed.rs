@@ -1,14 +1,17 @@
 //! Section 8.3 integration: distributed evaluation equals single-server
 //! evaluation on every language level, across partitionings — and both
 //! equal the naive oracle byte for byte, at every evaluation degree,
-//! with and without the planner, with every entry carrying the
-//! directory's own id. Plus the cost of the seam itself, counted:
-//! building a cluster starts no thread, and generations published on one
-//! base build it once, on first read.
+//! with and without the planner, traced or not, query or routed atomic
+//! leaf, with every entry carrying the directory's own id. Plus the cost
+//! of the seam itself, counted: building a cluster starts no thread,
+//! generations published on one base build it once, on first read, and
+//! a routed leaf reaches its operator in memory, so the scratch pager
+//! sees only the operators' own output pages.
 
 use netdir::model::{Directory, Dn, Entry};
+use netdir::filter::{AtomicFilter, Scope};
 use netdir::pager::record::Record;
-use netdir::pager::Pager;
+use netdir::pager::{PagedList, Pager};
 use netdir::query::agg::CompiledAggFilter;
 use netdir::query::boolean::BoolOp;
 use netdir::query::hs_stack::HsOp;
@@ -235,6 +238,20 @@ fn every_configuration_answers_the_naive_oracle_byte_for_byte() {
             .map(|q| oracle(&dir, q).iter().map(image).collect())
             .collect();
         nonempty += expected.iter().filter(|want| !want.is_empty()).count();
+        // Every atomic leaf of every query, with its oracle answer.
+        let mut leaves = Vec::new();
+        for q in &queries {
+            atomic_leaves(q, &mut leaves);
+        }
+        let leaf_answers: Vec<Vec<Vec<u8>>> = leaves
+            .iter()
+            .map(|&(base, scope, filter)| {
+                dir.subtree(base)
+                    .filter(|e| scope.contains(base, e.dn()) && filter.matches(e))
+                    .map(image)
+                    .collect()
+            })
+            .collect();
         for shape in [single, zoned] {
             for degree in [1, 4] {
                 for planner in [false, true] {
@@ -249,13 +266,25 @@ fn every_configuration_answers_the_naive_oracle_byte_for_byte() {
                             .query_from_with("root", &pager, q, ConsistencyMode::Strict)
                             .unwrap_or_else(|e| panic!("{q}: {e}"));
                         assert!(got.is_complete());
-                        assert_eq!(
-                            &got.entries,
-                            want,
+                        let what = format!(
                             "{q} on {} servers, degree {degree}, planner {planner}",
                             cluster.num_servers()
                         );
+                        assert_eq!(&got.entries, want, "{what}");
+                        // The traced path reads the same operands.
+                        let (traced, trace) = cluster
+                            .router()
+                            .query_analyzed(0, &pager, q, ConsistencyMode::Strict)
+                            .unwrap_or_else(|e| panic!("analyzed {what}: {e}"));
+                        assert_eq!(&traced.entries, want, "analyzed {what}");
+                        assert_eq!(trace.spans.len(), q.num_nodes(), "{what}");
                         checked += 1;
+                    }
+                    // Routed atomic answers, merged across zones.
+                    for (&(base, scope, filter), want) in leaves.iter().zip(&leaf_answers) {
+                        let pager = Pager::new(512, 32);
+                        let got = cluster.router().atomic(0, &pager, base, scope, filter).unwrap();
+                        assert_eq!(&got, want, "({base} ? {scope} ? {filter})");
                     }
                 }
             }
@@ -263,6 +292,78 @@ fn every_configuration_answers_the_naive_oracle_byte_for_byte() {
     }
     assert_eq!(checked, 3 * 2 * 2 * 2 * 12);
     assert!(nonempty * 2 > 3 * 12, "{nonempty}: most answers have entries to compare");
+}
+
+/// The atomic leaves of `q`, in evaluation order.
+fn atomic_leaves<'q>(q: &'q Query, out: &mut Vec<(&'q Dn, Scope, &'q AtomicFilter)>) {
+    match q {
+        Query::Atomic {
+            base,
+            scope,
+            filter,
+        } => out.push((base, *scope, filter)),
+        Query::And(a, b) | Query::Or(a, b) | Query::Diff(a, b) => {
+            atomic_leaves(a, out);
+            atomic_leaves(b, out);
+        }
+        Query::Hier { q1, q2, .. } | Query::EmbedRef { q1, q2, .. } => {
+            atomic_leaves(q1, out);
+            atomic_leaves(q2, out);
+        }
+        Query::HierPath { q1, q2, q3, .. } => {
+            atomic_leaves(q1, out);
+            atomic_leaves(q2, out);
+            atomic_leaves(q3, out);
+        }
+        Query::AggSelect { query, .. } => atomic_leaves(query, out),
+    }
+}
+
+/// A routed leaf is a run in memory, never a list on the scratch pager:
+/// a query that is one atomic leaf fetches no scratch page at all, and an
+/// operator over routed leaves fetches exactly its own output pages,
+/// each once as it is written and once as the answer is read back.
+#[test]
+fn routed_leaves_reach_their_operator_without_touching_the_scratch_pager() {
+    let (dir, _, zoned, _) = zoned_forest(0);
+    let single = ClusterBuilder::new().server("root", Dn::root());
+    // Small pages, so outputs span several; frames enough that none is
+    // evicted and re-read.
+    let scratch = || Pager::new(512, 256);
+    let texts = [
+        ("atomic root", "(dc=test ? sub ? objectClass=thing)"),
+        ("and", "(& (dc=test ? sub ? kind=red) (dc=test ? sub ? weight<=2))"),
+        ("ancestors", "(a (dc=test ? sub ? kind=red) (dc=test ? sub ? kind=blue))"),
+        (
+            "aggregate, two scans",
+            "(g (dc=test ? sub ? kind=red) max(weight) = max(max(weight)))",
+        ),
+    ];
+    for shape in [single, zoned] {
+        let cluster = shape.build(&dir);
+        for (label, text) in texts {
+            let q = parse_query(text).unwrap();
+            let pager = scratch();
+            let got = cluster
+                .query_from_with("root", &pager, &q, ConsistencyMode::Strict)
+                .unwrap();
+            assert!(!got.entries.is_empty(), "{label}: dead query");
+            let pool = pager.pool().metrics();
+            let (fetches, allocs) = (pool.hits + pool.misses, pager.io().allocs);
+            assert_eq!(pool.evictions, 0, "{label}");
+            let what = format!("{label} on {} servers", cluster.num_servers());
+            if matches!(q, Query::Atomic { .. }) {
+                assert_eq!((fetches, allocs), (0, 0), "{what}");
+                continue;
+            }
+            // The operator's output, as it lays out on such a pager.
+            let answer = netdir::server::node::decode_entries(&got.entries).unwrap();
+            let out_pages = PagedList::from_iter(&scratch(), answer).unwrap().num_pages();
+            assert!(out_pages > 1, "{what}: {out_pages} output pages");
+            assert_eq!(allocs, out_pages, "{what}: pages allocated");
+            assert_eq!(fetches, 2 * out_pages, "{what}: written once, read once");
+        }
+    }
 }
 
 #[test]

@@ -8,6 +8,7 @@ use netdir::filter::{parse_atomic, parse_composite, Scope};
 use netdir::model::{Directory, Dn, Entry};
 use netdir::obs::MetricsRegistry;
 use netdir::pager::{default_pager, Pager};
+use netdir::server::node::images;
 use netdir::server::{Cluster, ClusterBuilder};
 use netdir::wire::{DirectoryService, WireRequest, WireResponse, WireService};
 use netdir_journal::{JournalStore, Mutation, MutationBatch};
@@ -183,12 +184,12 @@ fn fleet_atomic_and_ldap_frames_answer_from_the_home_zone() {
     let (cluster, services) = fleet();
     let (att, base, scope) = (cluster.store(1), dn("dc=att, dc=com"), Scope::Sub);
     let filter = parse_atomic("surName=jagadish").unwrap();
-    let want = att.atomic(&base, scope, &filter).unwrap();
+    let want = images(att.atomic(&base, scope, &filter).unwrap());
     assert_eq!(want.len(), 1, "the att zone holds one of the two under dc=att");
     let frame = services[1].handle(WireRequest::Atomic { base: base.clone(), scope, filter });
     assert_eq!(frame, WireResponse::Entries(want));
     let filter = parse_composite("(&(objectClass=thing)(surName=jagadish))").unwrap();
-    let want = att.ldap(&base, scope, &filter).unwrap();
+    let want = images(att.ldap(&base, scope, &filter).unwrap());
     let frame = services[1].handle(WireRequest::Ldap { base, scope, filter });
     assert_eq!(frame, WireResponse::Entries(want));
     assert_eq!(entries(services[1].handle(query("", ATT_PEOPLE))).len(), 2);
