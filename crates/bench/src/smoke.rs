@@ -230,7 +230,7 @@ mod tests {
         assert!(!report.parallel.is_empty());
         assert!(get("netdir_par_workers_spawned_total") > 0);
         // The fixture fits in the buffer pool, so physical reads can be
-        // zero — but every operator output list allocates fresh pages.
+        // zero — but the indexes and the leaves they stage allocate pages.
         assert!(get("netdir_io_allocs_total") > 0);
         assert!(get("netdir_net_requests_total") > 0);
         // The write-path phase logged and replayed real batches.

@@ -22,7 +22,7 @@ use crate::ast::{AggAttribute, AggSelFilter, Aggregate, AttrRef, EntryAgg};
 use crate::error::{QueryError, QueryResult};
 use netdir_model::{AttrName, Entry, Value};
 use netdir_pager::record::{codec, PageCtx, Record};
-use netdir_pager::PagerResult;
+use netdir_pager::{Operand, OperandWriter, Pager, PagerResult};
 
 /// Incremental state for all distributive aggregates at once.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -225,6 +225,25 @@ pub struct Annotated {
     pub entry: Entry,
     /// Its accumulated witness aggregates.
     pub wit: WitnessState,
+}
+
+/// The selection phase of Figures 3 and 6: keep the `annotated`
+/// candidates, in their sorted order, that pass `filter` against the
+/// set aggregates the first phase accumulated.
+pub(crate) fn select_annotated(
+    pager: &Pager,
+    annotated: impl Iterator<Item = PagerResult<Annotated>>,
+    filter: &CompiledAggFilter,
+    globals: &GlobalState,
+) -> PagerResult<Operand<Entry>> {
+    let mut out = OperandWriter::new(pager);
+    for ann in annotated {
+        let ann = ann?;
+        if filter.accept(&ann.entry, &ann.wit, globals) {
+            out.push(&ann.entry)?;
+        }
+    }
+    out.finish()
 }
 
 impl Record for Annotated {

@@ -7,11 +7,12 @@
 //! input list — one accumulating per-entry and set-level aggregates, one
 //! selecting — hence `O(|L1|/B)` I/O. When the filter involves no set
 //! aggregates the first scan already selects and the second is skipped.
-//! Both scans of an operand held in memory as a run read memory.
+//! Both scans of an operand held in memory as a run read memory, and the
+//! output stays a run while it fits the pager's budget.
 
 use crate::agg::{CompiledAggFilter, GlobalState, WitnessState};
 use netdir_model::Entry;
-use netdir_pager::{ListWriter, Operand, PagedList, Pager, PagerResult};
+use netdir_pager::{Operand, OperandWriter, Pager, PagerResult};
 
 /// Evaluate `(g L1 filter)` over a sorted operand. Output stays sorted
 /// (selection preserves order).
@@ -19,27 +20,17 @@ pub fn simple_agg_select(
     pager: &Pager,
     l1: &Operand<Entry>,
     filter: &CompiledAggFilter,
-) -> PagerResult<PagedList<Entry>> {
+) -> PagerResult<Operand<Entry>> {
     let no_wit = WitnessState::default();
     let mut globals = GlobalState::default();
-    if !filter.needs_globals() {
-        // Single scan suffices.
-        let mut out = ListWriter::new(pager);
+    // Scan 1 accumulates set aggregates; without them it is skipped and
+    // the selecting scan is the only one.
+    if filter.needs_globals() {
         for e in l1.iter() {
-            let e = e?;
-            if filter.accept(&e, &no_wit, &globals) {
-                out.push(&e)?;
-            }
+            filter.accumulate_global(&mut globals, &e?, &no_wit);
         }
-        return out.finish();
     }
-    // Scan 1: accumulate set aggregates.
-    for e in l1.iter() {
-        let e = e?;
-        filter.accumulate_global(&mut globals, &e, &no_wit);
-    }
-    // Scan 2: select.
-    let mut out = ListWriter::new(pager);
+    let mut out = OperandWriter::new(pager);
     for e in l1.iter() {
         let e = e?;
         if filter.accept(&e, &no_wit, &globals) {
@@ -55,7 +46,7 @@ mod tests {
     use crate::ast::{AggAttribute, AggSelFilter, Aggregate, AttrRef, EntryAgg};
     use netdir_filter::atomic::IntOp;
     use netdir_model::Dn;
-    use netdir_pager::tiny_pager;
+    use netdir_pager::{tiny_pager, PagedList};
 
     fn entry(name: &str, priorities: &[i64]) -> Entry {
         Entry::builder(Dn::parse(&format!("cn={name}, dc=com")).unwrap())
@@ -76,7 +67,7 @@ mod tests {
         PagedList::from_iter(pager, v).unwrap().into()
     }
 
-    fn names(l: &PagedList<Entry>) -> Vec<String> {
+    fn names(l: &Operand<Entry>) -> Vec<String> {
         l.to_vec()
             .unwrap()
             .iter()

@@ -378,17 +378,22 @@ impl Query {
 
     /// Number of nodes in the query tree — the `|Q|` of Theorems 8.3/8.4.
     pub fn num_nodes(&self) -> usize {
+        1 + self
+            .children()
+            .into_iter()
+            .map(Query::num_nodes)
+            .sum::<usize>()
+    }
+
+    /// The node's direct sub-queries, in operand order.
+    pub fn children(&self) -> Vec<&Query> {
         match self {
-            Query::Atomic { .. } => 1,
-            Query::And(a, b) | Query::Or(a, b) | Query::Diff(a, b) => {
-                1 + a.num_nodes() + b.num_nodes()
-            }
-            Query::Hier { q1, q2, .. } => 1 + q1.num_nodes() + q2.num_nodes(),
-            Query::HierPath { q1, q2, q3, .. } => {
-                1 + q1.num_nodes() + q2.num_nodes() + q3.num_nodes()
-            }
-            Query::AggSelect { query, .. } => 1 + query.num_nodes(),
-            Query::EmbedRef { q1, q2, .. } => 1 + q1.num_nodes() + q2.num_nodes(),
+            Query::Atomic { .. } => Vec::new(),
+            Query::And(a, b) | Query::Or(a, b) | Query::Diff(a, b) => vec![a, b],
+            Query::Hier { q1, q2, .. } => vec![q1, q2],
+            Query::HierPath { q1, q2, q3, .. } => vec![q1, q2, q3],
+            Query::AggSelect { query, .. } => vec![query],
+            Query::EmbedRef { q1, q2, .. } => vec![q1, q2],
         }
     }
 
@@ -402,24 +407,10 @@ impl Query {
     fn collect_atomics<'a>(&'a self, out: &mut Vec<&'a Query>) {
         match self {
             Query::Atomic { .. } => out.push(self),
-            Query::And(a, b) | Query::Or(a, b) | Query::Diff(a, b) => {
-                a.collect_atomics(out);
-                b.collect_atomics(out);
-            }
-            Query::Hier { q1, q2, .. } => {
-                q1.collect_atomics(out);
-                q2.collect_atomics(out);
-            }
-            Query::HierPath { q1, q2, q3, .. } => {
-                q1.collect_atomics(out);
-                q2.collect_atomics(out);
-                q3.collect_atomics(out);
-            }
-            Query::AggSelect { query, .. } => query.collect_atomics(out),
-            Query::EmbedRef { q1, q2, .. } => {
-                q1.collect_atomics(out);
-                q2.collect_atomics(out);
-            }
+            _ => self
+                .children()
+                .into_iter()
+                .for_each(|c| c.collect_atomics(out)),
         }
     }
 }

@@ -5,11 +5,11 @@
 //! compare keys, emit per the operator's truth table. Each input page is
 //! read once and each output page written once — `O((|L1|+|L2|)/B)` I/Os —
 //! and the output is again sorted, which is what lets operators pipeline
-//! without re-sorting (Section 8.2). An operand held in memory as a run
-//! costs no input I/O at all.
+//! without re-sorting (Section 8.2). Operands and output held in memory
+//! as runs, while they fit the pager's budget, cost no I/O at all.
 
 use netdir_model::Entry;
-use netdir_pager::{ListWriter, Operand, PagedList, Pager, PagerResult};
+use netdir_pager::{Operand, OperandWriter, Pager, PagerResult};
 use std::cmp::Ordering;
 
 /// Which boolean operator a merge computes.
@@ -23,7 +23,7 @@ pub enum BoolOp {
     Diff,
 }
 
-/// Merge two sorted operands under `op`, producing a sorted list.
+/// Merge two sorted operands under `op`, producing a sorted operand.
 ///
 /// The merge is fully lazy: cursors compare the records' reverse-DN
 /// sort keys (a run's as carried, a list's extracted without decoding)
@@ -34,8 +34,8 @@ pub fn merge(
     op: BoolOp,
     l1: &Operand<Entry>,
     l2: &Operand<Entry>,
-) -> PagerResult<PagedList<Entry>> {
-    let mut out = ListWriter::new(pager);
+) -> PagerResult<Operand<Entry>> {
+    let mut out = OperandWriter::new(pager);
     let mut it1 = l1.iter_raw();
     let mut it2 = l2.iter_raw();
     let mut e1 = it1.next().transpose()?;
@@ -86,7 +86,7 @@ pub fn merge(
 mod tests {
     use super::*;
     use netdir_model::Dn;
-    use netdir_pager::tiny_pager;
+    use netdir_pager::{tiny_pager, PagedList};
 
     fn entry(s: &str) -> Entry {
         Entry::builder(Dn::parse(s).unwrap())
@@ -101,7 +101,7 @@ mod tests {
         PagedList::from_iter(pager, v).unwrap().into()
     }
 
-    fn dns(l: &PagedList<Entry>) -> Vec<String> {
+    fn dns(l: &Operand<Entry>) -> Vec<String> {
         l.to_vec()
             .unwrap()
             .iter()

@@ -21,6 +21,9 @@ pub struct CostInputs {
     pub atomic_pages: u64,
     /// Max values per attribute (`m`); only L3 terms use it.
     pub max_values_per_attr: u64,
+    /// The memory budget *M* in pages: intermediates no larger stay in
+    /// memory and cost no I/O. 0 charges every intermediate.
+    pub budget_pages: u64,
 }
 
 /// Predicted I/O (in pages, up to constants) for evaluating `q`.
@@ -44,28 +47,36 @@ pub fn predicted_io(q: &Query, inputs: CostInputs) -> f64 {
 }
 
 /// Predicted I/O (in pages, up to constants) for evaluating *one*
-/// operator node, given the pages flowing into it.
+/// operator node.
 ///
-/// `input_pages` is the cumulative size of the node's direct inputs in
-/// pages: the children's output pages for operators, the node's own
-/// output pages for atomic leaves. A leaf staged on pages costs writing
-/// them; a leaf its source hands over as an in-memory run occupies none,
-/// so a pipelined edge predicts zero pages, for the leaf and for the
-/// operator reading it. Every operator below L3 is a single linear pass
-/// over sorted inputs (Theorems 6.1/8.3); the ER join adds Theorem 7.1's
-/// sort-merge `m · log` factor.
+/// `read_pages` are the pages of the node's direct inputs that sit on
+/// pages — the children's output pages for operators, the node's own
+/// output pages for an atomic leaf (a leaf staged on pages costs writing
+/// them). An input held in memory as a run occupies none, so it reads
+/// free. `size_pages` is those inputs' size in pages wherever they are
+/// held, and sizes what the operator writes: its output, and for the
+/// hierarchy operators the chains or staged stream of annotated
+/// candidates, for the ER join the pair lists and their sorts. Those
+/// stay in memory, at no I/O, while they fit [`CostInputs::budget_pages`];
+/// past it the output is written once, annotated candidates are written
+/// and read back, and the pair lists take Theorem 7.1's sort-merge
+/// `m · log` factor.
 ///
-/// As with [`predicted_io`], zero input pages predict zero I/O; only the
-/// `log` argument carries a floor.
-pub fn predicted_node_io(q: &Query, input_pages: u64, inputs: CostInputs) -> f64 {
-    let pages = input_pages as f64;
+/// As with [`predicted_io`], zero pages predict zero I/O; only the `log`
+/// argument carries a floor.
+pub fn predicted_node_io(q: &Query, read_pages: u64, size_pages: u64, inputs: CostInputs) -> f64 {
+    let (read, size) = (read_pages as f64, size_pages as f64);
+    if size_pages <= inputs.budget_pages {
+        return read;
+    }
     match q {
+        Query::Atomic { .. } => read,
         Query::EmbedRef { .. } => {
-            let m = inputs.max_values_per_attr.max(1) as f64;
-            let nm = pages * m;
-            nm * nm.max(1.0).log2().max(1.0)
+            let nm = size * inputs.max_values_per_attr.max(1) as f64;
+            read + nm * nm.max(1.0).log2().max(1.0)
         }
-        _ => pages,
+        Query::Hier { .. } | Query::HierPath { .. } => read + 2.0 * size,
+        _ => read + size,
     }
 }
 
@@ -84,6 +95,14 @@ mod tests {
     use netdir_filter::{AtomicFilter, Scope};
     use netdir_model::Dn;
 
+    fn pages(atomic_pages: u64, max_values_per_attr: u64) -> CostInputs {
+        CostInputs {
+            atomic_pages,
+            max_values_per_attr,
+            budget_pages: 0,
+        }
+    }
+
     fn atom() -> Query {
         Query::atomic(
             Dn::parse("dc=com").unwrap(),
@@ -95,68 +114,53 @@ mod tests {
     #[test]
     fn l2_cost_is_linear_in_pages_and_nodes() {
         let q = Query::hier(HierOp::Children, atom(), atom());
-        let c1 = predicted_io(
-            &q,
-            CostInputs {
-                atomic_pages: 100,
-                max_values_per_attr: 1,
-            },
-        );
-        let c2 = predicted_io(
-            &q,
-            CostInputs {
-                atomic_pages: 200,
-                max_values_per_attr: 1,
-            },
-        );
+        let c1 = predicted_io(&q, pages(100, 1));
+        let c2 = predicted_io(&q, pages(200, 1));
         assert!((c2 / c1 - 2.0).abs() < 1e-9, "doubling pages doubles cost");
         assert!(applicable_theorem(&q).contains("8.3"));
     }
 
     #[test]
     fn empty_inputs_predict_zero_io() {
-        let empty = CostInputs {
-            atomic_pages: 0,
-            max_values_per_attr: 4,
-        };
+        let empty = pages(0, 4);
         let l2 = Query::hier(HierOp::Children, atom(), atom());
         assert_eq!(predicted_io(&l2, empty), 0.0);
         let l3 = Query::embed_ref(RefOp::ValueDn, atom(), atom(), "ref");
         assert_eq!(predicted_io(&l3, empty), 0.0);
-        assert_eq!(predicted_node_io(&l2, 0, empty), 0.0);
-        assert_eq!(predicted_node_io(&l3, 0, empty), 0.0);
+        assert_eq!(predicted_node_io(&l2, 0, 0, empty), 0.0);
+        assert_eq!(predicted_node_io(&l3, 0, 0, empty), 0.0);
         // One page still predicts at least one page — the log clamp
         // keeps small inputs from predicting *less* than their size.
-        assert!(predicted_node_io(&l3, 1, empty) >= 1.0);
+        assert!(predicted_node_io(&l3, 1, 1, empty) >= 1.0);
+    }
+
+    #[test]
+    fn intermediates_within_the_budget_cost_only_the_pages_read() {
+        let l2 = Query::hier(HierOp::Children, atom(), atom());
+        let l3 = Query::embed_ref(RefOp::ValueDn, atom(), atom(), "ref");
+        let m = CostInputs {
+            budget_pages: 64,
+            ..pages(0, 4)
+        };
+        for q in [&l2, &l3] {
+            // Runs in, everything in memory: nothing to predict.
+            assert_eq!(predicted_node_io(q, 0, 64, m), 0.0);
+            assert_eq!(predicted_node_io(q, 10, 64, m), 10.0);
+            // Past the budget the intermediates spill and cost pages.
+            assert!(predicted_node_io(q, 0, 65, m) >= 130.0);
+        }
+        assert_eq!(predicted_node_io(&l2, 65, 65, m), 65.0 + 2.0 * 65.0);
     }
 
     #[test]
     fn l3_cost_is_superlinear() {
         let q = Query::embed_ref(RefOp::ValueDn, atom(), atom(), "ref");
-        let c1 = predicted_io(
-            &q,
-            CostInputs {
-                atomic_pages: 100,
-                max_values_per_attr: 1,
-            },
-        );
-        let c2 = predicted_io(
-            &q,
-            CostInputs {
-                atomic_pages: 200,
-                max_values_per_attr: 1,
-            },
-        );
+        let c1 = predicted_io(&q, pages(100, 1));
+        let c2 = predicted_io(&q, pages(200, 1));
         assert!(c2 / c1 > 2.0, "log factor makes growth superlinear");
         assert!(applicable_theorem(&q).contains("8.4"));
         // Sensitivity to m.
-        let cm = predicted_io(
-            &q,
-            CostInputs {
-                atomic_pages: 100,
-                max_values_per_attr: 8,
-            },
-        );
+        let cm = predicted_io(&q, pages(100, 8));
         assert!(cm > c1 * 8.0);
     }
 }

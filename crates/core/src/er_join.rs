@@ -20,16 +20,15 @@
 //!
 //! Only DN-typed values participate: in the typed model of Section 3,
 //! references are values of the `distinguishedName` type. An operand
-//! held in memory as a run is scanned from memory; the pair lists are
-//! staged on pages, where the external sorts need them.
+//! held in memory as a run is scanned from memory. The pair lists, their
+//! sorts and the output stay in memory while the pager's budget *M*
+//! holds them; past it they go to pages, where the sorts are external.
 
-use crate::agg::{Annotated, CompiledAggFilter, GlobalState, WitnessState};
+use crate::agg::{select_annotated, Annotated, CompiledAggFilter, GlobalState, WitnessState};
 use crate::ast::RefOp;
 use netdir_model::{AttrName, Entry, Value};
 use netdir_pager::record::{codec, Record};
-use netdir_pager::{
-    external_sort_by, ExtSortConfig, ListWriter, Operand, PagedList, Pager, PagerResult,
-};
+use netdir_pager::{external_sort_by, ExtSortConfig, Operand, OperandWriter, Pager, PagerResult};
 
 /// A pair in the `LP` list of Figure 3: a referenced-DN key plus the
 /// witness contribution of the referencing side.
@@ -85,7 +84,7 @@ pub fn er_select(
     l2: &Operand<Entry>,
     attr: &AttrName,
     filter: &CompiledAggFilter,
-) -> PagerResult<PagedList<Entry>> {
+) -> PagerResult<Operand<Entry>> {
     match op {
         RefOp::DnValue => dv_select(pager, l1, l2, attr, filter),
         RefOp::ValueDn => vd_select(pager, l1, l2, attr, filter),
@@ -103,9 +102,9 @@ fn dv_select(
     l2: &Operand<Entry>,
     attr: &AttrName,
     filter: &CompiledAggFilter,
-) -> PagerResult<PagedList<Entry>> {
+) -> PagerResult<Operand<Entry>> {
     // Phase 1 (Figure 3): emit one pair per embedded reference in L2.
-    let mut pairs: ListWriter<KeyedWitness> = ListWriter::new(pager);
+    let mut pairs = OperandWriter::new(pager);
     for r2 in l2.iter() {
         let r2 = r2?;
         for v in r2.values(attr) {
@@ -119,9 +118,10 @@ fn dv_select(
             }
         }
     }
-    let pairs = pairs.finish()?;
     // Sort LP by the reverse-key of the referenced DN.
-    let sorted = external_sort_by(pager, &pairs, sort_cfg(), |a, b| a.key.cmp(&b.key))?;
+    let sorted = external_sort_by(pager, pairs.finish()?, sort_cfg(), |a: &KeyedWitness, b| {
+        a.key.cmp(&b.key)
+    })?;
     // Phase 2: merge with L1.
     merge_and_select(pager, l1, &sorted, filter)
 }
@@ -133,10 +133,10 @@ fn vd_select(
     l2: &Operand<Entry>,
     attr: &AttrName,
     filter: &CompiledAggFilter,
-) -> PagerResult<PagedList<Entry>> {
+) -> PagerResult<Operand<Entry>> {
     // Round 1: pairs (target, source) from L1's references, sorted by
     // target.
-    let mut pairs: ListWriter<RefPair> = ListWriter::new(pager);
+    let mut pairs = OperandWriter::new(pager);
     for r1 in l1.iter() {
         let r1 = r1?;
         for v in r1.values(attr) {
@@ -148,13 +148,12 @@ fn vd_select(
             }
         }
     }
-    let pairs = pairs.finish()?;
-    let by_target = external_sort_by(pager, &pairs, sort_cfg(), |a, b| {
+    let by_target = external_sort_by(pager, pairs.finish()?, sort_cfg(), |a: &RefPair, b| {
         a.target.cmp(&b.target).then_with(|| a.source.cmp(&b.source))
     })?;
 
     // Merge with L2: survivors carry the referenced entry's contribution.
-    let mut survivors: ListWriter<KeyedWitness> = ListWriter::new(pager);
+    let mut survivors = OperandWriter::new(pager);
     {
         let mut it2 = l2.iter();
         let mut r2 = it2.next().transpose()?;
@@ -179,10 +178,12 @@ fn vd_select(
             }
         }
     }
-    let survivors = survivors.finish()?;
+    drop(by_target);
     // Round 2: back to source order, merge with L1.
     let by_source =
-        external_sort_by(pager, &survivors, sort_cfg(), |a, b| a.key.cmp(&b.key))?;
+        external_sort_by(pager, survivors.finish()?, sort_cfg(), |a: &KeyedWitness, b| {
+            a.key.cmp(&b.key)
+        })?;
     merge_and_select(pager, l1, &by_source, filter)
 }
 
@@ -191,13 +192,13 @@ fn vd_select(
 fn merge_and_select(
     pager: &Pager,
     l1: &Operand<Entry>,
-    pairs: &PagedList<KeyedWitness>,
+    pairs: &Operand<KeyedWitness>,
     filter: &CompiledAggFilter,
-) -> PagerResult<PagedList<Entry>> {
+) -> PagerResult<Operand<Entry>> {
     let mut globals = GlobalState::default();
     let needs_globals = filter.needs_globals();
-    let mut direct_out: ListWriter<Entry> = ListWriter::new(pager);
-    let mut staged: ListWriter<Annotated> = ListWriter::new(pager);
+    let mut direct_out = OperandWriter::new(pager);
+    let mut staged = OperandWriter::new(pager);
 
     let mut pair_it = pairs.iter();
     let mut pair = pair_it.next().transpose()?;
@@ -234,15 +235,7 @@ fn merge_and_select(
     if !needs_globals {
         return direct_out.finish();
     }
-    let staged = staged.finish()?;
-    let mut out = ListWriter::new(pager);
-    for ann in staged.iter() {
-        let ann = ann?;
-        if filter.accept(&ann.entry, &ann.wit, &globals) {
-            out.push(&ann.entry)?;
-        }
-    }
-    out.finish()
+    select_annotated(pager, staged.finish()?.iter(), filter, &globals)
 }
 
 #[cfg(test)]
@@ -251,7 +244,7 @@ mod tests {
     use crate::ast::{AggAttribute, AggSelFilter, Aggregate, AttrRef, EntryAgg};
     use netdir_filter::atomic::IntOp;
     use netdir_model::Dn;
-    use netdir_pager::tiny_pager;
+    use netdir_pager::{tiny_pager, PagedList};
 
     fn dn(s: &str) -> Dn {
         Dn::parse(s).unwrap()
@@ -296,7 +289,7 @@ mod tests {
         )
     }
 
-    fn names(l: &PagedList<Entry>, attr: &str) -> Vec<String> {
+    fn names(l: &Operand<Entry>, attr: &str) -> Vec<String> {
         let mut v: Vec<String> = l
             .to_vec()
             .unwrap()
@@ -400,8 +393,7 @@ mod tests {
             false,
         )
         .unwrap();
-        let best =
-            crate::agg_simple::simple_agg_select(&pager, &referencing.into(), &g).unwrap();
+        let best = crate::agg_simple::simple_agg_select(&pager, &referencing, &g).unwrap();
         assert_eq!(names(&best, "SLAPolicyName"), vec!["mail"]);
     }
 

@@ -19,8 +19,11 @@
 //!   pipelined edge of §8.2. An [`IndexedDirectory`] stages its leaf on
 //!   pages: it is the external-memory reference the constant-memory
 //!   bound and the cost experiments measure;
-//! * every operator writes its output to a paged list on the evaluator's
-//!   pager, so a single I/O ledger covers every page the tree touches.
+//! * every operator writes its output through the evaluator's pager: a
+//!   run while it fits the pager's memory budget *M* (frames × page
+//!   size), shared by every intermediate the evaluation holds, and a
+//!   paged list past it. So one I/O ledger covers every page the tree
+//!   touches, and a query whose intermediates fit in *M* touches none.
 //!
 //! [`Evaluator::evaluate_traced`] additionally reports per-node I/O and
 //! cardinalities — the raw material of the Theorem 8.3/8.4 experiments.
@@ -70,9 +73,12 @@ pub struct NodeTrace {
     pub input_len: u64,
     /// Result cardinality.
     pub output_len: u64,
-    /// Result size in pages: 0 for a leaf its source hands over as an
-    /// in-memory run (a pipelined edge).
+    /// Pages the result occupies: 0 for a run held in memory (a leaf
+    /// its source hands over, an output within the budget).
     pub output_pages: u64,
+    /// The result's size in pages wherever it is held
+    /// ([`Operand::pages_on`]).
+    pub output_size: u64,
     /// I/O spent evaluating this node (excluding its children).
     pub io: IoSnapshot,
     /// Wall time spent in this node (excluding its children).
@@ -130,18 +136,6 @@ impl Memo {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(q.clone(), out.clone());
-    }
-}
-
-/// The children of a node, in operand order.
-fn children_of(q: &Query) -> Vec<&Query> {
-    match q {
-        Query::Atomic { .. } => Vec::new(),
-        Query::And(a, b) | Query::Or(a, b) | Query::Diff(a, b) => vec![a, b],
-        Query::Hier { q1, q2, .. } => vec![q1, q2],
-        Query::HierPath { q1, q2, q3, .. } => vec![q1, q2, q3],
-        Query::AggSelect { query, .. } => vec![query],
-        Query::EmbedRef { q1, q2, .. } => vec![q1, q2],
     }
 }
 
@@ -228,7 +222,8 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
             children: &mut Vec<Vec<usize>>,
             parent: &mut Vec<Option<usize>>,
         ) -> usize {
-            let kids: Vec<usize> = children_of(q)
+            let kids: Vec<usize> = q
+                .children()
                 .into_iter()
                 .map(|c| build(c, nodes, children, parent))
                 .collect();
@@ -322,7 +317,8 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
             }
         }
         // Children first (their I/O is attributed to them).
-        let children: Vec<Operand<Entry>> = children_of(q)
+        let children: Vec<Operand<Entry>> = q
+            .children()
             .into_iter()
             .map(|c| self.eval_node(c, traces))
             .collect::<QueryResult<_>>()?;
@@ -356,7 +352,7 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
                     Query::Or(..) => boolean::BoolOp::Or,
                     _ => boolean::BoolOp::Diff,
                 };
-                boolean::merge(&self.pager, op, &children[0], &children[1])?.into()
+                boolean::merge(&self.pager, op, &children[0], &children[1])?
             }
             Query::Hier { op, agg, .. } => {
                 let filter = compile_structural(agg)?;
@@ -368,7 +364,6 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
                     None,
                     &filter,
                 )?
-                .into()
             }
             Query::HierPath { op, agg, .. } => {
                 let filter = compile_structural(agg)?;
@@ -380,16 +375,14 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
                     Some(&children[2]),
                     &filter,
                 )?
-                .into()
             }
             Query::AggSelect { filter, .. } => {
                 let compiled = CompiledAggFilter::compile(filter, false)?;
-                agg_simple::simple_agg_select(&self.pager, &children[0], &compiled)?.into()
+                agg_simple::simple_agg_select(&self.pager, &children[0], &compiled)?
             }
             Query::EmbedRef { op, attr, agg, .. } => {
                 let filter = compile_structural(agg)?;
                 er_join::er_select(&self.pager, *op, &children[0], &children[1], attr, &filter)?
-                    .into()
             }
         };
         let input_len = children.iter().map(|c| c.len()).sum();
@@ -412,6 +405,7 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
                 input_len,
                 output_len: out.len(),
                 output_pages: out.num_pages(),
+                output_size: out.pages_on(&self.pager),
                 io: self.pager.io().since(before),
                 elapsed_nanos: u64::try_from(started.elapsed().as_nanos())
                     .unwrap_or(u64::MAX),

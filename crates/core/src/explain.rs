@@ -145,19 +145,7 @@ pub fn analyze<S: AtomicSource>(
     let started = std::time::Instant::now();
     let (out, traces) = Evaluator::new(source, pager).evaluate_traced(q)?;
     let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    Ok((out, build_trace(q, &traces, elapsed)))
-}
-
-/// The node's direct children, in evaluation order.
-fn children(q: &Query) -> Vec<&Query> {
-    match q {
-        Query::Atomic { .. } => Vec::new(),
-        Query::And(a, b) | Query::Or(a, b) | Query::Diff(a, b) => vec![a, b],
-        Query::Hier { q1, q2, .. } => vec![q1, q2],
-        Query::HierPath { q1, q2, q3, .. } => vec![q1, q2, q3],
-        Query::AggSelect { query, .. } => vec![query],
-        Query::EmbedRef { q1, q2, .. } => vec![q1, q2],
-    }
+    Ok((out, build_trace(q, &traces, pager, elapsed)))
 }
 
 /// Assemble a [`QueryTrace`] from the post-order [`NodeTrace`] list of
@@ -167,25 +155,31 @@ fn children(q: &Query) -> Vec<&Query> {
 /// memoization off), so a post-order tree walk re-aligns each trace
 /// with its node; spans come out in pre-order for display. Per-node
 /// predictions use [`predicted_node_io`] over the pages flowing into
-/// each operator, and the whole-query prediction is their *sum* — so
+/// each operator, with `pager`'s pool as the memory budget, and the
+/// whole-query prediction is their *sum* — so
 /// the top line always agrees with the per-node rows it prints. (The
 /// whole-tree Theorem 8.3/8.4 formula, [`predicted_io`], charges every
 /// node the full `|L|/B` even when inner operators see far smaller
 /// lists; it remains the right instrument for the asymptotic-shape
 /// experiments, not for EXPLAIN's reconciliation.)
-pub fn build_trace(q: &Query, traces: &[NodeTrace], elapsed_nanos: u64) -> QueryTrace {
+pub fn build_trace(
+    q: &Query,
+    traces: &[NodeTrace],
+    pager: &Pager,
+    elapsed_nanos: u64,
+) -> QueryTrace {
     struct Walk<'t> {
         traces: &'t [NodeTrace],
         next: usize,
-        atomic_pages: u64,
         inputs: CostInputs,
     }
 
     impl Walk<'_> {
-        /// Returns this subtree's spans in pre-order; `spans[0]` is the
-        /// subtree root.
-        fn walk(&mut self, q: &Query, depth: u32) -> Vec<OperatorSpan> {
-            let kids: Vec<Vec<OperatorSpan>> = children(q)
+        /// Returns this subtree's spans in pre-order (`spans[0]` is the
+        /// subtree root) and the root's output size in pages.
+        fn walk(&mut self, q: &Query, depth: u32) -> (Vec<OperatorSpan>, u64) {
+            let kids: Vec<(Vec<OperatorSpan>, u64)> = q
+                .children()
                 .into_iter()
                 .map(|c| self.walk(c, depth + 1))
                 .collect();
@@ -194,11 +188,11 @@ pub fn build_trace(q: &Query, traces: &[NodeTrace], elapsed_nanos: u64) -> Query
                 .get(self.next)
                 .expect("one post-order trace per query node");
             self.next += 1;
-            let input_pages = if kids.is_empty() {
-                self.atomic_pages += t.output_pages;
-                t.output_pages
+            let (read_pages, size_pages) = if kids.is_empty() {
+                (t.output_pages, t.output_size)
             } else {
-                kids.iter().map(|k| k[0].pages_out).sum()
+                let sum = |f: fn(&(Vec<OperatorSpan>, u64)) -> u64| kids.iter().map(f).sum();
+                (sum(|k| k.0[0].pages_out), sum(|k| k.1))
             };
             let mut spans = vec![OperatorSpan {
                 node: t.node.clone(),
@@ -209,23 +203,23 @@ pub fn build_trace(q: &Query, traces: &[NodeTrace], elapsed_nanos: u64) -> Query
                 reads: t.io.reads,
                 writes: t.io.writes,
                 elapsed_nanos: t.elapsed_nanos,
-                predicted_io: predicted_node_io(q, input_pages, self.inputs),
+                predicted_io: predicted_node_io(q, read_pages, size_pages, self.inputs),
             }];
-            spans.extend(kids.into_iter().flatten());
-            spans
+            spans.extend(kids.into_iter().flat_map(|k| k.0));
+            (spans, t.output_size)
         }
     }
 
     let mut walk = Walk {
         traces,
         next: 0,
-        atomic_pages: 0,
         inputs: CostInputs {
             atomic_pages: 0,
             max_values_per_attr: 1,
+            budget_pages: (pager.run_budget() / pager.page_size()) as u64,
         },
     };
-    let spans = walk.walk(q, 0);
+    let (spans, _) = walk.walk(q, 0);
     debug_assert_eq!(walk.next, traces.len(), "trace list misaligned with tree");
     QueryTrace {
         query: q.to_string(),
@@ -466,6 +460,7 @@ mod tests {
                 CostInputs {
                     atomic_pages,
                     max_values_per_attr: 1,
+                    budget_pages: 0,
                 },
             );
             assert!(

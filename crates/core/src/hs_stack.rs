@@ -37,16 +37,17 @@
 //! reads none), every annotated/output page written and read O(1) times,
 //! chain blocks kept ≥ half full by the arena — the
 //! `O((|L1|+|L2|[+|L3|])/B)` of Theorems 5.1 and 6.2. Memory: the frame
-//! stack is O(directory depth); the unbounded buffers live on pages.
+//! stack is O(directory depth); the unbounded buffers — chain blocks,
+//! the staged annotated stream, the output — stay in memory while the
+//! pager's budget *M* holds them and spill to pages past it, so at scale
+//! they live on pages and the bound holds.
 
-use crate::agg::{Annotated, CompiledAggFilter, GlobalState, WitnessState};
+use crate::agg::{select_annotated, Annotated, CompiledAggFilter, GlobalState, WitnessState};
 use crate::ast::{HierOp, HierPathOp};
 use netdir_model::Entry;
 use netdir_pager::chain::{Chain, ChainArena};
 use netdir_pager::record::PageCtx;
-use netdir_pager::{
-    ListWriter, Operand, PagedList, Pager, PagerResult, RawOperandReader, RawRecord,
-};
+use netdir_pager::{Operand, OperandWriter, Pager, PagerResult, RawOperandReader, RawRecord};
 use std::borrow::Cow;
 
 /// The six operators, unified.
@@ -156,8 +157,8 @@ impl LazyEntry<'_> {
         }
     }
 
-    /// Emit to an output list — raw bytes pass through undecoded.
-    fn emit(&self, out: &mut ListWriter<Entry>) -> PagerResult<()> {
+    /// Emit to an output — raw bytes pass through undecoded.
+    fn emit(&self, out: &mut OperandWriter<Entry>) -> PagerResult<()> {
         match self {
             LazyEntry::Raw(raw) => out.push_raw(raw),
             LazyEntry::Ready(e) => out.push(e),
@@ -268,7 +269,7 @@ pub fn hs_select(
     l2: &Operand<Entry>,
     l3: Option<&Operand<Entry>>,
     filter: &CompiledAggFilter,
-) -> PagerResult<PagedList<Entry>> {
+) -> PagerResult<Operand<Entry>> {
     debug_assert_eq!(op.is_constrained(), l3.is_some());
     let mut operands: Vec<(&Operand<Entry>, u8)> = vec![(l1, L1), (l2, L2)];
     if let Some(l3) = l3 {
@@ -291,14 +292,14 @@ fn run_below(
     merge: &mut Merge,
     filter: &CompiledAggFilter,
     globals: &mut GlobalState,
-) -> PagerResult<PagedList<Entry>> {
+) -> PagerResult<Operand<Entry>> {
     let ctx = pager.ctx();
     let mut stack: Vec<Frame<'_>> = vec![root_frame(filter)];
     let needs_globals = filter.needs_globals();
     // Without entry-set aggregates, select inline; with them, stage the
     // annotated stream and re-scan (the figures' two phases).
-    let mut direct_out: ListWriter<Entry> = ListWriter::new(pager);
-    let mut staged: ListWriter<Annotated> = ListWriter::new(pager);
+    let mut direct_out = OperandWriter::new(pager);
+    let mut staged = OperandWriter::new(pager);
 
     while let Some(mut elem) = merge.next()? {
         pop_to_ancestor_below(&mut stack, &elem.key);
@@ -338,15 +339,7 @@ fn run_below(
     if !needs_globals {
         return direct_out.finish();
     }
-    let staged = staged.finish()?;
-    let mut out = ListWriter::new(pager);
-    for ann in staged.iter() {
-        let ann = ann?;
-        if filter.accept(&ann.entry, &ann.wit, globals) {
-            out.push(&ann.entry)?;
-        }
-    }
-    out.finish()
+    select_annotated(pager, staged.finish()?.iter(), filter, globals)
 }
 
 /// `c` / `d` / `dc`: witness state final at pop → per-frame pending
@@ -357,7 +350,7 @@ fn run_above(
     merge: &mut Merge,
     filter: &CompiledAggFilter,
     globals: &mut GlobalState,
-) -> PagerResult<PagedList<Entry>> {
+) -> PagerResult<Operand<Entry>> {
     let ctx = pager.ctx();
     let mut arena: ChainArena<Annotated> = ChainArena::new(pager);
     let mut stack: Vec<Frame> = vec![root_frame(filter)];
@@ -396,15 +389,7 @@ fn run_above(
         pop_above(op, &mut stack, &mut arena, filter, globals, &ctx)?;
     }
     let annotated = stack.pop().expect("root").pending;
-
-    let mut out = ListWriter::new(pager);
-    for ann in arena.iter(annotated) {
-        let ann = ann?;
-        if filter.accept(&ann.entry, &ann.wit, globals) {
-            out.push(&ann.entry)?;
-        }
-    }
-    out.finish()
+    select_annotated(pager, arena.iter(annotated), filter, globals)
 }
 
 fn root_frame<'a>(filter: &CompiledAggFilter) -> Frame<'a> {
@@ -535,7 +520,7 @@ fn pop_above(
 mod tests {
     use super::*;
     use netdir_model::Dn;
-    use netdir_pager::tiny_pager;
+    use netdir_pager::{tiny_pager, PagedList};
 
     fn entry(s: &str) -> Entry {
         Entry::builder(Dn::parse(s).unwrap())
@@ -550,7 +535,7 @@ mod tests {
         PagedList::from_iter(pager, v).unwrap().into()
     }
 
-    fn dns(l: &PagedList<Entry>) -> Vec<String> {
+    fn dns(l: &Operand<Entry>) -> Vec<String> {
         l.to_vec()
             .unwrap()
             .iter()

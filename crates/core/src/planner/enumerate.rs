@@ -301,22 +301,10 @@ fn walk(
         }
         _ => {}
     }
-    for (i, c) in children(q).into_iter().enumerate() {
+    for (i, c) in q.children().into_iter().enumerate() {
         path.push(i as u8);
         walk(c, kind, path, catalog, steps);
         path.pop();
-    }
-}
-
-/// The node's children in operand order.
-fn children(q: &Query) -> Vec<&Query> {
-    match q {
-        Query::Atomic { .. } => Vec::new(),
-        Query::And(a, b) | Query::Or(a, b) | Query::Diff(a, b) => vec![a, b],
-        Query::Hier { q1, q2, .. } => vec![q1, q2],
-        Query::HierPath { q1, q2, q3, .. } => vec![q1, q2, q3],
-        Query::AggSelect { query, .. } => vec![query],
-        Query::EmbedRef { q1, q2, .. } => vec![q1, q2],
     }
 }
 
@@ -396,7 +384,7 @@ fn rewrite_at(q: &Query, path: &[u8], f: &dyn Fn(&Query) -> Option<Query>) -> Op
             _ => return None,
         })
     };
-    let kids = children(q);
+    let kids = q.children();
     let child = kids.get(idx)?;
     let new_child = rewrite_at(child, rest, f)?;
     rebuild(new_child, q, idx)

@@ -108,21 +108,16 @@ const NODE_EPS: f64 = 1e-6;
 /// The estimated total I/O of evaluating `q`: the sum over every node of
 /// [`predicted_node_io`] applied to the estimated pages flowing into it
 /// (children's outputs for operators, own output for leaves), plus
-/// [`NODE_EPS`] per node as a smaller-tree tie-breaker.
+/// [`NODE_EPS`] per node as a smaller-tree tie-breaker. Plans are ranked
+/// by size, so every input is charged as read and no budget is assumed.
 pub fn plan_cost(q: &Query, catalog: &StatsCatalog) -> f64 {
     let inputs = CostInputs {
         atomic_pages: 0,
         max_values_per_attr: DEFAULT_MAX_VALUES,
+        budget_pages: 0,
     };
     fn walk(q: &Query, catalog: &StatsCatalog, inputs: CostInputs, total: &mut f64) -> Estimate {
-        let children: Vec<&Query> = match q {
-            Query::Atomic { .. } => Vec::new(),
-            Query::And(a, b) | Query::Or(a, b) | Query::Diff(a, b) => vec![a, b],
-            Query::Hier { q1, q2, .. } => vec![q1, q2],
-            Query::HierPath { q1, q2, q3, .. } => vec![q1, q2, q3],
-            Query::AggSelect { query, .. } => vec![query],
-            Query::EmbedRef { q1, q2, .. } => vec![q1, q2],
-        };
+        let children = q.children();
         let out = estimate(q, catalog);
         let input_pages = if children.is_empty() {
             out.pages
@@ -134,7 +129,8 @@ pub fn plan_cost(q: &Query, catalog: &StatsCatalog) -> f64 {
         };
         // predicted_node_io takes whole pages; round up so sub-page
         // estimates still register.
-        *total += predicted_node_io(q, input_pages.ceil() as u64, inputs) + NODE_EPS;
+        let input_pages = input_pages.ceil() as u64;
+        *total += predicted_node_io(q, input_pages, input_pages, inputs) + NODE_EPS;
         out
     }
     let mut total = 0.0;

@@ -1,12 +1,13 @@
 //! Property tests: the external-memory operators agree element-for-element
 //! with the naive quadratic oracles (direct transcriptions of Definitions
 //! 4.1/5.1/6.1/6.2/7.1) on randomized forests — over paged lists, over
-//! in-memory runs, and over the two mixed.
+//! in-memory runs, and over the two mixed, with every intermediate
+//! spilled, some spilled, and none.
 
 use netdir_filter::atomic::IntOp;
 use netdir_model::{Dn, Entry};
 use netdir_pager::record::Record;
-use netdir_pager::{Operand, PagedList, Pager, RawRecord};
+use netdir_pager::{Operand, PagedList, Pager, RawRecord, Reservation};
 use netdir_query::agg::CompiledAggFilter;
 use netdir_query::ast::{AggAttribute, AggSelFilter, Aggregate, AttrRef, EntryAgg, RefOp};
 use netdir_query::boolean::{merge, BoolOp};
@@ -80,6 +81,19 @@ fn both(pager: &Pager, v: &[Entry]) -> [Operand<Entry>; 2] {
     [paged(pager, v), run(v)]
 }
 
+/// The scratch budgets each operator runs under, on pages of
+/// `page_size`: none (the whole pool held elsewhere, so every
+/// intermediate spills), an 8-frame pool's, and the default pool's.
+fn budgets(page_size: usize) -> [(Pager, Option<Reservation>); 3] {
+    let none = Pager::new(page_size, 8);
+    let held = none.reserve(none.run_budget());
+    [
+        (none, held),
+        (Pager::new(page_size, 8), None),
+        (netdir_pager::default_pager(), None),
+    ]
+}
+
 /// Every pairing of kinds, mixed ones included.
 const KINDS: [(usize, usize); 4] = [(0, 0), (0, 1), (1, 0), (1, 1)];
 
@@ -123,21 +137,23 @@ proptest! {
 
     #[test]
     fn hs_ops_match_oracle(l1 in arb_entries(), l2 in arb_entries(), l3 in arb_entries()) {
-        let pager = netdir_pager::tiny_pager();
-        let (p1, p2, p3) = (both(&pager, &l1), both(&pager, &l2), both(&pager, &l3));
-        let f = CompiledAggFilter::exists_witness();
-        for (i, j) in KINDS {
-            let (p1, p2, p3) = (&p1[i], &p2[j], &p3[i]);
-            for op in [HsOp::Parents, HsOp::Children, HsOp::Ancestors, HsOp::Descendants] {
-                let fast = hs_select(&pager, op, p1, p2, None, &f).unwrap().to_vec().unwrap();
-                let slow = naive::naive_hs_select(op, &l1, &l2, &[], &f);
-                prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} kinds {:?}", op, (i, j));
+        for (pager, _held) in &budgets(256) {
+            let (p1, p2, p3) = (both(pager, &l1), both(pager, &l2), both(pager, &l3));
+            let f = CompiledAggFilter::exists_witness();
+            for (i, j) in KINDS {
+                let (p1, p2, p3) = (&p1[i], &p2[j], &p3[i]);
+                for op in [HsOp::Parents, HsOp::Children, HsOp::Ancestors, HsOp::Descendants] {
+                    let fast = hs_select(pager, op, p1, p2, None, &f).unwrap().to_vec().unwrap();
+                    let slow = naive::naive_hs_select(op, &l1, &l2, &[], &f);
+                    prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} kinds {:?}", op, (i, j));
+                }
+                for op in [HsOp::AncestorsConstrained, HsOp::DescendantsConstrained] {
+                    let fast = hs_select(pager, op, p1, p2, Some(p3), &f).unwrap().to_vec().unwrap();
+                    let slow = naive::naive_hs_select(op, &l1, &l2, &l3, &f);
+                    prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} kinds {:?}", op, (i, j));
+                }
             }
-            for op in [HsOp::AncestorsConstrained, HsOp::DescendantsConstrained] {
-                let fast = hs_select(&pager, op, p1, p2, Some(p3), &f).unwrap().to_vec().unwrap();
-                let slow = naive::naive_hs_select(op, &l1, &l2, &l3, &f);
-                prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} kinds {:?}", op, (i, j));
-            }
+            prop_assert!(pager.run_bytes_peak() <= pager.run_budget());
         }
     }
 
@@ -147,28 +163,32 @@ proptest! {
         l2 in arb_entries(),
         filter in arb_agg_filter(),
     ) {
-        let pager = netdir_pager::tiny_pager();
-        let (p1, p2) = (both(&pager, &l1), both(&pager, &l2));
-        let f = CompiledAggFilter::compile(&filter, true).unwrap();
-        for (i, j) in KINDS {
-            for op in [HsOp::Parents, HsOp::Children, HsOp::Ancestors, HsOp::Descendants] {
-                let fast = hs_select(&pager, op, &p1[i], &p2[j], None, &f).unwrap().to_vec().unwrap();
-                let slow = naive::naive_hs_select(op, &l1, &l2, &[], &f);
-                prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} filter {}", op, filter);
+        for (pager, _held) in &budgets(256) {
+            let (p1, p2) = (both(pager, &l1), both(pager, &l2));
+            let f = CompiledAggFilter::compile(&filter, true).unwrap();
+            for (i, j) in KINDS {
+                for op in [HsOp::Parents, HsOp::Children, HsOp::Ancestors, HsOp::Descendants] {
+                    let fast = hs_select(pager, op, &p1[i], &p2[j], None, &f).unwrap().to_vec().unwrap();
+                    let slow = naive::naive_hs_select(op, &l1, &l2, &[], &f);
+                    prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} filter {}", op, filter);
+                }
             }
+            prop_assert!(pager.run_bytes_peak() <= pager.run_budget());
         }
     }
 
     #[test]
     fn boolean_ops_match_oracle(l1 in arb_entries(), l2 in arb_entries()) {
-        let pager = netdir_pager::tiny_pager();
-        let (p1, p2) = (both(&pager, &l1), both(&pager, &l2));
-        for (i, j) in KINDS {
-            for op in [BoolOp::And, BoolOp::Or, BoolOp::Diff] {
-                let fast = merge(&pager, op, &p1[i], &p2[j]).unwrap().to_vec().unwrap();
-                let slow = naive::naive_boolean(op, &l1, &l2);
-                prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} kinds {:?}", op, (i, j));
+        for (pager, _held) in &budgets(256) {
+            let (p1, p2) = (both(pager, &l1), both(pager, &l2));
+            for (i, j) in KINDS {
+                for op in [BoolOp::And, BoolOp::Or, BoolOp::Diff] {
+                    let fast = merge(pager, op, &p1[i], &p2[j]).unwrap().to_vec().unwrap();
+                    let slow = naive::naive_boolean(op, &l1, &l2);
+                    prop_assert_eq!(dns(&fast), dns(&slow), "op {:?} kinds {:?}", op, (i, j));
+                }
             }
+            prop_assert!(pager.run_bytes_peak() <= pager.run_budget());
         }
     }
 
@@ -239,29 +259,31 @@ proptest! {
     #[test]
     fn er_ops_match_oracle((sources, targets) in arb_ref_entries(), use_agg in proptest::bool::ANY) {
         // Bigger pages: ref-heavy entries outgrow the 256-byte tiny pager.
-        let pager = Pager::new(2048, 8);
-        let attr: netdir_model::AttrName = "ref".into();
-        let filter = if use_agg {
-            CompiledAggFilter::compile(&AggSelFilter {
-                lhs: AggAttribute::Entry(EntryAgg::CountWitnesses),
-                op: IntOp::Eq,
-                rhs: AggAttribute::EntrySet(Aggregate::Max, Box::new(EntryAgg::CountWitnesses)),
-            }, true).unwrap()
-        } else {
-            CompiledAggFilter::exists_witness()
-        };
-        let (ps, pt) = (both(&pager, &sources), both(&pager, &targets));
-        // vd: sources referencing live targets.
-        let vd = naive::naive_er_select(RefOp::ValueDn, &sources, &targets, &attr, &filter);
-        // dv: targets referenced by sources.
-        let dv = naive::naive_er_select(RefOp::DnValue, &targets, &sources, &attr, &filter);
-        for (i, j) in KINDS {
-            let fast = er_select(&pager, RefOp::ValueDn, &ps[i], &pt[j], &attr, &filter)
-                .unwrap().to_vec().unwrap();
-            prop_assert_eq!(dns(&fast), dns(&vd), "vd kinds {:?}", (i, j));
-            let fast = er_select(&pager, RefOp::DnValue, &pt[i], &ps[j], &attr, &filter)
-                .unwrap().to_vec().unwrap();
-            prop_assert_eq!(dns(&fast), dns(&dv), "dv kinds {:?}", (i, j));
+        for (pager, _held) in &budgets(2048) {
+            let attr: netdir_model::AttrName = "ref".into();
+            let filter = if use_agg {
+                CompiledAggFilter::compile(&AggSelFilter {
+                    lhs: AggAttribute::Entry(EntryAgg::CountWitnesses),
+                    op: IntOp::Eq,
+                    rhs: AggAttribute::EntrySet(Aggregate::Max, Box::new(EntryAgg::CountWitnesses)),
+                }, true).unwrap()
+            } else {
+                CompiledAggFilter::exists_witness()
+            };
+            let (ps, pt) = (both(pager, &sources), both(pager, &targets));
+            // vd: sources referencing live targets.
+            let vd = naive::naive_er_select(RefOp::ValueDn, &sources, &targets, &attr, &filter);
+            // dv: targets referenced by sources.
+            let dv = naive::naive_er_select(RefOp::DnValue, &targets, &sources, &attr, &filter);
+            for (i, j) in KINDS {
+                let fast = er_select(pager, RefOp::ValueDn, &ps[i], &pt[j], &attr, &filter)
+                    .unwrap().to_vec().unwrap();
+                prop_assert_eq!(dns(&fast), dns(&vd), "vd kinds {:?}", (i, j));
+                let fast = er_select(pager, RefOp::DnValue, &pt[i], &ps[j], &attr, &filter)
+                    .unwrap().to_vec().unwrap();
+                prop_assert_eq!(dns(&fast), dns(&dv), "dv kinds {:?}", (i, j));
+            }
+            prop_assert!(pager.run_bytes_peak() <= pager.run_budget());
         }
     }
 }

@@ -17,8 +17,12 @@
 //!
 //! All blocks of all chains live in one [`ChainArena`]; a [`Chain`] is a
 //! tiny copyable handle. Block metadata (used bytes, next pointer) is
-//! in-memory, like every other page table in this crate.
+//! in-memory, like every other page table in this crate. A block is a
+//! buffer in memory while the pager's budget lends a page's worth of
+//! bytes for it, and a pool page after that, so one chain may mix both;
+//! the bytes in a block are the same either way.
 
+use crate::budget::Reservation;
 use crate::disk::{PageId, PAGE_HEADER_BYTES};
 use crate::error::{PagerError, PagerResult};
 use crate::list::common_prefix_len;
@@ -57,8 +61,15 @@ impl Chain {
     }
 }
 
+/// Where a block's payload lives: its used bytes in memory, or a page
+/// whose payload starts after the page header.
+enum Store {
+    Memory(Vec<u8>),
+    Page(PageId),
+}
+
 struct BlockMeta {
-    page: PageId,
+    store: Store,
     used: u32,
     count: u32,
     next: u32,
@@ -77,6 +88,8 @@ pub struct ChainArena<T> {
     /// Blocks emptied by boundary merges, available for reuse (their pages
     /// are recycled too, keeping disk growth proportional to live data).
     free: Vec<u32>,
+    /// A page's payload per memory block.
+    held: Reservation,
     _marker: PhantomData<fn(T) -> T>,
 }
 
@@ -87,6 +100,7 @@ impl<T: Record> ChainArena<T> {
             pager: pager.clone(),
             blocks: Vec::new(),
             free: Vec::new(),
+            held: pager.reservation(),
             _marker: PhantomData,
         }
     }
@@ -100,24 +114,61 @@ impl<T: Record> ChainArena<T> {
     fn new_block(&mut self) -> PagerResult<u32> {
         if let Some(idx) = self.free.pop() {
             let meta = &mut self.blocks[idx as usize];
+            if let Store::Memory(buf) = &mut meta.store {
+                buf.clear();
+            }
             meta.used = 0;
             meta.count = 0;
             meta.next = NIL;
             meta.last_key.clear();
             return Ok(idx);
         }
-        let page = self.pager.pool().allocate();
-        // Touch it so it exists zeroed; header maintained in metadata.
-        drop(self.pager.pool().fetch_zeroed(page)?);
+        let payload = self.pager.payload_size();
+        let store = if self.held.grow(payload) {
+            Store::Memory(Vec::with_capacity(payload))
+        } else {
+            let page = self.pager.pool().allocate();
+            // Touch it so it exists zeroed; header maintained in metadata.
+            drop(self.pager.pool().fetch_zeroed(page)?);
+            Store::Page(page)
+        };
         let idx = self.blocks.len() as u32;
         self.blocks.push(BlockMeta {
-            page,
+            store,
             used: 0,
             count: 0,
             next: NIL,
             last_key: Vec::new(),
         });
         Ok(idx)
+    }
+
+    /// Append `bytes` behind block `idx`'s used bytes.
+    fn append(&mut self, idx: u32, bytes: &[u8]) -> PagerResult<()> {
+        let meta = &mut self.blocks[idx as usize];
+        match &mut meta.store {
+            Store::Memory(buf) => buf.extend_from_slice(bytes),
+            Store::Page(page) => {
+                let at = PAGE_HEADER_BYTES + meta.used as usize;
+                let guard = self.pager.pool().fetch(*page)?;
+                guard.with_mut(|data| data[at..at + bytes.len()].copy_from_slice(bytes));
+            }
+        }
+        meta.used += bytes.len() as u32;
+        Ok(())
+    }
+
+    /// Run `f` over block `idx`'s used bytes.
+    fn with_used<R>(&self, idx: u32, f: impl FnOnce(&[u8]) -> R) -> PagerResult<R> {
+        let meta = &self.blocks[idx as usize];
+        match &meta.store {
+            Store::Memory(buf) => Ok(f(buf)),
+            Store::Page(page) => {
+                let guard = self.pager.pool().fetch(*page)?;
+                let used = PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + meta.used as usize;
+                Ok(guard.with(|data| f(&data[used])))
+            }
+        }
     }
 
     /// Append one record to the chain's tail, returning the grown chain.
@@ -130,17 +181,19 @@ impl<T: Record> ChainArena<T> {
 
     fn push_v1(&mut self, mut chain: Chain, item: &T) -> PagerResult<Chain> {
         let mut buf = Vec::new();
+        codec::put_u32(&mut buf, 0);
         item.encode(&mut buf);
-        let need = buf.len() + LEN_PREFIX_BYTES;
+        let len = buf.len() - LEN_PREFIX_BYTES;
+        buf[..LEN_PREFIX_BYTES].copy_from_slice(&(len as u32).to_le_bytes());
         let payload = self.pager.payload_size();
-        if need > payload {
+        if buf.len() > payload {
             return Err(PagerError::RecordTooLarge {
-                record: buf.len(),
+                record: len,
                 payload: payload - LEN_PREFIX_BYTES,
             });
         }
         let tail = if chain.tail == NIL
-            || (self.blocks[chain.tail as usize].used as usize) + need > payload
+            || (self.blocks[chain.tail as usize].used as usize) + buf.len() > payload
         {
             let idx = self.new_block()?;
             if chain.tail == NIL {
@@ -153,15 +206,8 @@ impl<T: Record> ChainArena<T> {
         } else {
             chain.tail
         };
-        let meta = &mut self.blocks[tail as usize];
-        let offset = PAGE_HEADER_BYTES + meta.used as usize;
-        let guard = self.pager.pool().fetch(meta.page)?;
-        guard.with_mut(|data| {
-            data[offset..offset + 4].copy_from_slice(&(buf.len() as u32).to_le_bytes());
-            data[offset + 4..offset + 4 + buf.len()].copy_from_slice(&buf);
-        });
-        meta.used += need as u32;
-        meta.count += 1;
+        self.append(tail, &buf)?;
+        self.blocks[tail as usize].count += 1;
         chain.len += 1;
         Ok(chain)
     }
@@ -211,11 +257,8 @@ impl<T: Record> ChainArena<T> {
         codec::put_varint(&mut frame, shared as u64);
         codec::put_vbytes(&mut frame, &key[shared..]);
         codec::put_vbytes(&mut frame, &body);
+        self.append(tail, &frame)?;
         let meta = &mut self.blocks[tail as usize];
-        let offset = PAGE_HEADER_BYTES + meta.used as usize;
-        let guard = self.pager.pool().fetch(meta.page)?;
-        guard.with_mut(|data| data[offset..offset + frame.len()].copy_from_slice(&frame));
-        meta.used += frame.len() as u32;
         meta.count += 1;
         meta.last_key.clear();
         meta.last_key.extend_from_slice(&key);
@@ -239,23 +282,10 @@ impl<T: Record> ChainArena<T> {
         let b_head = b.head as usize;
         if self.blocks[a_tail].used + self.blocks[b_head].used <= payload {
             // Merge b's head block into a's tail block.
-            let (b_page, b_used, b_count, b_next) = {
-                let m = &self.blocks[b_head];
-                (m.page, m.used as usize, m.count, m.next)
-            };
-            let bytes = {
-                let guard = self.pager.pool().fetch(b_page)?;
-                guard.with(|data| data[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + b_used].to_vec())
-            };
-            let a_used = self.blocks[a_tail].used as usize;
-            let a_page = self.blocks[a_tail].page;
-            let guard = self.pager.pool().fetch(a_page)?;
-            guard.with_mut(|data| {
-                data[PAGE_HEADER_BYTES + a_used..PAGE_HEADER_BYTES + a_used + b_used]
-                    .copy_from_slice(&bytes);
-            });
+            let bytes = self.with_used(b.head, <[u8]>::to_vec)?;
+            self.append(a.tail, &bytes)?;
+            let (b_count, b_next) = (self.blocks[b_head].count, self.blocks[b_head].next);
             let b_last_key = std::mem::take(&mut self.blocks[b_head].last_key);
-            self.blocks[a_tail].used += b_used as u32;
             self.blocks[a_tail].count += b_count;
             self.blocks[a_tail].next = b_next;
             // The merged block now ends with b's last record; future v2
@@ -307,35 +337,29 @@ impl<T: Record> ChainIter<'_, T> {
         if self.block == NIL || self.remaining == 0 {
             return Ok(false);
         }
-        let meta = &self.arena.blocks[self.block as usize];
-        let guard = self.arena.pager.pool().fetch(meta.page)?;
-        let mut items = Vec::with_capacity(meta.count as usize);
-        guard.with(|data| -> PagerResult<()> {
-            match self.arena.pager.format() {
+        let arena = self.arena;
+        let meta = &arena.blocks[self.block as usize];
+        let corrupt = |detail: String| PagerError::CorruptRecord { detail };
+        let items = arena.with_used(self.block, |data| -> PagerResult<Vec<T>> {
+            let mut items = Vec::with_capacity(meta.count as usize);
+            let mut r = codec::Reader::new(data);
+            match arena.pager.format() {
                 PageFormat::V1 => {
-                    let mut pos = PAGE_HEADER_BYTES;
                     for _ in 0..meta.count {
-                        let len =
-                            u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-                        pos += LEN_PREFIX_BYTES;
-                        items.push(T::decode(&data[pos..pos + len])?);
-                        pos += len;
+                        items.push(T::decode(r.get_bytes()?)?);
                     }
                 }
                 PageFormat::V2 => {
-                    let ctx = self.arena.pager.ctx();
-                    let end = PAGE_HEADER_BYTES + meta.used as usize;
-                    let mut r = codec::Reader::new(&data[PAGE_HEADER_BYTES..end]);
+                    let ctx = arena.pager.ctx();
                     let mut key: Vec<u8> = Vec::new();
                     for _ in 0..meta.count {
                         let shared = r.get_varint()? as usize;
                         let suffix = r.get_vbytes()?;
                         let body = r.get_vbytes()?;
                         if shared > key.len() {
-                            return Err(PagerError::CorruptPage {
-                                page: meta.page,
-                                detail: format!("shared prefix {shared} exceeds previous key"),
-                            });
+                            return Err(corrupt(format!(
+                                "shared prefix {shared} exceeds previous key"
+                            )));
                         }
                         key.truncate(shared);
                         key.extend_from_slice(suffix);
@@ -343,8 +367,8 @@ impl<T: Record> ChainIter<'_, T> {
                     }
                 }
             }
-            Ok(())
-        })?;
+            Ok(items)
+        })??;
         self.block = meta.next;
         self.in_block = items.into_iter();
         Ok(true)
@@ -577,5 +601,92 @@ mod tests {
         );
         // Compressed frames are small; block count must stay proportional.
         assert!(arena.num_blocks() < 60, "{} blocks", arena.num_blocks());
+    }
+
+    /// One step of a random chain workload over four chains.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Push(usize, u64),
+        /// `chains[a] = a ++ b`, and `b` starts over empty.
+        Concat(usize, usize),
+    }
+
+    fn arb_steps() -> impl proptest::strategy::Strategy<Value = Vec<Step>> {
+        use proptest::prelude::*;
+        // Three pushes to one concatenation.
+        let step = (0u8..4, 0usize..4, 0usize..4, 0u64..10_000).prop_map(|(k, a, b, v)| {
+            if k < 3 {
+                Step::Push(a, v)
+            } else {
+                Step::Concat(a, b)
+            }
+        });
+        proptest::collection::vec(step, 0..400)
+    }
+
+    /// Run `steps` on an arena over `pager`, returning every chain's
+    /// records and how many live blocks sit on pages.
+    fn replay(pager: &Pager, steps: &[Step]) -> (Vec<Vec<Keyed>>, usize) {
+        let mut arena: ChainArena<Keyed> = ChainArena::new(pager);
+        let mut chains = [Chain::empty(); 4];
+        for step in steps {
+            match *step {
+                Step::Push(c, v) => chains[c] = arena.push(chains[c], &keyed(v)).unwrap(),
+                Step::Concat(a, b) if a != b => {
+                    chains[a] = arena.concat(chains[a], chains[b]).unwrap();
+                    chains[b] = Chain::empty();
+                }
+                Step::Concat(..) => {}
+            }
+        }
+        let records = chains.iter().map(|&c| arena.to_vec(c).unwrap()).collect();
+        (records, paged_blocks(&arena))
+    }
+
+    /// Blocks, live or free, that sit on pages.
+    fn paged_blocks<T>(arena: &ChainArena<T>) -> usize {
+        let paged = arena.blocks.iter().filter(|b| matches!(b.store, Store::Page(_)));
+        paged.count()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Chains that cross from memory blocks to page blocks hold the
+        /// records an all-page arena holds, in both page formats.
+        #[test]
+        fn chains_across_the_memory_page_boundary_match_an_all_page_arena(steps in arb_steps()) {
+            for format in [PageFormat::V1, PageFormat::V2] {
+                // Four blocks' worth of budget: long workloads cross it.
+                let crossing = Pager::custom(256, crate::PoolConfig::new(4), format);
+                let paged = Pager::custom(256, crate::PoolConfig::new(4), format);
+                let _all = paged.reserve(paged.run_budget()).unwrap();
+                let (got, _) = replay(&crossing, &steps);
+                let (want, on_pages) = replay(&paged, &steps);
+                proptest::prop_assert_eq!(&got, &want);
+                let live: usize = want.iter().map(Vec::len).sum();
+                proptest::prop_assert!(live == 0 || on_pages > 0);
+                proptest::prop_assert_eq!(crossing.run_bytes_held(), 0, "arena dropped");
+                proptest::prop_assert!(crossing.run_bytes_peak() <= crossing.run_budget());
+            }
+        }
+    }
+
+    #[test]
+    fn an_arena_within_the_budget_touches_no_page() {
+        let pager = Pager::new(4096, 16);
+        let mut arena: ChainArena<u64> = ChainArena::new(&pager);
+        let mut acc = Chain::empty();
+        for i in 0..2000u64 {
+            let single = arena.push(Chain::empty(), &i).unwrap();
+            acc = arena.concat(acc, single).unwrap();
+        }
+        assert_eq!(arena.to_vec(acc).unwrap(), (0..2000).collect::<Vec<_>>());
+        assert_eq!(paged_blocks(&arena), 0);
+        let pool = pager.pool().metrics();
+        assert_eq!((pool.hits + pool.misses, pager.io().allocs), (0, 0));
+        assert_eq!(pager.run_bytes_held(), arena.blocks.len() * pager.payload_size());
+        drop(arena);
+        assert_eq!(pager.run_bytes_held(), 0);
     }
 }

@@ -14,9 +14,15 @@
 //!
 //! With `R` initial runs the number of passes is `⌈log_fan_in(R)⌉`, matching
 //! the textbook `O(N/B · log_{M/B}(N/B))` bound the paper cites.
+//!
+//! Input that fits in memory — a run, or a list no larger than the
+//! pager's free budget — is sorted there instead: no run files and no
+//! merge pass, and the sorted records come back as an [`Operand`] written
+//! through an [`OperandWriter`], so they stay a run while the budget
+//! holds them.
 
 use crate::error::PagerResult;
-use crate::list::{ListWriter, PagedList};
+use crate::list::{ListWriter, Operand, OperandWriter, PagedList};
 use crate::par::parallel_map;
 use crate::record::Record;
 use crate::Pager;
@@ -38,18 +44,52 @@ impl Default for ExtSortConfig {
 }
 
 /// Sort `input` by the records' natural order.
-pub fn external_sort<T>(pager: &Pager, input: &PagedList<T>) -> PagerResult<PagedList<T>>
+pub fn external_sort<T>(pager: &Pager, input: impl Into<Operand<T>>) -> PagerResult<Operand<T>>
 where
     T: Record + Ord,
 {
     external_sort_by(pager, input, ExtSortConfig::default(), |a, b| a.cmp(b))
 }
 
-/// Sort `input` by `cmp` with explicit configuration.
+/// Sort `input` by `cmp` with explicit configuration: in memory if it
+/// fits there, externally otherwise.
 ///
 /// The sort is stable across equal keys (ties broken by input order within
-/// a run and by run index across runs).
+/// a run and by run index across runs), so both paths give the same
+/// records in the same order.
 pub fn external_sort_by<T, F>(
+    pager: &Pager,
+    input: impl Into<Operand<T>>,
+    config: ExtSortConfig,
+    cmp: F,
+) -> PagerResult<Operand<T>>
+where
+    T: Record,
+    F: Fn(&T, &T) -> Ordering + Copy,
+{
+    let input = input.into();
+    let free = pager.run_budget() - pager.run_bytes_held().min(pager.run_budget());
+    match input {
+        Operand::List(list) if list.num_pages() as usize * pager.payload_size() > free => {
+            sort_paged(pager, &list, config, cmp).map(Operand::List)
+        }
+        input => {
+            let mut items = input.to_vec()?;
+            // A run's bytes return before its sorted copy takes them.
+            drop(input);
+            items.sort_by(cmp);
+            let mut out = OperandWriter::new(pager);
+            for item in &items {
+                out.push(item)?;
+            }
+            out.finish()
+        }
+    }
+}
+
+/// The external path of [`external_sort_by`]: sorted runs on pages,
+/// merged `fan_in` at a time.
+fn sort_paged<T, F>(
     pager: &Pager,
     input: &PagedList<T>,
     config: ExtSortConfig,
@@ -105,7 +145,7 @@ where
     let counts = input.page_record_counts();
     let workers = degree.clamp(1, counts.len().max(1));
     if workers <= 1 {
-        return external_sort_by(pager, input, config, cmp);
+        return sort_paged(pager, input, config, cmp);
     }
 
     // Contiguous page-range chunks, one per worker; (start page, records).
@@ -289,6 +329,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list::OperandWriter;
     use crate::tiny_pager;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -478,5 +519,42 @@ mod tests {
         // But bounded by ~2 * passes * pages with passes <= log2(runs)+1.
         assert!(io.total() < 60 * n_pages);
         assert_eq!(sorted.len(), list.len());
+    }
+
+    #[test]
+    fn input_that_fits_sorts_in_memory_like_the_paged_path() {
+        // (key, original index) pairs: any instability would show.
+        let mut rng = StdRng::seed_from_u64(23);
+        let items: Vec<(u64, u64)> = (0..400).map(|i| (rng.gen_range(0..20), i)).collect();
+        let by_key = |a: &(u64, u64), b: &(u64, u64)| a.0.cmp(&b.0);
+        let cfg = ExtSortConfig { fan_in: 3 };
+        // The paged path: no budget free.
+        let paged = tiny_pager();
+        let list = PagedList::from_iter(&paged, items.clone()).unwrap();
+        let all = paged.reserve(paged.run_budget()).unwrap();
+        let external = external_sort_by(&paged, list, cfg, by_key).unwrap();
+        assert!(matches!(external, Operand::List(_)));
+        drop(all);
+        // In memory: a run in, a run out, and not one page touched.
+        let roomy = Pager::new(4096, 8);
+        let mut w = OperandWriter::new(&roomy);
+        for item in &items {
+            w.push(item).unwrap();
+        }
+        let run = w.finish().unwrap();
+        let sorted = external_sort_by(&roomy, run, cfg, by_key).unwrap();
+        assert!(matches!(sorted, Operand::Run(_)));
+        let pool = roomy.pool().metrics();
+        assert_eq!((pool.hits + pool.misses, roomy.io().allocs), (0, 0));
+        assert_eq!(sorted.to_vec().unwrap(), external.to_vec().unwrap());
+        // The input's bytes went back before the output took its own.
+        assert_eq!(roomy.run_bytes_peak(), roomy.run_bytes_held());
+        // A list that fits the budget sorts in memory too: read once.
+        let small = PagedList::from_iter(&roomy, items.clone()).unwrap();
+        roomy.reset_io();
+        let from_list = external_sort_by(&roomy, small, cfg, by_key).unwrap();
+        assert!(matches!(from_list, Operand::Run(_)));
+        assert_eq!(roomy.io().allocs, 0);
+        assert_eq!(from_list.to_vec().unwrap(), external.to_vec().unwrap());
     }
 }

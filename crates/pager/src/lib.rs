@@ -24,11 +24,16 @@
 //!   shrinks" (Section 5.3).
 //! * [`extsort`] — multiway external merge sort, used by the embedded-
 //!   reference operators of L3 (Algorithm `ComputeERAggDV`, Figure 3) and
-//!   responsible for their `N log N` I/O term (Theorem 7.1).
+//!   responsible for their `N log N` I/O term (Theorem 7.1); input that
+//!   fits in memory sorts there.
+//! * [`budget`] — the main memory *M* intermediates share: frames × page
+//!   size. Operator outputs, chain blocks and sort inputs stay in memory
+//!   while it lasts and spill to pages past it.
 //!
 //! All structures share one [`Pager`], so an experiment reads a single I/O
-//! ledger for an entire operator tree.
+//! ledger and a single memory budget for an entire operator tree.
 
+pub mod budget;
 pub mod chain;
 pub mod disk;
 pub mod error;
@@ -41,14 +46,15 @@ pub mod record;
 pub mod stack;
 pub mod stats;
 
+pub use budget::Reservation;
 pub use chain::{Chain, ChainArena};
 pub use disk::{Disk, LatencyDisk, MemDisk, PageId, PAGE_HEADER_BYTES};
 pub use error::{PagerError, PagerResult};
 pub use extsort::{external_sort, external_sort_by, external_sort_by_par, ExtSortConfig};
 pub use intern::Interner;
 pub use list::{
-    ListReader, ListWriter, Operand, OperandReader, PagedList, RawListReader, RawOperandReader,
-    RawRecord,
+    ListReader, ListWriter, Operand, OperandReader, OperandWriter, PagedList, RawListReader,
+    RawOperandReader, RawRecord, Run,
 };
 pub use par::{parallel_map, WorkerReport};
 pub use pool::{
@@ -58,6 +64,7 @@ pub use record::{PageCtx, Record};
 pub use stack::PagedStack;
 pub use stats::{IoShard, IoSnapshot, IoStats, ShardGuard};
 
+use budget::RunBudget;
 use std::sync::Arc;
 
 /// On-page record layout written by the list/chain writers.
@@ -94,6 +101,7 @@ struct PagerInner {
     page_size: usize,
     format: PageFormat,
     interner: Interner,
+    budget: Arc<RunBudget>,
 }
 
 impl Pager {
@@ -118,13 +126,18 @@ impl Pager {
     pub fn custom(page_size: usize, config: PoolConfig, format: PageFormat) -> Self {
         let stats = IoStats::new();
         let disk = MemDisk::new(page_size, stats.clone());
-        let pool = BufferPool::new(Box::new(disk), config, stats);
+        Pager::over(BufferPool::new(Box::new(disk), config, stats), page_size, format)
+    }
+
+    fn over(pool: BufferPool, page_size: usize, format: PageFormat) -> Self {
+        let budget = RunBudget::new(pool.capacity() * page_size);
         Pager {
             inner: Arc::new(PagerInner {
                 pool,
                 page_size,
                 format,
                 interner: Interner::new(),
+                budget,
             }),
         }
     }
@@ -156,14 +169,7 @@ impl Pager {
         let disk = MemDisk::new(page_size, stats.clone());
         let disk = LatencyDisk::new(Box::new(disk), read_delay, write_delay);
         let pool = BufferPool::new(Box::new(disk), PoolConfig::new(frames), stats);
-        Pager {
-            inner: Arc::new(PagerInner {
-                pool,
-                page_size,
-                format,
-                interner: Interner::new(),
-            }),
-        }
+        Pager::over(pool, page_size, format)
     }
 
     /// The page format new list/chain pages are written in.
@@ -212,6 +218,37 @@ impl Pager {
     /// build the inputs, reset, run the operator, read the ledger.
     pub fn reset_io(&self) {
         self.stats().reset();
+    }
+
+    /// The memory budget *M* in bytes: frames × page size. In-memory
+    /// intermediates written on this pager share it ([`budget`]).
+    pub fn run_budget(&self) -> usize {
+        self.inner.budget.limit()
+    }
+
+    /// Bytes the live in-memory intermediates hold now.
+    pub fn run_bytes_held(&self) -> usize {
+        self.inner.budget.held()
+    }
+
+    /// The most bytes in-memory intermediates ever held at once; never
+    /// above [`Pager::run_budget`].
+    pub fn run_bytes_peak(&self) -> usize {
+        self.inner.budget.peak()
+    }
+
+    /// Hold `bytes` of the budget until the returned reservation drops,
+    /// or `None` if they are not free. Whatever is held here is memory
+    /// no intermediate can use, so holding the whole budget makes every
+    /// write on this pager spill.
+    pub fn reserve(&self, bytes: usize) -> Option<Reservation> {
+        let mut held = self.reservation();
+        held.grow(bytes).then_some(held)
+    }
+
+    /// An empty reservation against this pager's budget.
+    pub(crate) fn reservation(&self) -> Reservation {
+        Reservation::empty(&self.inner.budget)
     }
 
     /// Flush all dirty frames to disk (counted as writes).
@@ -264,6 +301,17 @@ mod tests {
         assert_eq!(b, (4096 - PAGE_HEADER_BYTES) / 64);
         assert!(p.blocking_factor(0) > 0);
         assert_eq!(p.blocking_factor(1_000_000), 1);
+    }
+
+    #[test]
+    fn the_budget_is_the_pool() {
+        assert_eq!(default_pager().run_budget(), 256 * 1024);
+        assert_eq!(tiny_pager().run_budget(), 2 * 1024);
+        let p = tiny_pager();
+        let all = p.reserve(p.run_budget()).unwrap();
+        assert!(p.reserve(1).is_none());
+        drop(all);
+        assert_eq!((p.run_bytes_held(), p.run_bytes_peak()), (0, 2048));
     }
 
     #[test]

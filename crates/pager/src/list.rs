@@ -1,13 +1,18 @@
 //! Append-only paged sequential lists, and the sorted operands operators
-//! read.
+//! read and write.
 //!
 //! "Each of L1 and L2 are sorted lists of directory entries" (Figures
 //! 2–6). An operator reads such a list as an [`Operand`]: either a
-//! [`PagedList`] — what every operator writes its output to — or a
-//! **run**, records already in memory in key order, each carrying the
-//! sort key its producer held ([`RawRecord::keyed`]). Both are read
-//! through one sorted cursor ([`Operand::iter_raw`]); a run costs no
+//! **run**, records in memory in key order, each carrying the sort key
+//! its producer held ([`RawRecord::keyed`]), or a [`PagedList`]. Both are
+//! read through one sorted cursor ([`Operand::iter_raw`]); a run costs no
 //! page I/O and is never re-keyed.
+//!
+//! An operator writes its output through an [`OperandWriter`]: a run
+//! while the records fit the pager's memory budget *M*
+//! ([`crate::budget`]), a paged list once they would not. A list is the
+//! fallback for intermediates larger than memory, as in the paper's
+//! external-memory model, not the default.
 //!
 //! Two on-page layouts exist, discriminated by the page header word
 //! (see [`crate::PageFormat`]):
@@ -31,6 +36,7 @@
 //! operators' measured I/O match the paper's `O(|L|/B)` bounds — v2
 //! raises `B`, lowering the constant, without touching the accounting.
 
+use crate::budget::Reservation;
 use crate::disk::{PageId, PAGE_HEADER_BYTES};
 use crate::error::{PagerError, PagerResult};
 use crate::record::{codec, PageCtx, Record, LEN_PREFIX_BYTES};
@@ -223,6 +229,17 @@ impl<T: Record> RawRecord<T> {
             });
         }
         Ok(&self.body)
+    }
+
+    /// [`RawRecord::image`], moved out.
+    fn into_image(self) -> PagerResult<Vec<u8>> {
+        self.image()?;
+        Ok(self.body)
+    }
+
+    /// Bytes the record holds in memory: its key and its image.
+    fn held_bytes(&self) -> usize {
+        self.key.len() + self.body.len()
     }
 }
 
@@ -839,17 +856,33 @@ impl<T: Record> Iterator for RawListReader<T> {
     }
 }
 
+/// Records in key order, held in memory, and the share of a pager's
+/// budget they hold: none for a run a producer hands in from outside
+/// the evaluation ([`Operand::run`]), their bytes for one an
+/// [`OperandWriter`] wrote. The bytes return when the run drops.
+pub struct Run<T> {
+    records: Vec<RawRecord<T>>,
+    _held: Option<Reservation>,
+}
+
+impl<T> std::ops::Deref for Run<T> {
+    type Target = [RawRecord<T>];
+
+    fn deref(&self) -> &[RawRecord<T>] {
+        &self.records
+    }
+}
+
 /// A sorted operand: a run of keyed records in memory, or a paged list.
 ///
 /// An operator reads either through one cursor and cannot tell them
 /// apart except by cost: a run's records are lent from memory with the
 /// keys they were made with ([`RawRecord::keyed`]), so reading one costs
-/// no page I/O and no key derivation, and a record is copied only when an
-/// operator emits it onto an output page. Cloning shares the records or
-/// the page table.
+/// no page I/O and no key derivation. Cloning shares the records or the
+/// page table.
 pub enum Operand<T> {
     /// Records in key order, held in memory.
-    Run(Arc<[RawRecord<T>]>),
+    Run(Arc<Run<T>>),
     /// Records on pages.
     List(PagedList<T>),
 }
@@ -878,10 +911,21 @@ impl<T> From<PagedList<T>> for Operand<T> {
     }
 }
 
+impl<T> From<&PagedList<T>> for Operand<T> {
+    fn from(list: &PagedList<T>) -> Self {
+        Operand::List(list.clone())
+    }
+}
+
 impl<T: Record> Operand<T> {
-    /// A run of `records`, which must be in key order.
+    /// A run of `records`, which must be in key order. It holds none of
+    /// any pager's budget: this is how a producer outside the evaluation
+    /// (a zone's answer) hands its records in.
     pub fn run(records: Vec<RawRecord<T>>) -> Self {
-        Operand::Run(records.into())
+        Operand::Run(Arc::new(Run {
+            records,
+            _held: None,
+        }))
     }
 
     /// Number of records.
@@ -955,6 +999,90 @@ impl<T: Record> Operand<T> {
         match self {
             Operand::Run(run) => run.iter().map(|r| r.image().map(<[u8]>::to_vec)).collect(),
             Operand::List(list) => list.to_encoded(),
+        }
+    }
+
+    /// [`Operand::to_encoded`], consuming the operand: the images of a
+    /// run no one else holds are moved out, not copied.
+    pub fn into_encoded(self) -> PagerResult<Vec<Vec<u8>>> {
+        match self {
+            Operand::Run(run) => match Arc::try_unwrap(run) {
+                Ok(run) => run.records.into_iter().map(RawRecord::into_image).collect(),
+                Err(shared) => Operand::Run(shared).to_encoded(),
+            },
+            Operand::List(list) => list.to_encoded(),
+        }
+    }
+}
+
+/// Streaming writer producing an [`Operand`]: the records stay in memory
+/// as a run while the pager's budget lends their bytes, and the first
+/// record it cannot lend them for spills everything to a [`ListWriter`].
+/// A spilled record is written once, and read once by whoever reads the
+/// list; a record kept in memory carries its sort key
+/// ([`Record::page_key`], or the raw record's own), so no reader derives
+/// it again.
+pub struct OperandWriter<T> {
+    pager: Pager,
+    records: Vec<RawRecord<T>>,
+    held: Reservation,
+    spilled: Option<ListWriter<T>>,
+}
+
+impl<T: Record> OperandWriter<T> {
+    /// Start writing a fresh operand on `pager`.
+    pub fn new(pager: &Pager) -> Self {
+        OperandWriter {
+            pager: pager.clone(),
+            records: Vec::new(),
+            held: pager.reservation(),
+            spilled: None,
+        }
+    }
+
+    /// Append one record.
+    pub fn push(&mut self, item: &T) -> PagerResult<()> {
+        if let Some(list) = &mut self.spilled {
+            return list.push(item);
+        }
+        let mut image = Vec::new();
+        item.encode(&mut image);
+        self.keep(RawRecord::keyed(item.page_key().unwrap_or_default(), image))
+    }
+
+    /// Append an undecoded record: a run's bytes are copied as they are,
+    /// a v2 body lifted off a page is decoded into its image first.
+    pub fn push_raw(&mut self, raw: &RawRecord<T>) -> PagerResult<()> {
+        match &mut self.spilled {
+            Some(list) => list.push_raw(raw),
+            None if raw.split => self.push(&raw.decode(&self.pager.ctx())?),
+            None => self.keep(raw.clone()),
+        }
+    }
+
+    fn keep(&mut self, record: RawRecord<T>) -> PagerResult<()> {
+        if self.held.grow(record.held_bytes()) {
+            self.records.push(record);
+            return Ok(());
+        }
+        let mut list = ListWriter::new(&self.pager);
+        for r in self.records.drain(..) {
+            list.push_raw(&r)?;
+        }
+        list.push_raw(&record)?;
+        self.held.release();
+        self.spilled = Some(list);
+        Ok(())
+    }
+
+    /// The finished operand: a run, or the list it spilled to.
+    pub fn finish(self) -> PagerResult<Operand<T>> {
+        match self.spilled {
+            Some(list) => Ok(Operand::List(list.finish()?)),
+            None => Ok(Operand::Run(Arc::new(Run {
+                records: self.records,
+                _held: Some(self.held),
+            }))),
         }
     }
 }
@@ -1377,6 +1505,104 @@ mod tests {
         assert_eq!(run.pages_on(&pager), list.num_pages());
         assert_eq!(pager.io().total(), 0);
         assert_eq!(keyed_run(&[]).pages_on(&pager), 0);
+    }
+
+    /// Fetches and allocations on `pager` since it was made.
+    fn touched(pager: &Pager) -> (u64, u64) {
+        let pool = pager.pool().metrics();
+        (pool.hits + pool.misses, pager.io().allocs)
+    }
+
+    #[test]
+    fn a_writer_within_the_budget_makes_a_keyed_run_with_no_io() {
+        for pager in [Pager::new(4096, 8), Pager::compressed(4096, 8)] {
+            let items = keyed_items(120);
+            let mut w = OperandWriter::new(&pager);
+            for item in &items {
+                w.push(item).unwrap();
+            }
+            let out = w.finish().unwrap();
+            assert!(matches!(out, Operand::Run(_)));
+            assert_eq!(touched(&pager), (0, 0));
+            // Keyed as the producer holds them, held against the budget.
+            let keys: Vec<Vec<u8>> = out.iter_raw().map(|r| r.unwrap().key().to_vec()).collect();
+            let want: Vec<Vec<u8>> = items.iter().map(|k| k.name.as_bytes().to_vec()).collect();
+            assert_eq!(keys, want);
+            assert_eq!(out.to_vec().unwrap(), items);
+            assert!(pager.run_bytes_held() > 0);
+            let copy = out.clone();
+            drop(out);
+            assert!(pager.run_bytes_held() > 0, "a clone still holds the run");
+            drop(copy);
+            assert_eq!(pager.run_bytes_held(), 0);
+        }
+    }
+
+    #[test]
+    fn a_writer_past_the_budget_spills_each_record_once() {
+        for pager in [tiny_pager(), tiny_compressed()] {
+            let items = keyed_items(300);
+            let want = PagedList::from_iter(&tiny_pager(), items.clone()).unwrap();
+            // Raw records from a run and from pages, then decoded ones.
+            let source = keyed_run(&items[..100]);
+            let lifted = PagedList::from_iter(&pager, items[100..200].to_vec()).unwrap();
+            let before = touched(&pager);
+            let mut w = OperandWriter::new(&pager);
+            for raw in source.iter_raw().chain(Operand::List(lifted.clone()).iter_raw()) {
+                w.push_raw(&raw.unwrap()).unwrap();
+            }
+            for item in &items[200..] {
+                w.push(item).unwrap();
+            }
+            let out = w.finish().unwrap();
+            let Operand::List(list) = &out else {
+                panic!("300 records outgrow a 2 KiB budget");
+            };
+            assert_eq!(out.to_vec().unwrap(), items);
+            assert_eq!(pager.run_bytes_held(), 0, "the spilled run's bytes returned");
+            assert!(pager.run_bytes_peak() <= pager.run_budget());
+            if pager.format() == PageFormat::V1 {
+                assert_eq!(list.num_pages(), want.num_pages());
+            }
+            // Written once: one allocation per page, plus the lifted
+            // list's pages read once while copying.
+            let (fetches, allocs) = touched(&pager);
+            assert_eq!(allocs - before.1, list.num_pages());
+            assert!(fetches - before.0 <= lifted.num_pages() + 2 * list.num_pages());
+        }
+    }
+
+    #[test]
+    fn a_writer_with_no_budget_left_writes_pages_from_the_first_record() {
+        let pager = tiny_pager();
+        let all = pager.reserve(pager.run_budget()).unwrap();
+        let items = keyed_items(3);
+        let mut w = OperandWriter::new(&pager);
+        for item in &items {
+            w.push(item).unwrap();
+        }
+        let out = w.finish().unwrap();
+        assert_eq!((out.num_pages(), out.to_vec().unwrap()), (1, items.clone()));
+        drop(all);
+        let empty = OperandWriter::<Keyed>::new(&pager).finish().unwrap();
+        assert!(matches!(empty, Operand::Run(_)) && empty.is_empty());
+    }
+
+    #[test]
+    fn into_encoded_moves_a_sole_run_and_copies_a_shared_one() {
+        let items = keyed_items(40);
+        let run = keyed_run(&items);
+        let want = run.to_encoded().unwrap();
+        let Operand::Run(records) = &run else { unreachable!() };
+        let first = records[0].body.as_ptr();
+        let shared = run.clone();
+        assert_eq!(shared.into_encoded().unwrap(), want);
+        let moved = run.into_encoded().unwrap();
+        assert_eq!(moved, want);
+        assert_eq!(moved[0].as_ptr(), first, "the image moved, not copied");
+        let pager = tiny_pager();
+        let list: Operand<Keyed> = PagedList::from_iter(&pager, items).unwrap().into();
+        assert_eq!(list.into_encoded().unwrap(), want);
     }
 
     #[test]

@@ -32,10 +32,11 @@
 //! one in-memory **run** ([`Operand::Run`]) that the operator above reads
 //! directly: a routed leaf is never staged on the queried server's
 //! scratch pages and its keys are never derived again. Operators write
-//! their outputs to scratch pages, and the final result is read back as
-//! images ([`QueryOutcome::entries`]), the bytes an answer frame
-//! carries; a query that is one atomic leaf answers straight from its
-//! run. In-process callers that want [`Entry`]s decode at their own edge
+//! their outputs as runs while the scratch pager's budget holds them and
+//! to its pages past it, and the final result's images are moved out
+//! ([`QueryOutcome::entries`]), the bytes an answer frame carries; a
+//! query that is one atomic leaf answers straight from its run.
+//! In-process callers that want [`Entry`]s decode at their own edge
 //! ([`Router::query`], [`Cluster::query_from`]).
 
 use crate::delegation::{Delegation, ServerId};
@@ -565,7 +566,7 @@ impl Router {
             }
         };
         Ok(QueryOutcome {
-            entries: out.to_encoded()?,
+            entries: out.into_encoded()?,
             partial: source.into_partial(),
         })
     }
@@ -599,10 +600,10 @@ impl Router {
         };
         let elapsed =
             u64::try_from(self.clock.now().saturating_sub(started).as_nanos()).unwrap_or(u64::MAX);
-        let trace = netdir_query::build_trace(query, &traces, elapsed);
+        let trace = netdir_query::build_trace(query, &traces, pager, elapsed);
         Ok((
             QueryOutcome {
-                entries: out.to_encoded()?,
+                entries: out.into_encoded()?,
                 partial: source.into_partial(),
             },
             trace,
@@ -624,7 +625,7 @@ impl Router {
     ) -> PagerResult<Vec<Vec<u8>>> {
         RoutingSource::new(self, home, ConsistencyMode::Strict)
             .evaluate_atomic(base, scope, filter)?
-            .to_encoded()
+            .into_encoded()
     }
 
     /// Fetch one zone's share of an atomic query, with failover across
@@ -1191,13 +1192,14 @@ mod tests {
         assert_eq!(plain.len(), out.entries.len());
         assert_eq!(trace.spans.len(), q.num_nodes());
         assert_eq!(trace.root_entries(), out.entries.len() as u64);
-        // Both leaves are routed runs: pipelined edges occupy no page and
-        // predict none. The root's output is the one paged list.
-        assert!(trace.spans[1..].iter().all(|s| s.pages_out == 0));
-        assert_eq!(trace.spans[0].pages_out, 1);
+        // Both leaves are routed runs and the root's output fits the
+        // budget: no edge occupies a page, and none is predicted to.
+        assert!(trace.spans.iter().all(|s| s.pages_out == 0));
         assert_eq!(trace.predicted_io, 0.0);
-        // An operator reading an operator's paged output predicts its
-        // pages.
+        // With the budget held elsewhere the operators' outputs spill,
+        // and an operator reading a paged output predicts its pages.
+        let spilling = netdir_pager::default_pager();
+        let _held = spilling.reserve(spilling.run_budget()).unwrap();
         let nested = parse_query(
             "(- (c (dc=com ? sub ? objectClass=thing) \
                    (dc=research, dc=att, dc=com ? base ? objectClass=thing)) \
@@ -1206,8 +1208,9 @@ mod tests {
         .unwrap();
         let (_, trace) = c
             .router()
-            .query_analyzed(0, &pager, &nested, ConsistencyMode::Strict)
+            .query_analyzed(0, &spilling, &nested, ConsistencyMode::Strict)
             .unwrap();
+        assert_eq!(trace.spans[1].pages_out, 1);
         assert_eq!(trace.spans[0].predicted_io, 1.0);
         assert_eq!(trace.predicted_io, 1.0);
     }

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Full pre-merge gate: release build, the whole test suite, clippy
 # (all targets, warnings promoted to errors), ndlint (the workspace
-# invariant linter — see DESIGN.md §11), and the committed E12 table
-# (results/exp_distributed.txt) regenerated and diffed. Run from
-# anywhere in the repo.
+# invariant linter — see DESIGN.md §11), and the committed deterministic
+# tables (results/exp_{distributed,hs_linear,agg,er_nlogn,query_tree,
+# rewrite_cost}.txt) regenerated and diffed. Run from anywhere in the
+# repo.
 #
 #   scripts/check.sh                the gate
 #   scripts/check.sh --chaos        gate + the seeded fault-injection
@@ -105,11 +106,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 # The invariant linter is part of the default gate: clock discipline,
 # wire-tag freeze, metric-name registry, no-lock-across-io, panic-path.
 cargo run --release -q -p netdir-analysis --bin ndlint
-# E12's default table is counts only (requests, entries and bytes
-# shipped, answers), so it must regenerate byte for byte: a change that
-# moves what a query ships commits the new table and says why.
-cargo run --release -q -p netdir-bench --bin exp_distributed > target/exp_distributed.txt
-diff -u results/exp_distributed.txt target/exp_distributed.txt
+# The committed experiment tables are deterministic (E12's counts of
+# requests, entries and bytes shipped; the theorem tables' page counts,
+# I/Os and list sizes on seeded inputs), so each must regenerate byte
+# for byte: a change that moves a page count or what a query ships
+# commits the new table and says why.
+for exp in exp_distributed exp_hs_linear exp_agg exp_er_nlogn exp_query_tree \
+    exp_rewrite_cost; do
+  cargo run --release -q -p netdir-bench --bin "$exp" > "target/$exp.txt"
+  diff -u "results/$exp.txt" "target/$exp.txt"
+done
 
 if [ "$chaos" = 1 ]; then
   echo "check.sh: running seeded fault-injection suites"

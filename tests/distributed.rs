@@ -4,9 +4,10 @@
 //! with and without the planner, traced or not, query or routed atomic
 //! leaf, with every entry carrying the directory's own id. Plus the cost
 //! of the seam itself, counted: building a cluster starts no thread,
-//! generations published on one base build it once, on first read, and
-//! a routed leaf reaches its operator in memory, so the scratch pager
-//! sees only the operators' own output pages.
+//! generations published on one base build it once, on first read, a
+//! routed leaf reaches its operator in memory, and intermediates stay in
+//! memory up to the scratch pool's bytes, so the scratch pager sees only
+//! what spills past them.
 
 use netdir::model::{Directory, Dn, Entry};
 use netdir::filter::{AtomicFilter, Scope};
@@ -319,49 +320,111 @@ fn atomic_leaves<'q>(q: &'q Query, out: &mut Vec<(&'q Dn, Scope, &'q AtomicFilte
     }
 }
 
-/// A routed leaf is a run in memory, never a list on the scratch pager:
-/// a query that is one atomic leaf fetches no scratch page at all, and an
-/// operator over routed leaves fetches exactly its own output pages,
-/// each once as it is written and once as the answer is read back.
-#[test]
-fn routed_leaves_reach_their_operator_without_touching_the_scratch_pager() {
+/// One query per operator family over routed leaves, each with
+/// intermediates: an L0 merge, an L1 stack pass, an L2 pass that
+/// buffers its annotated candidates in chains, a two-scan aggregate and
+/// an L3 sort-merge semijoin.
+const OPERATOR_QUERIES: [(&str, &str); 5] = [
+    ("and", "(& (dc=test ? sub ? kind=red) (dc=test ? sub ? weight<=2))"),
+    ("ancestors", "(a (dc=test ? sub ? kind=red) (dc=test ? sub ? kind=blue))"),
+    (
+        "children, counted",
+        "(c (dc=test ? sub ? objectClass=thing) (dc=test ? sub ? kind=green) count($2) > 0)",
+    ),
+    (
+        "aggregate, two scans",
+        "(g (dc=test ? sub ? kind=red) max(weight) = max(max(weight)))",
+    ),
+    (
+        "value-dn",
+        "(vd (dc=test ? sub ? objectClass=thing) (dc=test ? sub ? kind=red) ref)",
+    ),
+];
+
+/// What one operator query left on its scratch pager.
+struct Ledger {
+    what: String,
+    entries: Vec<Vec<u8>>,
+    /// The pager's (fetches, allocations).
+    touched: (u64, u64),
+    /// The answer's size in pages of the small pager's geometry.
+    answer_pages: u64,
+}
+
+/// Each operator query on a one-server and a three-zone cluster, on a
+/// fresh scratch pager: the default one, or with `spill` a small one
+/// whose whole budget is held elsewhere, so no intermediate fits.
+fn operator_ledgers(spill: bool) -> Vec<Ledger> {
     let (dir, _, zoned, _) = zoned_forest(0);
     let single = ClusterBuilder::new().server("root", Dn::root());
-    // Small pages, so outputs span several; frames enough that none is
-    // evicted and re-read.
-    let scratch = || Pager::new(512, 256);
-    let texts = [
-        ("atomic root", "(dc=test ? sub ? objectClass=thing)"),
-        ("and", "(& (dc=test ? sub ? kind=red) (dc=test ? sub ? weight<=2))"),
-        ("ancestors", "(a (dc=test ? sub ? kind=red) (dc=test ? sub ? kind=blue))"),
-        (
-            "aggregate, two scans",
-            "(g (dc=test ? sub ? kind=red) max(weight) = max(max(weight)))",
-        ),
-    ];
+    let small = || Pager::new(512, 8);
+    let mut out = Vec::new();
     for shape in [single, zoned] {
         let cluster = shape.build(&dir);
-        for (label, text) in texts {
+        for (label, text) in OPERATOR_QUERIES {
             let q = parse_query(text).unwrap();
-            let pager = scratch();
+            let pager = if spill { small() } else { netdir::pager::default_pager() };
+            let held = spill.then(|| pager.reserve(pager.run_budget()).unwrap());
             let got = cluster
                 .query_from_with("root", &pager, &q, ConsistencyMode::Strict)
                 .unwrap();
             assert!(!got.entries.is_empty(), "{label}: dead query");
+            drop(held);
+            assert!(pager.run_bytes_peak() <= pager.run_budget(), "{label}");
+            assert_eq!(pager.run_bytes_held(), 0, "{label}: a run outlived its query");
             let pool = pager.pool().metrics();
-            let (fetches, allocs) = (pool.hits + pool.misses, pager.io().allocs);
-            assert_eq!(pool.evictions, 0, "{label}");
-            let what = format!("{label} on {} servers", cluster.num_servers());
-            if matches!(q, Query::Atomic { .. }) {
-                assert_eq!((fetches, allocs), (0, 0), "{what}");
-                continue;
-            }
-            // The operator's output, as it lays out on such a pager.
             let answer = netdir::server::node::decode_entries(&got.entries).unwrap();
-            let out_pages = PagedList::from_iter(&scratch(), answer).unwrap().num_pages();
-            assert!(out_pages > 1, "{what}: {out_pages} output pages");
-            assert_eq!(allocs, out_pages, "{what}: pages allocated");
-            assert_eq!(fetches, 2 * out_pages, "{what}: written once, read once");
+            let answer_pages = PagedList::from_iter(&small(), answer).unwrap().num_pages();
+            out.push(Ledger {
+                what: format!("{label} on {} servers", cluster.num_servers()),
+                entries: got.entries,
+                touched: (pool.hits + pool.misses, pager.io().allocs),
+                answer_pages,
+            });
+        }
+    }
+    out
+}
+
+/// Intermediates live in memory up to the scratch pool's bytes *M*, and
+/// spill to pages only past it. Under the default pool every operator's
+/// output, chain blocks, pair lists and sorts stay in memory, so the
+/// scratch pager sees no allocation and no fetch at all; with no budget
+/// left they all spill, and the answers do not change by a byte.
+#[test]
+fn intermediates_within_the_budget_touch_no_scratch_page() {
+    for (roomy, spilled) in operator_ledgers(false).iter().zip(operator_ledgers(true)) {
+        let what = &roomy.what;
+        assert_eq!(roomy.touched, (0, 0), "{what}: scratch pages touched in budget");
+        assert_eq!(roomy.entries, spilled.entries, "{what}: the budget changed the answer");
+    }
+}
+
+/// Past the budget each spilled page is written once and read once. An
+/// operator's output, a staged or sorted pair list and an external
+/// sort's runs are written through one page builder and scanned once, so
+/// a query of those fetches exactly two pages per page it allocates, and
+/// one whose only intermediate is its answer allocates its pages. The
+/// chains an above-direction pass buffers are Figure 6's: a chain block
+/// on a page is fetched per record appended, so for `c` the check is
+/// that they spilled at all, beyond the answer.
+#[test]
+fn intermediates_past_the_budget_spill_each_page_once() {
+    for Ledger {
+        what,
+        touched: (fetches, allocs),
+        answer_pages,
+        ..
+    } in operator_ledgers(true)
+    {
+        assert!(answer_pages > 0 && allocs >= answer_pages, "{what}: the answer spilled");
+        if what.starts_with("children") {
+            assert!(allocs > answer_pages, "{what}: chain blocks spilled");
+            continue;
+        }
+        assert_eq!(fetches, 2 * allocs, "{what}: written once, read once");
+        if !what.starts_with("value-dn") {
+            assert_eq!(allocs, answer_pages, "{what}: the output is the only intermediate");
         }
     }
 }
