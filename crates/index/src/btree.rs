@@ -104,11 +104,21 @@ impl StaticBTree {
         }
     }
 
-    /// An upper bound on `range(lo, hi).len()` from in-memory metadata
-    /// alone: the capacity of the leaves the interval can touch.
+    /// The number of pairs on the leaves [`StaticBTree::range`] walks
+    /// for `[lo, hi]`, from in-memory metadata alone: exactly the
+    /// postings it reads, and so an upper bound on what it returns.
     pub fn range_bound(&self, lo: i64, hi: i64) -> u64 {
+        let leaves = self.leaves(lo, hi);
+        // Leaves are full but for the last.
+        let pairs_before = |leaf: usize| (leaf as u64 * self.per_page as u64).min(self.len);
+        pairs_before(leaves.end) - pairs_before(leaves.start)
+    }
+
+    /// The leaves that can hold a key in `[lo, hi]`, from the in-memory
+    /// leaf fence keys.
+    fn leaves(&self, lo: i64, hi: i64) -> std::ops::Range<usize> {
         if lo > hi {
-            return 0;
+            return 0..0;
         }
         // Duplicates of `lo` may start on the leaf before the first one
         // whose first key reaches it.
@@ -117,14 +127,24 @@ impl StaticBTree {
             .partition_point(|&k| k < lo)
             .saturating_sub(1);
         let end = self.leaf_first_keys.partition_point(|&k| k <= hi);
-        (end.saturating_sub(first) as u64 * self.per_page as u64).min(self.len)
+        first..end.max(first)
     }
 
-    /// All ids whose key lies in `[lo, hi]` (inclusive), in key order.
-    pub fn range(&self, lo: i64, hi: i64) -> PagerResult<Vec<Posting>> {
+    /// The ids whose key lies in `[lo, hi]` (inclusive) and that fall
+    /// `within` a window of postings, in key order; the window is
+    /// applied during the leaf walk, so nothing outside it is collected.
+    /// Also returns the number of postings the walk read: exactly
+    /// [`StaticBTree::range_bound`].
+    pub fn range(
+        &self,
+        lo: i64,
+        hi: i64,
+        within: std::ops::Range<Posting>,
+    ) -> PagerResult<(Vec<Posting>, u64)> {
         let mut out = Vec::new();
-        if self.len == 0 || lo > hi {
-            return Ok(out);
+        let leaves = self.leaves(lo, hi);
+        if leaves.is_empty() {
+            return Ok((out, 0));
         }
         // Descend to the first leaf that can contain `lo`.
         let mut leaf_idx = 0usize;
@@ -152,25 +172,21 @@ impl StaticBTree {
                 }
             }
         }
-        // Sequential leaf scan from leaf_idx.
-        for &leaf in &self.levels[0][leaf_idx..] {
+        debug_assert_eq!(leaf_idx, leaves.start, "descent agrees with the fence keys");
+        // Sequential leaf walk, up to the first leaf whose fence key is
+        // past `hi`.
+        let mut read = 0u64;
+        for &leaf in &self.levels[0][leaves] {
             let entries = read_pairs_page(&self.pager, leaf)?;
-            let mut past_end = false;
-            for (k, id) in entries {
-                if k < lo {
-                    continue;
-                }
-                if k > hi {
-                    past_end = true;
-                    break;
-                }
-                out.push(id);
-            }
-            if past_end {
-                break;
-            }
+            read += entries.len() as u64;
+            out.extend(
+                entries
+                    .into_iter()
+                    .filter(|&(k, id)| lo <= k && k <= hi && within.contains(&id))
+                    .map(|(_, id)| id),
+            );
         }
-        Ok(out)
+        Ok((out, read))
     }
 }
 
@@ -222,6 +238,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Every id keyed in `[lo, hi]`, checking that the walk reads
+    /// exactly the postings `range_bound` promised.
+    fn walk(t: &StaticBTree, lo: i64, hi: i64) -> Vec<Posting> {
+        let (ids, read) = t.range(lo, hi, 0..Posting::MAX).unwrap();
+        assert_eq!(read, t.range_bound(lo, hi), "[{lo},{hi}]");
+        ids
+    }
+
     fn build(pairs: &[(i64, Posting)]) -> (StaticBTree, Pager) {
         let pager = tiny_pager();
         let t = StaticBTree::build(&pager, pairs).unwrap();
@@ -233,18 +257,18 @@ mod tests {
         let (t, _) = build(&[]);
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);
-        assert_eq!(t.range(i64::MIN, i64::MAX).unwrap(), Vec::<u64>::new());
+        assert_eq!(walk(&t, i64::MIN, i64::MAX), Vec::<u64>::new());
     }
 
     #[test]
     fn small_lookups() {
         let pairs: Vec<(i64, u64)> = vec![(1, 10), (2, 20), (2, 21), (5, 50)];
         let (t, _) = build(&pairs);
-        assert_eq!(t.range(2, 2).unwrap(), vec![20, 21]);
-        assert_eq!(t.range(3, 3).unwrap(), Vec::<u64>::new());
-        assert_eq!(t.range(2, 5).unwrap(), vec![20, 21, 50]);
-        assert_eq!(t.range(i64::MIN, 1).unwrap(), vec![10]);
-        assert_eq!(t.range(3, i64::MAX).unwrap(), vec![50]);
+        assert_eq!(walk(&t, 2, 2), vec![20, 21]);
+        assert_eq!(walk(&t, 3, 3), Vec::<u64>::new());
+        assert_eq!(walk(&t, 2, 5), vec![20, 21, 50]);
+        assert_eq!(walk(&t, i64::MIN, 1), vec![10]);
+        assert_eq!(walk(&t, 3, i64::MAX), vec![50]);
     }
 
     #[test]
@@ -262,7 +286,7 @@ mod tests {
                 .filter(|&&(k, _)| k >= lo && k <= hi)
                 .map(|&(_, id)| id)
                 .collect();
-            assert_eq!(t.range(lo, hi).unwrap(), expect, "range [{lo},{hi}]");
+            assert_eq!(walk(&t, lo, hi), expect, "range [{lo},{hi}]");
             // The in-memory bound holds and is tight to a leaf or two.
             let bound = t.range_bound(lo, hi);
             assert!(bound >= expect.len() as u64, "bound [{lo},{hi}]");
@@ -278,7 +302,7 @@ mod tests {
         pager.flush().unwrap();
         pager.pool().clear_cache().unwrap();
         pager.reset_io();
-        let hits = t.range(50_000, 50_010).unwrap();
+        let hits = walk(&t, 50_000, 50_010);
         assert_eq!(hits.len(), 11);
         let io = pager.io();
         // Descent (height) + a couple of leaves; far less than a full scan.
@@ -307,21 +331,38 @@ mod tests {
                 .filter(|&&(k, _)| k == key)
                 .map(|&(_, id)| id)
                 .collect();
-            assert_eq!(t.range(key, key).unwrap(), expect, "key {key}");
+            assert_eq!(walk(&t, key, key), expect, "key {key}");
             assert!(t.range_bound(key, key) >= expect.len() as u64);
         }
         let expect_3_5 = pairs.iter().filter(|&&(k, _)| (3..=5).contains(&k)).count();
-        assert_eq!(t.range(3, 5).unwrap().len(), expect_3_5);
-        assert_eq!(t.range(1, 7).unwrap().len(), 3000);
+        assert_eq!(walk(&t, 3, 5).len(), expect_3_5);
+        assert_eq!(walk(&t, 1, 7).len(), 3000);
+    }
+
+    #[test]
+    fn the_window_cuts_postings_during_the_walk() {
+        let mut pairs: Vec<(i64, u64)> = (0..2000u64).map(|id| ((id % 10) as i64, id)).collect();
+        pairs.sort();
+        let (t, _) = build(&pairs);
+        let (ids, read) = t.range(3, 4, 500..700).unwrap();
+        let expect: Vec<u64> = pairs
+            .iter()
+            .filter(|&&(k, id)| (3..=4).contains(&k) && (500..700).contains(&id))
+            .map(|&(_, id)| id)
+            .collect();
+        assert_eq!(ids, expect);
+        // The walk still reads every posting keyed in the interval.
+        assert_eq!(read, t.range_bound(3, 4));
+        assert!(read >= 400, "{read}");
     }
 
     #[test]
     fn boundary_keys() {
         let pairs = vec![(i64::MIN, 1u64), (0, 2), (i64::MAX, 3)];
         let (t, _) = build(&pairs);
-        assert_eq!(t.range(i64::MIN, i64::MAX).unwrap(), vec![1, 2, 3]);
-        assert_eq!(t.range(i64::MIN, i64::MIN).unwrap(), vec![1]);
-        assert_eq!(t.range(i64::MAX, i64::MAX).unwrap(), vec![3]);
+        assert_eq!(walk(&t, i64::MIN, i64::MAX), vec![1, 2, 3]);
+        assert_eq!(walk(&t, i64::MIN, i64::MIN), vec![1]);
+        assert_eq!(walk(&t, i64::MAX, i64::MAX), vec![3]);
         assert_eq!(t.range_bound(i64::MIN, i64::MAX), 3);
         assert_eq!(t.range_bound(1, 0), 0);
     }

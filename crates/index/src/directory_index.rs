@@ -24,16 +24,15 @@
 //!   equality): sliced to the range, exact, never decoded.
 //! * **Postings that must be materialized** (an integer interval from
 //!   the paged B+-tree, a substring fragment from the suffix array) cost
-//!   work proportional to their size whatever the scope. Both indices
-//!   can bound that size from memory; when the scope range is no larger
-//!   than the bound, the node reads the range instead and verifies each
-//!   record against the filter — at most `|range|` records, where the
-//!   probe would have produced at least as many postings to sift.
+//!   a read per posting whatever the scope. Both indices know from
+//!   memory how many postings a probe reads, so the node prices the
+//!   probe against reading the range and verifying each record, in
+//!   counted work, and takes the cheaper ([`VERIFY_COST`]).
 //! * **No index** (a composite filter, a pattern with no fragment): the
 //!   range, verified. `objectClass=*` needs no verification at all.
 //!
-//! The rule compares two sizes already in memory; there is nothing to
-//! tune (DESIGN.md §3c).
+//! The rule is one comparison of two counts the node already holds
+//! (DESIGN.md §3c).
 
 use crate::btree::StaticBTree;
 use crate::delta::{Delta, DeltaCursor};
@@ -58,17 +57,39 @@ pub struct IndexedDirectory {
     /// Positions of the entries holding each attribute, ascending.
     presence: BTreeMap<AttrName, Vec<Posting>>,
     examined: AtomicU64,
+    postings: AtomicU64,
     decoded: AtomicU64,
 }
 
-/// Work the evaluation core has done since the index was built, in
-/// records — counts, not times, so they repeat exactly.
+/// What verifying one candidate costs, in posting reads: the ratio of
+/// one `Entry::decode` of the daemon benchmark's entry shape to one
+/// posting read and cut to the scope by an integer probe, as
+/// `cargo bench -p netdir-bench --bench verify_cost` measures it
+/// (DESIGN.md §3c). It prices a probe against a range scan.
+pub const VERIFY_COST: u64 = 700;
+
+/// Work the evaluation core has done since the index was built —
+/// counts, not times, so they repeat exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AtomicCost {
     /// Candidate positions looked at (a key check or a record read).
     pub examined: u64,
+    /// Postings a probe read off an index it had to materialize.
+    pub postings: u64,
     /// Records decoded to verify a candidate.
     pub decoded: u64,
+}
+
+impl std::ops::Add for AtomicCost {
+    type Output = AtomicCost;
+
+    fn add(self, other: AtomicCost) -> AtomicCost {
+        AtomicCost {
+            examined: self.examined + other.examined,
+            postings: self.postings + other.postings,
+            decoded: self.decoded + other.decoded,
+        }
+    }
 }
 
 /// The positions an atomic query may match within its scope range.
@@ -77,6 +98,48 @@ enum Candidates<'a> {
     Range,
     /// These positions of the range, ascending and distinct.
     Postings(Cow<'a, [Posting]>),
+}
+
+/// An index whose postings for a leaf must be materialized before they
+/// can be cut to the scope: an integer interval's B+-tree leaves, or a
+/// substring fragment's suffix interval.
+enum Probe<'a> {
+    Int(&'a StaticBTree, i64, i64),
+    Fragment(&'a SuffixIndex, &'a str),
+}
+
+impl Probe<'_> {
+    /// The postings the probe reads, known from memory before it runs.
+    fn postings(&self) -> u64 {
+        match *self {
+            Probe::Int(tree, lo, hi) => tree.range_bound(lo, hi),
+            Probe::Fragment(index, frag) => index.occurrences(frag) as u64,
+        }
+    }
+
+    /// True iff every posting it yields in scope matches the filter.
+    fn exact(&self) -> bool {
+        matches!(self, Probe::Int(..))
+    }
+
+    /// The access-path rule: probe iff reading the postings and
+    /// verifying the in-scope candidates costs no more than verifying
+    /// every record of a range `range` long. A fragment's candidates
+    /// are bounded by both its occurrences and the range.
+    fn pays(&self, range: u64) -> bool {
+        let postings = self.postings();
+        let to_verify = if self.exact() { 0 } else { postings.min(range) };
+        postings.saturating_add(to_verify.saturating_mul(VERIFY_COST))
+            <= range.saturating_mul(VERIFY_COST)
+    }
+}
+
+/// Where a leaf's candidates come from.
+enum Access<'a> {
+    /// Decided without pricing: candidates, and whether they are exact.
+    Fixed(Candidates<'a>, bool),
+    /// A probe, priced against reading the range.
+    Priced(Probe<'a>),
 }
 
 /// The inclusive key interval `op rhs` selects, or `None` when empty.
@@ -157,6 +220,7 @@ impl IndexedDirectory {
             suffixes,
             presence,
             examined: AtomicU64::new(0),
+            postings: AtomicU64::new(0),
             decoded: AtomicU64::new(0),
         })
     }
@@ -176,21 +240,36 @@ impl IndexedDirectory {
         self.table.is_empty()
     }
 
-    /// Records examined and decoded by every evaluation so far.
+    /// Records examined, postings read and records decoded by every
+    /// evaluation so far.
     pub fn cost(&self) -> AtomicCost {
         AtomicCost {
             examined: self.examined.load(Ordering::Relaxed),
+            postings: self.postings.load(Ordering::Relaxed),
             decoded: self.decoded.load(Ordering::Relaxed),
         }
     }
 
     /// The candidates of `filter` within `range`, and whether each is a
-    /// certain match (`true`) or must be verified against the filter.
+    /// certain match (`true`) or must be verified against the filter: a
+    /// priced leaf probes when that counts no more work than reading the
+    /// range.
     fn candidates<'a>(
         &'a self,
-        filter: &AtomicFilter,
+        filter: &'a AtomicFilter,
         range: &ScopeRange,
     ) -> PagerResult<(Candidates<'a>, bool)> {
+        Ok(match self.access(filter, range) {
+            Access::Fixed(candidates, exact) => (candidates, exact),
+            Access::Priced(probe) if probe.pays(range.len()) => {
+                (self.probe(&probe, range)?, probe.exact())
+            }
+            Access::Priced(_) => (Candidates::Range, false),
+        })
+    }
+
+    /// Where the candidates of `filter` within `range` come from.
+    fn access<'a>(&'a self, filter: &'a AtomicFilter, range: &ScopeRange) -> Access<'a> {
         let within = range.positions();
         // A position-sorted posting list held in memory, cut to the range.
         let held = |postings: Option<&'a [Posting]>| {
@@ -199,21 +278,21 @@ impl IndexedDirectory {
             let hi = postings.partition_point(|&p| p < within.end);
             Candidates::Postings(Cow::Borrowed(&postings[lo..hi]))
         };
-        let none = Candidates::Postings(Cow::Borrowed(&[]));
-        Ok(match filter {
-            AtomicFilter::True => (Candidates::Range, true),
-            AtomicFilter::False => (none, true),
-            AtomicFilter::Present(a) => (
+        let none = Access::Fixed(Candidates::Postings(Cow::Borrowed(&[])), true);
+        match filter {
+            AtomicFilter::True => Access::Fixed(Candidates::Range, true),
+            AtomicFilter::False => none,
+            AtomicFilter::Present(a) => Access::Fixed(
                 held(self.presence.get(a.canonical()).map(Vec::as_slice)),
                 true,
             ),
-            AtomicFilter::Eq(a, v) => (
+            AtomicFilter::Eq(a, v) => Access::Fixed(
                 held(self.tries.get(a.canonical()).map(|t| t.postings(v))),
                 true,
             ),
             // The trie also posts string values that merely spell the
             // DN; only a DN-typed value matches.
-            AtomicFilter::DnEq(a, dn) => (
+            AtomicFilter::DnEq(a, dn) => Access::Fixed(
                 held(
                     self.tries
                         .get(a.canonical())
@@ -232,36 +311,41 @@ impl IndexedDirectory {
                     .chain(pat.final_.as_deref())
                     .max_by_key(|s| s.len())
                 else {
-                    return Ok((Candidates::Range, false));
+                    return Access::Fixed(Candidates::Range, false);
                 };
-                let Some(index) = self.suffixes.get(a.canonical()) else {
-                    return Ok((none, true));
-                };
-                if range.len() <= index.occurrences(frag) as u64 {
-                    return Ok((Candidates::Range, false));
+                match self.suffixes.get(a.canonical()) {
+                    Some(index) => Access::Priced(Probe::Fragment(index, frag)),
+                    None => none,
                 }
-                let mut postings = index.contains(frag);
-                postings.retain(|p| within.contains(p));
-                (Candidates::Postings(Cow::Owned(postings)), false)
             }
             AtomicFilter::IntCmp(a, op, rhs) => {
-                let (Some(tree), Some((lo, hi))) =
-                    (self.int_trees.get(a.canonical()), int_interval(*op, *rhs))
-                else {
-                    return Ok((none, true));
-                };
-                if range.len() <= tree.range_bound(lo, hi) {
-                    return Ok((Candidates::Range, false));
+                match (self.int_trees.get(a.canonical()), int_interval(*op, *rhs)) {
+                    (Some(tree), Some((lo, hi))) => Access::Priced(Probe::Int(tree, lo, hi)),
+                    _ => none,
                 }
+            }
+        }
+    }
+
+    /// Run `probe`, cutting its postings to `range` as it reads them:
+    /// the candidates, ascending and distinct.
+    fn probe(&self, probe: &Probe<'_>, range: &ScopeRange) -> PagerResult<Candidates<'static>> {
+        let within = range.positions();
+        let (postings, read) = match *probe {
+            Probe::Int(tree, lo, hi) => {
                 // Key order, not position order; an entry with several
                 // values in the interval posts once per value.
-                let mut postings = tree.range(lo, hi)?;
-                postings.retain(|p| within.contains(p));
+                let (mut postings, read) = tree.range(lo, hi, within)?;
                 postings.sort_unstable();
                 postings.dedup();
-                (Candidates::Postings(Cow::Owned(postings)), true)
+                (postings, read)
             }
-        })
+            Probe::Fragment(index, frag) => {
+                (index.contains(frag, within), index.occurrences(frag) as u64)
+            }
+        };
+        self.postings.fetch_add(read, Ordering::Relaxed);
+        Ok(Candidates::Postings(Cow::Owned(postings)))
     }
 
     /// Read `candidates` of `range` in table order and hand those in
@@ -422,6 +506,8 @@ impl IndexedDirectory {
 mod tests {
     use super::*;
     use netdir_pager::tiny_pager;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn dn(s: &str) -> Dn {
         Dn::parse(s).unwrap()
@@ -585,5 +671,152 @@ mod tests {
             dns(&out),
             vec!["uid=tova, ou=people, dc=att, dc=com".to_string()]
         );
+    }
+
+    /// `dc=big` → 16 zones → 24 teams each → leaves, `entries` in all.
+    /// Every entry carries a `weight` in `0..100`; leaves also a `kind`
+    /// and a unique `cn`: `e00079` is the first leaf of `ou=t07, ou=z03`.
+    fn zoned(entries: usize) -> Directory {
+        let mut rng = StdRng::seed_from_u64(entries as u64);
+        let mut d = Directory::new();
+        let mut add = |dn_text: String, kind: Option<&str>| {
+            let mut b = Entry::builder(dn(&dn_text)).attr("weight", rng.gen_range(0..100i64));
+            if let Some(kind) = kind {
+                b = b.attr("kind", kind);
+            }
+            d.insert(b.build().unwrap()).unwrap();
+        };
+        add("dc=big".into(), None);
+        for z in 0..16 {
+            add(format!("ou=z{z:02}, dc=big"), None);
+            for t in 0..24 {
+                add(format!("ou=t{t:02}, ou=z{z:02}, dc=big"), None);
+            }
+        }
+        for i in 0..entries - (1 + 16 * 25) {
+            let (z, t) = (i % 384 / 24, i % 24);
+            let kind = if i % 3 == 0 { "blue" } else { "red" };
+            add(format!("cn=e{i:05}, ou=t{t:02}, ou=z{z:02}, dc=big"), Some(kind));
+        }
+        d
+    }
+
+    /// The work the access-path rule prices, in posting reads.
+    fn work(idx: &IndexedDirectory) -> u64 {
+        let cost = idx.cost();
+        cost.postings + cost.decoded * VERIFY_COST
+    }
+
+    /// Both paths of every priced leaf over a grid of scope lengths (a
+    /// leaf, a team, a zone, the whole base) and posting counts (1 % to
+    /// 100 % of the entries), at 5k and 50k entries: the hits agree, and
+    /// the path the rule picks is the one `visit_atomic` runs. An integer
+    /// probe knows its postings exactly, so there the rule's pick counts
+    /// at most 1.25× the other path's work. A fragment's in-scope
+    /// candidates are only bounded (by its occurrences and the range),
+    /// so there the rule guarantees one direction: a probe it picks
+    /// counts no more than the scan.
+    #[test]
+    fn the_priced_rule_picks_the_cheaper_path() {
+        let ints = [
+            AtomicFilter::int_cmp("weight", IntOp::Eq, 42),
+            AtomicFilter::int_cmp("weight", IntOp::Lt, 10),
+            AtomicFilter::int_cmp("weight", IntOp::Le, 49),
+            AtomicFilter::int_cmp("weight", IntOp::Ge, 0),
+        ];
+        let fragments = ["kind=*e*", "kind=r*", "cn=*123*", "cn=e0000*"]
+            .map(|f| netdir_filter::parse_atomic(f).unwrap());
+        let bases = [
+            "cn=e00079, ou=t07, ou=z03, dc=big",
+            "ou=t07, ou=z03, dc=big",
+            "ou=z03, dc=big",
+            "dc=big",
+        ]
+        .map(dn);
+        let (mut probed, mut scanned) = (0, 0);
+        for entries in [5_000usize, 50_000] {
+            let idx = IndexedDirectory::build(&Pager::new(4096, 64), &zoned(entries)).unwrap();
+            for base in &bases {
+                let range = idx.table.scope_range(base, Scope::Sub);
+                assert!(!range.is_empty(), "{base}");
+                for filter in ints.iter().chain(&fragments) {
+                    let what = format!("{entries}: ({base} ? sub ? {filter})");
+                    let Access::Priced(probe) = idx.access(filter, &range) else {
+                        panic!("{what}: not priced");
+                    };
+                    let matches = |e: &Entry| filter.matches(e);
+                    // The hits' keys and the work counted, down one path.
+                    let run = |by_probe: bool| {
+                        let before = work(&idx);
+                        let (candidates, exact) = if by_probe {
+                            (idx.probe(&probe, &range).unwrap(), probe.exact())
+                        } else {
+                            (Candidates::Range, false)
+                        };
+                        let delta = Delta::default();
+                        let cursor = DeltaCursor::new(&delta, base, Scope::Sub);
+                        let mut keys = Vec::new();
+                        idx.visit_candidates(&range, candidates, !exact, &matches, cursor, |hit| {
+                            keys.push(hit.key().to_vec());
+                            Ok(())
+                        })
+                        .unwrap();
+                        (keys, work(&idx) - before)
+                    };
+                    let (probe_hits, probe_work) = run(true);
+                    let (scan_hits, scan_work) = run(false);
+                    assert_eq!(probe_hits, scan_hits, "{what}");
+                    let before = work(&idx);
+                    idx.visit_atomic(&Delta::default(), base, Scope::Sub, filter, |_| Ok(()))
+                        .unwrap();
+                    let ran = work(&idx) - before;
+                    let pays = probe.pays(range.len());
+                    let (chosen, other) = if pays {
+                        (probe_work, scan_work)
+                    } else {
+                        (scan_work, probe_work)
+                    };
+                    assert_eq!(ran, chosen, "{what}: visit_atomic runs the rule's pick");
+                    if probe.exact() {
+                        assert!(4 * chosen <= 5 * other, "{what}: {chosen} vs {other}");
+                    } else if pays {
+                        assert!(probe_work <= scan_work, "{what}: {probe_work} vs {scan_work}");
+                    }
+                    if pays {
+                        probed += 1;
+                    } else {
+                        scanned += 1;
+                    }
+                }
+            }
+        }
+        // The grid reaches both sides of the rule.
+        assert!(probed > 10 && scanned > 5, "{probed} probed, {scanned} scanned");
+    }
+
+    /// A selective integer leaf over a whole base probes, however small
+    /// the base: over one zone's ~150 entries, every one carrying
+    /// `weight` and all on one B+-tree leaf, `weight=n` reads that leaf
+    /// and decodes nothing. (The leaf's postings used to be clamped to
+    /// the tree's length, which tied them with the range: a scan.)
+    #[test]
+    fn a_selective_int_leaf_over_a_whole_base_decodes_nothing() {
+        let dir = zoned(2_500);
+        let zone = dn("ou=z03, dc=big");
+        let entries: Vec<&Entry> = dir
+            .iter_sorted()
+            .filter(|e| Scope::Sub.contains(&zone, e.dn()))
+            .collect();
+        let idx = IndexedDirectory::from_sorted(&Pager::new(4096, 64), &entries).unwrap();
+        let held = entries[7].first_int(&"weight".into()).unwrap();
+        let selective = AtomicFilter::int_cmp("weight", IntOp::Eq, held);
+        for base in [zone, Dn::root()] {
+            let before = idx.cost();
+            let hits = idx.evaluate_atomic(&base, Scope::Sub, &selective).unwrap().len();
+            let after = idx.cost();
+            assert!(hits > 0, "{base}");
+            assert_eq!(after.decoded, before.decoded, "{base}");
+            assert_eq!(after.postings - before.postings, entries.len() as u64, "{base}");
+        }
     }
 }

@@ -91,9 +91,10 @@ impl SuffixIndex {
         lo..hi
     }
 
-    /// An upper bound on `contains(pattern).len()`, from two binary
-    /// searches and no materialization: the number of *occurrences* of
-    /// the pattern (a posting with several counts once per occurrence).
+    /// The postings [`SuffixIndex::contains`] reads for `pattern`, from
+    /// two binary searches and no materialization: the number of
+    /// *occurrences* of the pattern (a posting with several counts once
+    /// per occurrence), and so an upper bound on what it returns.
     pub fn occurrences(&self, pattern: &str) -> usize {
         let pat = pattern.as_bytes();
         if pat.is_empty() {
@@ -106,18 +107,21 @@ impl SuffixIndex {
     }
 
     /// Postings having at least one indexed value that *contains*
-    /// `pattern` (sorted, deduplicated). The empty pattern matches every
-    /// document.
-    pub fn contains(&self, pattern: &str) -> Vec<Posting> {
+    /// `pattern`, cut to the window `within` before they are sorted and
+    /// deduplicated. The empty pattern matches every document. Reads
+    /// exactly [`SuffixIndex::occurrences`] postings.
+    pub fn contains(&self, pattern: &str, within: std::ops::Range<Posting>) -> Vec<Posting> {
         let pat = pattern.as_bytes();
+        let in_window = |p: &Posting| within.contains(p);
         let mut out: Vec<Posting> = if pat.is_empty() {
-            self.doc_ids.clone()
+            self.doc_ids.iter().copied().filter(in_window).collect()
         } else if pat.contains(&SENTINEL) {
             Vec::new()
         } else {
             self.suffixes[self.interval(pat)]
                 .iter()
                 .map(|&s| self.doc_ids[self.doc_of[s as usize] as usize])
+                .filter(in_window)
                 .collect()
         };
         out.sort_unstable();
@@ -129,6 +133,8 @@ impl SuffixIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const ALL: std::ops::Range<Posting> = 0..Posting::MAX;
 
     fn sample() -> SuffixIndex {
         SuffixIndex::build([
@@ -143,18 +149,18 @@ mod tests {
     #[test]
     fn substring_hits() {
         let s = sample();
-        assert_eq!(s.contains("jag"), vec![1, 5]);
-        assert_eq!(s.contains("iva"), vec![3]);
-        assert_eq!(s.contains("laks"), vec![2]);
-        assert_eq!(s.contains("a"), vec![1, 2, 3, 4, 5]);
-        assert_eq!(s.contains("zz"), Vec::<u64>::new());
+        assert_eq!(s.contains("jag", ALL), vec![1, 5]);
+        assert_eq!(s.contains("iva", ALL), vec![3]);
+        assert_eq!(s.contains("laks", ALL), vec![2]);
+        assert_eq!(s.contains("a", ALL), vec![1, 2, 3, 4, 5]);
+        assert_eq!(s.contains("zz", ALL), Vec::<u64>::new());
     }
 
     #[test]
     fn occurrences_bound_the_hits() {
         let s = sample();
         for pat in ["jag", "a", "zz", "", "laks", "h jagadish"] {
-            assert!(s.occurrences(pat) >= s.contains(pat).len(), "pattern {pat:?}");
+            assert!(s.occurrences(pat) >= s.contains(pat, ALL).len(), "pattern {pat:?}");
         }
         assert_eq!(s.occurrences("jag"), 2);
         assert_eq!(s.occurrences("laks"), 2); // twice in one value
@@ -162,24 +168,32 @@ mod tests {
     }
 
     #[test]
+    fn the_window_cuts_before_the_sort() {
+        let s = sample();
+        assert_eq!(s.contains("a", 2..4), vec![2, 3]);
+        assert_eq!(s.contains("jag", 2..5), Vec::<u64>::new());
+        assert_eq!(s.contains("", 4..9), vec![4, 5]);
+    }
+
+    #[test]
     fn no_cross_document_matches() {
         // "sh" ends doc 1 and "la" starts doc 2; "shla" must not match.
         let s = SuffixIndex::build([("jagadish", 1), ("laks", 2)]);
-        assert_eq!(s.contains("shla"), Vec::<u64>::new());
-        assert_eq!(s.contains("sh"), vec![1]);
+        assert_eq!(s.contains("shla", ALL), Vec::<u64>::new());
+        assert_eq!(s.contains("sh", ALL), vec![1]);
     }
 
     #[test]
     fn whole_value_and_empty_pattern() {
         let s = sample();
-        assert_eq!(s.contains("h jagadish"), vec![1]);
-        assert_eq!(s.contains(""), vec![1, 2, 3, 4, 5]);
+        assert_eq!(s.contains("h jagadish", ALL), vec![1]);
+        assert_eq!(s.contains("", ALL), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn duplicate_ids_dedup() {
         let s = SuffixIndex::build([("aaa", 9), ("aab", 9)]);
-        assert_eq!(s.contains("aa"), vec![9]);
+        assert_eq!(s.contains("aa", ALL), vec![9]);
     }
 
     #[test]
@@ -190,24 +204,24 @@ mod tests {
             .map(|i| (if i == 150 { "leap" } else { "leaf" }, i))
             .collect();
         let s = SuffixIndex::build(values);
-        assert_eq!(s.contains("leaf").len(), 299);
-        assert_eq!(s.contains("ea").len(), 300);
-        assert_eq!(s.contains("eap"), vec![150]);
+        assert_eq!(s.contains("leaf", ALL).len(), 299);
+        assert_eq!(s.contains("ea", ALL).len(), 300);
+        assert_eq!(s.contains("eap", ALL), vec![150]);
         assert_eq!(s.occurrences("lea"), 300);
-        assert_eq!(s.contains("fl"), Vec::<u64>::new());
+        assert_eq!(s.contains("fl", ALL), Vec::<u64>::new());
     }
 
     #[test]
     fn empty_index() {
         let s = SuffixIndex::build(std::iter::empty::<(&str, Posting)>());
         assert_eq!(s.num_docs(), 0);
-        assert_eq!(s.contains("x"), Vec::<u64>::new());
-        assert_eq!(s.contains(""), Vec::<u64>::new());
+        assert_eq!(s.contains("x", ALL), Vec::<u64>::new());
+        assert_eq!(s.contains("", ALL), Vec::<u64>::new());
     }
 
     #[test]
     fn pattern_longer_than_any_value() {
         let s = SuffixIndex::build([("ab", 1)]);
-        assert_eq!(s.contains("abc"), Vec::<u64>::new());
+        assert_eq!(s.contains("abc", ALL), Vec::<u64>::new());
     }
 }

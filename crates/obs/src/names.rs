@@ -91,6 +91,16 @@ pub const DELTA_ENTRIES: &str = "netdir_delta_entries";
 /// Publishes that rebuilt the generation from the directory because a
 /// zone's delta outgrew its base. From `Cluster::compactions`.
 pub const COMPACTIONS: &str = "netdir_compactions_total";
+/// Candidate positions the zone bases' atomic evaluations examined,
+/// summed over built bases. From `IndexedDirectory::cost`.
+pub const INDEX_EXAMINED: &str = "netdir_index_examined_total";
+/// Postings read off indices a probe had to materialize (integer
+/// B+-tree leaves, suffix intervals), summed over built bases. From
+/// `IndexedDirectory::cost`.
+pub const INDEX_POSTINGS: &str = "netdir_index_postings_total";
+/// Records decoded to verify a candidate, summed over built bases. From
+/// `IndexedDirectory::cost`.
+pub const INDEX_DECODED: &str = "netdir_index_decoded_total";
 
 /// Requests admitted past the policy layer. From `AdmissionSnapshot`.
 pub const ADMISSION_ADMITTED: &str = "netdir_admission_admitted_total";
@@ -186,6 +196,9 @@ pub const TRACKED: &[&str] = &[
     MUTATIONS_APPLIED,
     DELTA_ENTRIES,
     COMPACTIONS,
+    INDEX_EXAMINED,
+    INDEX_POSTINGS,
+    INDEX_DECODED,
     ADMISSION_ADMITTED,
     BUSY_REJECTIONS,
     ADMISSION_RATE_LIMITED,

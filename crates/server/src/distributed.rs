@@ -46,7 +46,7 @@ use crate::node::{decode_entries, ServerConfig, ZoneStore};
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::transport::{LocalTransport, Transport};
 use netdir_filter::{AtomicFilter, Scope};
-use netdir_index::DeltaWrite;
+use netdir_index::{AtomicCost, DeltaWrite};
 use netdir_model::{Directory, Dn, Entry};
 use netdir_obs::{Clock, MonotonicClock};
 use netdir_pager::{parallel_map, Operand, Pager, PagerError, PagerResult, RawRecord};
@@ -726,6 +726,16 @@ impl Cluster {
     /// zone): what the next compaction folds in.
     pub fn delta_entries(&self) -> usize {
         self.stores.iter().map(|z| z.delta().len()).sum()
+    }
+
+    /// The work every zone's base index has done since it was built,
+    /// summed over the zones (a base a compaction replaced starts again
+    /// from zero).
+    pub fn index_cost(&self) -> AtomicCost {
+        self.stores
+            .iter()
+            .map(ZoneStore::index_cost)
+            .fold(AtomicCost::default(), std::ops::Add::add)
     }
 
     /// Compactions [`ClusterBuilder::publish`] ran on the way from the

@@ -29,7 +29,7 @@
 //!   nothing else.
 
 use netdir_filter::{AtomicFilter, CompositeFilter, Scope};
-use netdir_index::{Delta, DeltaWrite, IndexedDirectory, RawHit};
+use netdir_index::{AtomicCost, Delta, DeltaWrite, IndexedDirectory, RawHit};
 use netdir_model::{Dn, Entry};
 use netdir_pager::record::Record;
 use netdir_pager::{Pager, PagerError, PagerResult};
@@ -164,6 +164,15 @@ impl ZoneStore {
     /// for both).
     pub fn shares_base(&self, other: &ZoneStore) -> bool {
         Arc::ptr_eq(&self.base, &other.base)
+    }
+
+    /// The work the base's index has done since it was built; zero
+    /// while it is unbuilt (asking builds nothing).
+    pub fn index_cost(&self) -> AtomicCost {
+        match self.base.store.get() {
+            Some(Ok(idx)) => idx.cost(),
+            _ => AtomicCost::default(),
+        }
     }
 
     /// The pager under the zone's base store (its I/O ledger and page

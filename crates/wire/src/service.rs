@@ -273,6 +273,14 @@ impl DirectoryService {
         self.metrics
             .counter(names::COMPACTIONS)
             .set(cluster.compactions());
+        let index = cluster.index_cost();
+        self.metrics
+            .counter(names::INDEX_EXAMINED)
+            .set(index.examined);
+        self.metrics
+            .counter(names::INDEX_POSTINGS)
+            .set(index.postings);
+        self.metrics.counter(names::INDEX_DECODED).set(index.decoded);
         WireResponse::Stats(self.metrics.render_prometheus())
     }
 }
