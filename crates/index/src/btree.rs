@@ -1,20 +1,17 @@
 //! A bulk-loaded, paged, static B+-tree over `(i64, Posting)` pairs.
 //!
 //! One tree per integer attribute turns the paper's integer comparison
-//! filters (`SLARulePriority < 3`) into a descent plus a leaf-range scan:
-//! `O(height + t/B)` page reads for `t` matches — the "B-trees indices for
-//! integer … filters" of Section 4.1.
+//! filters (`SLARulePriority < 3`) into a leaf-range scan: `O(1 + t/B)`
+//! page reads for `t` matches — the "B-trees indices for integer …
+//! filters" of Section 4.1.
 //!
 //! The tree is built once from sorted pairs (directories here are loaded,
-//! then queried; updates go through a rebuild). Layout:
-//!
-//! * **Leaf pages** — sorted `(key: i64, id: u64)` pairs, 16 bytes each.
-//! * **Internal pages** — `(first_key_of_child, child_page)` pairs, built
-//!   level by level until one root remains.
-//!
-//! Page format: 4-byte count header (provided by the pager layer's
-//! convention), then fixed-width pairs; internal and leaf pages share the
-//! shape, distinguished by level.
+//! then queried; updates go through a rebuild). Its leaves are pages of
+//! sorted `(key: i64, id: u64)` pairs, 16 bytes each, after the pager
+//! layer's 4-byte count header. The inner levels are held in memory as
+//! each leaf's first key — a fence key, as the DN table keeps its sort
+//! keys — so finding the leaves of an interval reads no page, and the
+//! walk reads exactly the leaves it sizes.
 
 use crate::Posting;
 use netdir_pager::{PagerError, PagerResult, Pager, PAGE_HEADER_BYTES};
@@ -25,11 +22,10 @@ const PAIR_BYTES: usize = 16;
 /// keys are fine (the posting disambiguates).
 pub struct StaticBTree {
     pager: Pager,
-    /// Levels bottom-up: `levels[0]` = leaf pages, last = root level
-    /// (single page). Page ids per level, in key order.
-    levels: Vec<Vec<netdir_pager::PageId>>,
+    /// The leaf pages, in key order.
+    leaves: Vec<netdir_pager::PageId>,
     /// First key of each leaf (in-memory metadata, like the DN table's
-    /// keys): sizes a key interval without reading a page.
+    /// keys): finds and sizes a key interval without reading a page.
     leaf_first_keys: Vec<i64>,
     per_page: usize,
     len: u64,
@@ -41,44 +37,16 @@ impl StaticBTree {
         debug_assert!(pairs.windows(2).all(|w| w[0] <= w[1]), "input must be sorted");
         let per_page = (pager.payload_size() / PAIR_BYTES).max(2);
 
-        // Leaf level.
-        let mut levels: Vec<Vec<netdir_pager::PageId>> = Vec::new();
-        let mut current: Vec<(i64, u64)> = Vec::new(); // (separator key, page id)
-        {
-            let mut leaf_pages = Vec::new();
-            for chunk in pairs.chunks(per_page) {
-                let page = write_pairs_page(
-                    pager,
-                    chunk.iter().map(|&(k, id)| (k, id)),
-                    chunk.len(),
-                )?;
-                current.push((chunk[0].0, page));
-                leaf_pages.push(page);
-            }
-            levels.push(leaf_pages);
-        }
-        let leaf_first_keys = current.iter().map(|&(k, _)| k).collect();
-
-        // Internal levels until one page remains.
-        while current.len() > 1 {
-            let mut next: Vec<(i64, u64)> = Vec::new();
-            let mut level_pages = Vec::new();
-            for chunk in current.chunks(per_page) {
-                let page = write_pairs_page(
-                    pager,
-                    chunk.iter().map(|&(k, child)| (k, child)),
-                    chunk.len(),
-                )?;
-                next.push((chunk[0].0, page));
-                level_pages.push(page);
-            }
-            levels.push(level_pages);
-            current = next;
+        let mut leaves = Vec::new();
+        let mut leaf_first_keys = Vec::new();
+        for chunk in pairs.chunks(per_page) {
+            leaves.push(write_pairs_page(pager, chunk)?);
+            leaf_first_keys.push(chunk[0].0);
         }
 
         Ok(StaticBTree {
             pager: pager.clone(),
-            levels,
+            leaves,
             leaf_first_keys,
             per_page,
             len: pairs.len() as u64,
@@ -93,15 +61,6 @@ impl StaticBTree {
     /// True iff no pairs are indexed.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Tree height in levels (0 for an empty tree).
-    pub fn height(&self) -> usize {
-        if self.len == 0 {
-            0
-        } else {
-            self.levels.len()
-        }
     }
 
     /// The number of pairs on the leaves [`StaticBTree::range`] walks
@@ -142,41 +101,10 @@ impl StaticBTree {
         within: std::ops::Range<Posting>,
     ) -> PagerResult<(Vec<Posting>, u64)> {
         let mut out = Vec::new();
-        let leaves = self.leaves(lo, hi);
-        if leaves.is_empty() {
-            return Ok((out, 0));
-        }
-        // Descend to the first leaf that can contain `lo`.
-        let mut leaf_idx = 0usize;
-        if self.levels.len() > 1 {
-            // Start from the root level and narrow down the child index.
-            let mut page = *self.levels.last().expect("non-empty levels").first().unwrap();
-            for _level in (1..self.levels.len()).rev() {
-                let entries = read_pairs_page(&self.pager, page)?;
-                // First child that can contain `lo`: duplicates of a key
-                // may span several children, and a child's separator is
-                // its *first* key — so descend into the last child whose
-                // separator is strictly below `lo` (children at or after
-                // it may all start with `lo` itself).
-                let pos = entries.partition_point(|&(k, _)| k < lo);
-                let child_slot = pos.saturating_sub(1);
-                let child = entries[child_slot].1;
-                // Find the child's index within the level below to allow
-                // subsequent sequential leaf walks.
-                page = child;
-                if _level == 1 {
-                    leaf_idx = self.levels[0]
-                        .iter()
-                        .position(|&p| p == child)
-                        .expect("child is a leaf of this tree");
-                }
-            }
-        }
-        debug_assert_eq!(leaf_idx, leaves.start, "descent agrees with the fence keys");
-        // Sequential leaf walk, up to the first leaf whose fence key is
-        // past `hi`.
         let mut read = 0u64;
-        for &leaf in &self.levels[0][leaves] {
+        // The leaves the fence keys select, in order: up to the first
+        // whose first key is past `hi`.
+        for &leaf in &self.leaves[self.leaves(lo, hi)] {
             let entries = read_pairs_page(&self.pager, leaf)?;
             read += entries.len() as u64;
             out.extend(
@@ -190,17 +118,13 @@ impl StaticBTree {
     }
 }
 
-fn write_pairs_page(
-    pager: &Pager,
-    pairs: impl Iterator<Item = (i64, u64)>,
-    count: usize,
-) -> PagerResult<netdir_pager::PageId> {
+fn write_pairs_page(pager: &Pager, pairs: &[(i64, u64)]) -> PagerResult<netdir_pager::PageId> {
     let page = pager.pool().allocate();
     let guard = pager.pool().fetch_zeroed(page)?;
     guard.with_mut(|data| {
-        data[..4].copy_from_slice(&(count as u32).to_le_bytes());
+        data[..4].copy_from_slice(&(pairs.len() as u32).to_le_bytes());
         let mut pos = PAGE_HEADER_BYTES;
-        for (k, v) in pairs {
+        for &(k, v) in pairs {
             data[pos..pos + 8].copy_from_slice(&k.to_le_bytes());
             data[pos + 8..pos + 16].copy_from_slice(&v.to_le_bytes());
             pos += PAIR_BYTES;
@@ -256,7 +180,7 @@ mod tests {
     fn empty_tree() {
         let (t, _) = build(&[]);
         assert!(t.is_empty());
-        assert_eq!(t.height(), 0);
+        assert!(t.leaves.is_empty());
         assert_eq!(walk(&t, i64::MIN, i64::MAX), Vec::<u64>::new());
     }
 
@@ -279,7 +203,7 @@ mod tests {
             .collect();
         pairs.sort();
         let (t, _) = build(&pairs);
-        assert!(t.height() >= 2, "tree should have internal levels");
+        assert!(t.leaves.len() > t.per_page, "an inner level would need two pages");
         for (lo, hi) in [(-1000, 1000), (0, 0), (-50, 70), (999, 1200), (-2000, -1001)] {
             let expect: Vec<u64> = pairs
                 .iter()
@@ -304,27 +228,25 @@ mod tests {
         pager.reset_io();
         let hits = walk(&t, 50_000, 50_010);
         assert_eq!(hits.len(), 11);
+        // The fence keys find the leaves in memory: the walk reads the
+        // two or three leaves the interval's keys can lie on, and no
+        // inner page, out of thousands.
         let io = pager.io();
-        // Descent (height) + a couple of leaves; far less than a full scan.
-        assert!(
-            io.reads <= (t.height() as u64) + 3,
-            "point-ish range read {} pages (height {})",
-            io.reads,
-            t.height()
-        );
+        assert!(t.leaves.len() > 1_000, "{} leaves", t.leaves.len());
+        assert!(io.reads <= 3, "point-ish range read {} pages", io.reads);
     }
 
     #[test]
     fn heavy_duplicates_spanning_many_leaves() {
-        // Regression: duplicates of one key filling multiple leaves used
-        // to make the descent land past the first leaf of the run.
+        // Regression: duplicates of one key filling multiple leaves once
+        // made the walk start past the first leaf of the run.
         let mut pairs: Vec<(i64, u64)> = Vec::new();
         for id in 0..3000u64 {
             pairs.push(((id % 7) as i64 + 1, id));
         }
         pairs.sort();
         let (t, _) = build(&pairs);
-        assert!(t.height() >= 2);
+        assert!(t.leaves.len() > 2);
         for key in 1..=7i64 {
             let expect: Vec<u64> = pairs
                 .iter()

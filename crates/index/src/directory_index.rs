@@ -24,15 +24,16 @@
 //!   equality): sliced to the range, exact, never decoded.
 //! * **Postings that must be materialized** (an integer interval from
 //!   the paged B+-tree, a substring fragment from the suffix array) cost
-//!   a read per posting whatever the scope. Both indices know from
-//!   memory how many postings a probe reads, so the node prices the
-//!   probe against reading the range and verifying each record, in
-//!   counted work, and takes the cheaper ([`VERIFY_COST`]).
+//!   a read per posting whatever the scope. The node prices the probe
+//!   against the scan — verifying each record in scope — in counted
+//!   work, and takes the cheaper ([`VERIFY_COST`]). An integer probe
+//!   is priced from memory before it runs; a fragment counts the
+//!   candidates it must verify as it walks, and gives up once they
+//!   make it the dearer path.
 //! * **No index** (a composite filter, a pattern with no fragment): the
 //!   range, verified. `objectClass=*` needs no verification at all.
 //!
-//! The rule is one comparison of two counts the node already holds
-//! (DESIGN.md §3c).
+//! DESIGN.md §3c gives the rule and the measured constant.
 
 use crate::btree::StaticBTree;
 use crate::delta::{Delta, DeltaCursor};
@@ -121,24 +122,13 @@ impl Probe<'_> {
     fn exact(&self) -> bool {
         matches!(self, Probe::Int(..))
     }
-
-    /// The access-path rule: probe iff reading the postings and
-    /// verifying the in-scope candidates costs no more than verifying
-    /// every record of a range `range` long. A fragment's candidates
-    /// are bounded by both its occurrences and the range.
-    fn pays(&self, range: u64) -> bool {
-        let postings = self.postings();
-        let to_verify = if self.exact() { 0 } else { postings.min(range) };
-        postings.saturating_add(to_verify.saturating_mul(VERIFY_COST))
-            <= range.saturating_mul(VERIFY_COST)
-    }
 }
 
 /// Where a leaf's candidates come from.
 enum Access<'a> {
     /// Decided without pricing: candidates, and whether they are exact.
     Fixed(Candidates<'a>, bool),
-    /// A probe, priced against reading the range.
+    /// A probe, priced against scanning the range.
     Priced(Probe<'a>),
 }
 
@@ -252,8 +242,7 @@ impl IndexedDirectory {
 
     /// The candidates of `filter` within `range`, and whether each is a
     /// certain match (`true`) or must be verified against the filter: a
-    /// priced leaf probes when that counts no more work than reading the
-    /// range.
+    /// priced leaf probes unless that counts more work than the scan.
     fn candidates<'a>(
         &'a self,
         filter: &'a AtomicFilter,
@@ -261,11 +250,25 @@ impl IndexedDirectory {
     ) -> PagerResult<(Candidates<'a>, bool)> {
         Ok(match self.access(filter, range) {
             Access::Fixed(candidates, exact) => (candidates, exact),
-            Access::Priced(probe) if probe.pays(range.len()) => {
-                (self.probe(&probe, range)?, probe.exact())
+            Access::Priced(probe) => {
+                match self.probe(&probe, range, self.scan_cost(&probe, range))? {
+                    Some(candidates) => (candidates, probe.exact()),
+                    None => (Candidates::Range, false),
+                }
             }
-            Access::Priced(_) => (Candidates::Range, false),
         })
+    }
+
+    /// What the scan of `range` costs in counted work: its records in
+    /// scope, each verified at [`VERIFY_COST`]. A `one` range's records
+    /// are counted from the in-memory keys only as far as can matter to
+    /// `probe`: past that many the scan loses even if every posting the
+    /// probe reads is a candidate to verify.
+    fn scan_cost(&self, probe: &Probe<'_>, range: &ScopeRange) -> u64 {
+        let postings = probe.postings();
+        let verified = if probe.exact() { 0 } else { postings };
+        let enough = postings.div_ceil(VERIFY_COST).saturating_add(verified);
+        self.table.admitted(range, enough).saturating_mul(VERIFY_COST)
     }
 
     /// Where the candidates of `filter` within `range` come from.
@@ -327,25 +330,67 @@ impl IndexedDirectory {
         }
     }
 
-    /// Run `probe`, cutting its postings to `range` as it reads them:
-    /// the candidates, ascending and distinct.
-    fn probe(&self, probe: &Probe<'_>, range: &ScopeRange) -> PagerResult<Candidates<'static>> {
+    /// The access-path rule. Run `probe` and return its candidates in
+    /// `range`, ascending and distinct — or `None`, reading nothing more,
+    /// once its counted work (postings read plus candidates to verify,
+    /// each at [`VERIFY_COST`]) is known to pass the `scan`'s. An integer
+    /// interval is exact and knows its postings from memory, so it
+    /// decides before it reads. A fragment must verify its candidates
+    /// in scope, which only its postings tell: it counts them as it
+    /// walks, and gives up at the first that tips the balance.
+    fn probe(
+        &self,
+        probe: &Probe<'_>,
+        range: &ScopeRange,
+        scan: u64,
+    ) -> PagerResult<Option<Candidates<'static>>> {
+        let postings = probe.postings();
+        if postings > scan {
+            return Ok(None);
+        }
         let within = range.positions();
-        let (postings, read) = match *probe {
+        let (candidates, read) = match *probe {
             Probe::Int(tree, lo, hi) => {
                 // Key order, not position order; an entry with several
                 // values in the interval posts once per value.
-                let (mut postings, read) = tree.range(lo, hi, within)?;
-                postings.sort_unstable();
-                postings.dedup();
-                (postings, read)
+                let (mut candidates, read) = tree.range(lo, hi, within)?;
+                candidates.sort_unstable();
+                candidates.dedup();
+                (Some(candidates), read)
             }
             Probe::Fragment(index, frag) => {
-                (index.contains(frag, within), index.occurrences(frag) as u64)
+                // One bit a position of the range: a posting is cut to
+                // the scope and deduplicated as it is read.
+                let mut seen = vec![0u64; range.len().div_ceil(64) as usize];
+                let mut candidates = Vec::new();
+                let (mut read, mut affordable) = (0, true);
+                for pos in index.postings(frag) {
+                    read += 1;
+                    if !within.contains(&pos) {
+                        continue;
+                    }
+                    let at = pos - within.start;
+                    let (word, bit) = ((at / 64) as usize, 1 << (at % 64));
+                    if seen[word] & bit != 0 || !self.table.in_scope(range, pos) {
+                        continue;
+                    }
+                    seen[word] |= bit;
+                    candidates.push(pos);
+                    let to_verify = candidates.len() as u64;
+                    if postings.saturating_add(to_verify.saturating_mul(VERIFY_COST)) > scan {
+                        affordable = false;
+                        break;
+                    }
+                }
+                let candidates = affordable.then(|| {
+                    candidates.sort_unstable();
+                    candidates
+                });
+                (candidates, read)
             }
         };
         self.postings.fetch_add(read, Ordering::Relaxed);
-        Ok(Candidates::Postings(Cow::Owned(postings)))
+        Ok(candidates.map(|c| Candidates::Postings(Cow::Owned(c))))
     }
 
     /// Read `candidates` of `range` in table order and hand those in
@@ -702,20 +747,29 @@ mod tests {
     }
 
     /// The work the access-path rule prices, in posting reads.
-    fn work(idx: &IndexedDirectory) -> u64 {
-        let cost = idx.cost();
+    fn work(cost: AtomicCost) -> u64 {
         cost.postings + cost.decoded * VERIFY_COST
     }
 
-    /// Both paths of every priced leaf over a grid of scope lengths (a
-    /// leaf, a team, a zone, the whole base) and posting counts (1 % to
-    /// 100 % of the entries), at 5k and 50k entries: the hits agree, and
-    /// the path the rule picks is the one `visit_atomic` runs. An integer
-    /// probe knows its postings exactly, so there the rule's pick counts
-    /// at most 1.25× the other path's work. A fragment's in-scope
-    /// candidates are only bounded (by its occurrences and the range),
-    /// so there the rule guarantees one direction: a probe it picks
-    /// counts no more than the scan.
+    /// What `idx` has counted since `before`.
+    fn spent(idx: &IndexedDirectory, before: AtomicCost) -> AtomicCost {
+        let now = idx.cost();
+        AtomicCost {
+            examined: now.examined - before.examined,
+            postings: now.postings - before.postings,
+            decoded: now.decoded - before.decoded,
+        }
+    }
+
+    /// Both paths of every priced leaf over a grid of bases (a leaf, a
+    /// team, a zone, the whole base) under `one` and `sub`, and posting
+    /// counts (1 % to 100 % of the entries), at 5k and 50k entries: the
+    /// hits agree, and `visit_atomic` runs the path that counts less
+    /// work: both sides of the rule are counted, not bounded, so its
+    /// pick never counts more than the other path. A fragment probe that
+    /// gives up has read some postings for nothing: at most its
+    /// occurrences, which the rule never lets pass the scan, so the leaf
+    /// does at most twice the cheaper path.
     #[test]
     fn the_priced_rule_picks_the_cheaper_path() {
         let ints = [
@@ -733,65 +787,78 @@ mod tests {
             "dc=big",
         ]
         .map(dn);
-        let (mut probed, mut scanned) = (0, 0);
+        // (probed, scanned) per scope, and leaves that gave up a probe.
+        let mut picks = BTreeMap::new();
+        let mut gave_up = 0;
         for entries in [5_000usize, 50_000] {
             let idx = IndexedDirectory::build(&Pager::new(4096, 64), &zoned(entries)).unwrap();
             for base in &bases {
-                let range = idx.table.scope_range(base, Scope::Sub);
-                assert!(!range.is_empty(), "{base}");
-                for filter in ints.iter().chain(&fragments) {
-                    let what = format!("{entries}: ({base} ? sub ? {filter})");
-                    let Access::Priced(probe) = idx.access(filter, &range) else {
-                        panic!("{what}: not priced");
-                    };
-                    let matches = |e: &Entry| filter.matches(e);
-                    // The hits' keys and the work counted, down one path.
-                    let run = |by_probe: bool| {
-                        let before = work(&idx);
-                        let (candidates, exact) = if by_probe {
-                            (idx.probe(&probe, &range).unwrap(), probe.exact())
-                        } else {
-                            (Candidates::Range, false)
+                for scope in [Scope::One, Scope::Sub] {
+                    let range = idx.table.scope_range(base, scope);
+                    assert!(!range.is_empty(), "{base}");
+                    for filter in ints.iter().chain(&fragments) {
+                        let what = format!("{entries}: ({base} ? {scope} ? {filter})");
+                        let Access::Priced(probe) = idx.access(filter, &range) else {
+                            panic!("{what}: not priced");
                         };
-                        let delta = Delta::default();
-                        let cursor = DeltaCursor::new(&delta, base, Scope::Sub);
-                        let mut keys = Vec::new();
-                        idx.visit_candidates(&range, candidates, !exact, &matches, cursor, |hit| {
-                            keys.push(hit.key().to_vec());
-                            Ok(())
-                        })
-                        .unwrap();
-                        (keys, work(&idx) - before)
-                    };
-                    let (probe_hits, probe_work) = run(true);
-                    let (scan_hits, scan_work) = run(false);
-                    assert_eq!(probe_hits, scan_hits, "{what}");
-                    let before = work(&idx);
-                    idx.visit_atomic(&Delta::default(), base, Scope::Sub, filter, |_| Ok(()))
-                        .unwrap();
-                    let ran = work(&idx) - before;
-                    let pays = probe.pays(range.len());
-                    let (chosen, other) = if pays {
-                        (probe_work, scan_work)
-                    } else {
-                        (scan_work, probe_work)
-                    };
-                    assert_eq!(ran, chosen, "{what}: visit_atomic runs the rule's pick");
-                    if probe.exact() {
-                        assert!(4 * chosen <= 5 * other, "{what}: {chosen} vs {other}");
-                    } else if pays {
-                        assert!(probe_work <= scan_work, "{what}: {probe_work} vs {scan_work}");
-                    }
-                    if pays {
-                        probed += 1;
-                    } else {
-                        scanned += 1;
+                        let matches = |e: &Entry| filter.matches(e);
+                        // The hits' keys and the work counted, down one path.
+                        let run = |by_probe: bool| {
+                            let before = idx.cost();
+                            let (candidates, exact) = if by_probe {
+                                let all = idx.probe(&probe, &range, u64::MAX).unwrap();
+                                (all.expect("an unbounded probe runs"), probe.exact())
+                            } else {
+                                (Candidates::Range, false)
+                            };
+                            let delta = Delta::default();
+                            let cursor = DeltaCursor::new(&delta, base, scope);
+                            let mut keys = Vec::new();
+                            idx.visit_candidates(&range, candidates, !exact, &matches, cursor, |hit| {
+                                keys.push(hit.key().to_vec());
+                                Ok(())
+                            })
+                            .unwrap();
+                            (keys, spent(&idx, before))
+                        };
+                        let (probe_hits, by_probe) = run(true);
+                        let (scan_hits, by_scan) = run(false);
+                        assert_eq!(probe_hits, scan_hits, "{what}");
+                        let before = idx.cost();
+                        idx.visit_atomic(&Delta::default(), base, scope, filter, |_| Ok(()))
+                            .unwrap();
+                        let ran = spent(&idx, before);
+                        let costs = format!("ran {ran:?}, probe {by_probe:?}, scan {by_scan:?}");
+                        let probes = ran == by_probe;
+                        let (chosen, other) = if probes {
+                            (by_probe, by_scan)
+                        } else {
+                            (by_scan, by_probe)
+                        };
+                        assert!(work(chosen) <= work(other), "{what}: {costs}");
+                        if !probes {
+                            assert_eq!(ran.decoded, by_scan.decoded, "{what}: {costs}");
+                            assert_eq!(ran.examined, by_scan.examined, "{what}: {costs}");
+                            assert!(ran.postings <= by_probe.postings, "{what}: {costs}");
+                            assert!(work(ran) <= 2 * work(chosen), "{what}: {costs}");
+                            gave_up += usize::from(ran.postings > 0);
+                        }
+                        let tally: &mut (u32, u32) = picks.entry(scope.to_string()).or_default();
+                        if probes {
+                            tally.0 += 1;
+                        } else {
+                            tally.1 += 1;
+                        }
                     }
                 }
             }
         }
-        // The grid reaches both sides of the rule.
-        assert!(probed > 10 && scanned > 5, "{probed} probed, {scanned} scanned");
+        // The grid reaches both sides of the rule under either scope,
+        // and a fragment giving up its probe part-way.
+        for (scope, (probed, scanned)) in &picks {
+            assert!(*probed > 5 && *scanned > 5, "{scope}: {probed} probed, {scanned} scanned");
+        }
+        assert!(gave_up > 0);
     }
 
     /// A selective integer leaf over a whole base probes, however small

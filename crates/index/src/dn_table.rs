@@ -116,6 +116,23 @@ fn partition<'k>(
     lo
 }
 
+/// As [`partition`], probing `lo`, `lo + 1`, `lo + 3`, … before the
+/// binary search: `O(log d)` comparisons when `d` keys pass `pred`.
+fn gallop<'k>(
+    lo: u64,
+    hi: u64,
+    key: &impl Fn(u64) -> &'k [u8],
+    pred: impl Fn(&[u8]) -> bool,
+) -> u64 {
+    let (mut passed, mut probe, mut step) = (lo, lo, 1);
+    while probe < hi && pred(key(probe)) {
+        passed = probe + 1;
+        probe += step;
+        step *= 2;
+    }
+    partition(passed, probe.min(hi), key, pred)
+}
+
 /// One record lifted off the table undecoded: its sort key (borrowed
 /// from the table's memory) and its on-page image.
 pub struct RawHit<'a> {
@@ -250,6 +267,33 @@ impl DnTable {
         range.admits(self.key(pos))
     }
 
+    /// How many records of `range` are in scope, counted up to `cap`:
+    /// all of them for `base` and `sub`; for `one`, the base and its
+    /// children, found in the in-memory keys by stepping over each
+    /// child's subtree with a galloping search — `O(log)` comparisons a
+    /// child, not a key check a record. No page is read.
+    pub(crate) fn admitted(&self, range: &ScopeRange, cap: u64) -> u64 {
+        let Some(n) = range.one_prefix else {
+            return range.len().min(cap);
+        };
+        let (mut count, mut pos) = (0, range.lo);
+        while pos < range.hi && count < cap {
+            let key = self.key(pos);
+            // Every component ends in a separator, so the key's first
+            // one past the base's ends the child this record lies under.
+            let Some(end) = key[n..].iter().position(|&b| b == KEY_SEPARATOR) else {
+                // The base itself.
+                count += 1;
+                pos += 1;
+                continue;
+            };
+            let child = &key[..n + end + 1];
+            count += u64::from(key.len() == child.len());
+            pos = gallop(pos + 1, range.hi, &|p| self.key(p), |k| k.starts_with(child));
+        }
+        count
+    }
+
     /// Lift the records at `positions` (ascending) off their pages,
     /// undecoded, in table order: each touched page is read once and
     /// parsed only up to the last wanted slot.
@@ -353,6 +397,34 @@ mod tests {
             );
         }
         assert_eq!(DnTable::build(&tiny_pager(), sorted).unwrap().len(), 8);
+    }
+
+    /// `admitted` counts what `in_scope` admits, for every scope and
+    /// base (stored, absent, the root), over a table missing the parent
+    /// of some records — and stops at its cap.
+    #[test]
+    fn admitted_counts_the_records_in_scope() {
+        let mut entries: Vec<Entry> = dir().iter_sorted().cloned().collect();
+        for orphan in ["uid=c, ou=gone, dc=att, dc=com", "cn=x, uid=d, ou=gone, dc=att, dc=com"] {
+            entries.push(Entry::builder(dn(orphan)).class("thing").build().unwrap());
+        }
+        entries.sort_by(|a, b| a.dn().sort_key().cmp(b.dn().sort_key()));
+        let t = DnTable::build(&tiny_pager(), &entries).unwrap();
+        let mut bases: Vec<Dn> = entries.iter().map(|e| e.dn().clone()).collect();
+        bases.extend([Dn::root(), dn("ou=gone, dc=att, dc=com"), dn("dc=net")]);
+        for base in &bases {
+            for scope in [Scope::Base, Scope::One, Scope::Sub] {
+                let range = t.scope_range(base, scope);
+                let admitted = range.positions().filter(|&p| t.in_scope(&range, p)).count();
+                let what = format!("({base} ? {scope})");
+                assert_eq!(t.admitted(&range, u64::MAX), admitted as u64, "{what}");
+                assert_eq!(t.admitted(&range, 1), admitted.min(1) as u64, "{what}");
+            }
+        }
+        let att_one = t.scope_range(&dn("dc=att, dc=com"), Scope::One);
+        assert_eq!(t.admitted(&att_one, u64::MAX), 3, "dc=att, people, policies");
+        let gone_one = t.scope_range(&dn("ou=gone, dc=att, dc=com"), Scope::One);
+        assert_eq!(t.admitted(&gone_one, u64::MAX), 1, "uid=c only");
     }
 
     #[test]

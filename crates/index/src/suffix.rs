@@ -91,10 +91,10 @@ impl SuffixIndex {
         lo..hi
     }
 
-    /// The postings [`SuffixIndex::contains`] reads for `pattern`, from
-    /// two binary searches and no materialization: the number of
-    /// *occurrences* of the pattern (a posting with several counts once
-    /// per occurrence), and so an upper bound on what it returns.
+    /// The number of *occurrences* of `pattern` (a posting with several
+    /// counts once per occurrence), from two binary searches and no
+    /// materialization: how many postings [`SuffixIndex::postings`]
+    /// yields, and so an upper bound on the postings holding it.
     pub fn occurrences(&self, pattern: &str) -> usize {
         let pat = pattern.as_bytes();
         if pat.is_empty() {
@@ -106,27 +106,19 @@ impl SuffixIndex {
         }
     }
 
-    /// Postings having at least one indexed value that *contains*
-    /// `pattern`, cut to the window `within` before they are sorted and
-    /// deduplicated. The empty pattern matches every document. Reads
-    /// exactly [`SuffixIndex::occurrences`] postings.
-    pub fn contains(&self, pattern: &str, within: std::ops::Range<Posting>) -> Vec<Posting> {
+    /// The posting of every occurrence of `pattern` in an indexed value,
+    /// in suffix order: unsorted, a posting repeated once per occurrence.
+    /// The empty pattern occurs once in every value.
+    pub fn postings(&self, pattern: &str) -> impl Iterator<Item = Posting> + '_ {
         let pat = pattern.as_bytes();
-        let in_window = |p: &Posting| within.contains(p);
-        let mut out: Vec<Posting> = if pat.is_empty() {
-            self.doc_ids.iter().copied().filter(in_window).collect()
-        } else if pat.contains(&SENTINEL) {
-            Vec::new()
+        let suffixes: &[u32] = if pat.is_empty() || pat.contains(&SENTINEL) {
+            &[]
         } else {
-            self.suffixes[self.interval(pat)]
-                .iter()
-                .map(|&s| self.doc_ids[self.doc_of[s as usize] as usize])
-                .filter(in_window)
-                .collect()
+            &self.suffixes[self.interval(pat)]
         };
-        out.sort_unstable();
-        out.dedup();
-        out
+        let every_doc = if pat.is_empty() { &self.doc_ids[..] } else { &[] };
+        let by_suffix = suffixes.iter().map(|&s| self.doc_ids[self.doc_of[s as usize] as usize]);
+        by_suffix.chain(every_doc.iter().copied())
     }
 }
 
@@ -134,7 +126,13 @@ impl SuffixIndex {
 mod tests {
     use super::*;
 
-    const ALL: std::ops::Range<Posting> = 0..Posting::MAX;
+    /// The distinct postings holding `pattern`, ascending.
+    fn contains(s: &SuffixIndex, pattern: &str) -> Vec<Posting> {
+        let mut out: Vec<Posting> = s.postings(pattern).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
 
     fn sample() -> SuffixIndex {
         SuffixIndex::build([
@@ -149,18 +147,19 @@ mod tests {
     #[test]
     fn substring_hits() {
         let s = sample();
-        assert_eq!(s.contains("jag", ALL), vec![1, 5]);
-        assert_eq!(s.contains("iva", ALL), vec![3]);
-        assert_eq!(s.contains("laks", ALL), vec![2]);
-        assert_eq!(s.contains("a", ALL), vec![1, 2, 3, 4, 5]);
-        assert_eq!(s.contains("zz", ALL), Vec::<u64>::new());
+        assert_eq!(contains(&s, "jag"), vec![1, 5]);
+        assert_eq!(contains(&s, "iva"), vec![3]);
+        assert_eq!(contains(&s, "laks"), vec![2]);
+        assert_eq!(contains(&s, "a"), vec![1, 2, 3, 4, 5]);
+        assert_eq!(contains(&s, "zz"), Vec::<u64>::new());
     }
 
     #[test]
     fn occurrences_bound_the_hits() {
         let s = sample();
         for pat in ["jag", "a", "zz", "", "laks", "h jagadish"] {
-            assert!(s.occurrences(pat) >= s.contains(pat, ALL).len(), "pattern {pat:?}");
+            assert_eq!(s.occurrences(pat), s.postings(pat).count(), "pattern {pat:?}");
+            assert!(s.occurrences(pat) >= contains(&s, pat).len(), "pattern {pat:?}");
         }
         assert_eq!(s.occurrences("jag"), 2);
         assert_eq!(s.occurrences("laks"), 2); // twice in one value
@@ -168,32 +167,35 @@ mod tests {
     }
 
     #[test]
-    fn the_window_cuts_before_the_sort() {
+    fn a_posting_repeats_per_occurrence() {
         let s = sample();
-        assert_eq!(s.contains("a", 2..4), vec![2, 3]);
-        assert_eq!(s.contains("jag", 2..5), Vec::<u64>::new());
-        assert_eq!(s.contains("", 4..9), vec![4, 5]);
+        assert_eq!(s.postings("laks").collect::<Vec<_>>(), vec![2, 2]);
+        let mut a: Vec<Posting> = s.postings("a").collect();
+        a.sort_unstable();
+        // "h jagadish" holds two, "laks lakshmanan" four, "divesh
+        // srivastava" three, "tova milo" one, "jag" one.
+        assert_eq!(a, [1, 1, 2, 2, 2, 2, 3, 3, 3, 4, 5]);
     }
 
     #[test]
     fn no_cross_document_matches() {
         // "sh" ends doc 1 and "la" starts doc 2; "shla" must not match.
         let s = SuffixIndex::build([("jagadish", 1), ("laks", 2)]);
-        assert_eq!(s.contains("shla", ALL), Vec::<u64>::new());
-        assert_eq!(s.contains("sh", ALL), vec![1]);
+        assert_eq!(contains(&s, "shla"), Vec::<u64>::new());
+        assert_eq!(contains(&s, "sh"), vec![1]);
     }
 
     #[test]
     fn whole_value_and_empty_pattern() {
         let s = sample();
-        assert_eq!(s.contains("h jagadish", ALL), vec![1]);
-        assert_eq!(s.contains("", ALL), vec![1, 2, 3, 4, 5]);
+        assert_eq!(contains(&s, "h jagadish"), vec![1]);
+        assert_eq!(contains(&s, ""), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn duplicate_ids_dedup() {
         let s = SuffixIndex::build([("aaa", 9), ("aab", 9)]);
-        assert_eq!(s.contains("aa", ALL), vec![9]);
+        assert_eq!(contains(&s, "aa"), vec![9]);
     }
 
     #[test]
@@ -204,24 +206,24 @@ mod tests {
             .map(|i| (if i == 150 { "leap" } else { "leaf" }, i))
             .collect();
         let s = SuffixIndex::build(values);
-        assert_eq!(s.contains("leaf", ALL).len(), 299);
-        assert_eq!(s.contains("ea", ALL).len(), 300);
-        assert_eq!(s.contains("eap", ALL), vec![150]);
+        assert_eq!(contains(&s, "leaf").len(), 299);
+        assert_eq!(contains(&s, "ea").len(), 300);
+        assert_eq!(contains(&s, "eap"), vec![150]);
         assert_eq!(s.occurrences("lea"), 300);
-        assert_eq!(s.contains("fl", ALL), Vec::<u64>::new());
+        assert_eq!(contains(&s, "fl"), Vec::<u64>::new());
     }
 
     #[test]
     fn empty_index() {
         let s = SuffixIndex::build(std::iter::empty::<(&str, Posting)>());
         assert_eq!(s.num_docs(), 0);
-        assert_eq!(s.contains("x", ALL), Vec::<u64>::new());
-        assert_eq!(s.contains("", ALL), Vec::<u64>::new());
+        assert_eq!(contains(&s, "x"), Vec::<u64>::new());
+        assert_eq!(contains(&s, ""), Vec::<u64>::new());
     }
 
     #[test]
     fn pattern_longer_than_any_value() {
         let s = SuffixIndex::build([("ab", 1)]);
-        assert_eq!(s.contains("abc", ALL), Vec::<u64>::new());
+        assert_eq!(contains(&s, "abc"), Vec::<u64>::new());
     }
 }

@@ -376,9 +376,11 @@ pub fn zoned(entries: usize, zones: usize) -> Directory {
 
 
 /// The access path a priced leaf took, read off the core's counters: a
-/// scan reads no posting and decodes the records of its range; a probe
-/// reads postings (none when its interval holds no key) and decodes
-/// only the candidates it must verify.
+/// scan examines every position of its range and decodes each stored
+/// record in scope the delta does not shadow; a probe examines only its
+/// candidates and decodes only those it must verify (none for an
+/// integer). A fragment probe that gives up part-way, and so scans, has
+/// read postings too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Path {
     Scan,
@@ -386,8 +388,8 @@ pub enum Path {
 }
 
 impl Path {
-    fn of(before: AtomicCost, after: AtomicCost) -> Path {
-        if after.postings == before.postings && after.decoded > before.decoded {
+    fn of(spent: AtomicCost, range: u64, in_scope: u64) -> Path {
+        if in_scope > 0 && spent.examined == range && spent.decoded == in_scope {
             Path::Scan
         } else {
             Path::Probe
@@ -424,14 +426,19 @@ fn with_small_subtree(entries: usize) -> Directory {
 /// benchmark's shape), with and without a delta: every answer of every
 /// integer comparison (each `IntOp`, the `i64` edges included) and of
 /// substring patterns is byte-identical to the oracle, and the cost
-/// counters show the rule's pick. Broad filters over a leaf (`base`,
-/// `one`) and over `ou=small` (`one`, `sub`) scan: a few decodes cost
-/// less than thousands of postings. Every integer filter over a zone's
+/// counters show the rule's pick. Broad filters over a leaf, and `one`
+/// under the root (whose range spans the whole table but admits only
+/// `dc=big`), scan: one decode costs less than thousands of postings.
+/// So do broad filters over `ou=small` (`one`, `sub`) that its records
+/// hold; `kind=*lu*` holds in none of them, and its postings cost less
+/// than decoding four records. Every integer filter over a zone's
 /// subtree probes — the benchmark's `subtree_scan` leaves, which a rule
-/// counting a decode like a posting scanned — and so do selective
-/// filters over the root's subtree, decoding nothing for an integer.
-/// At 5k entries those picks hold for any verify cost from 16 to ~900:
-/// a zone spans ~310 records against at most ~5,000 postings, a broad
+/// counting a decode like a posting scanned — and so does a fragment
+/// there unless every record of the zone holds it (`kind=*e*`), as do
+/// selective filters over the root's subtree, decoding nothing for an
+/// integer. At 5k entries those picks hold for any verify cost from 16
+/// to ~900: a zone spans ~310 records against at most ~5,000 postings
+/// of an integer (~2,500 of `kind=r*` with ~155 candidates), a broad
 /// integer filter reads over 4,500 postings, and `ou=small` spans at
 /// most 5 records.
 pub fn priced_paths(entries: usize) -> PricedTally {
@@ -498,15 +505,20 @@ pub fn priced_paths(entries: usize) -> PricedTally {
     let small = dn("ou=small, ou=z00, dc=big");
     let zone = dn("ou=z03, dc=big");
     let bases = [leaf.clone(), small.clone(), zone.clone(), dn("dc=big"), Dn::root()];
+    let everywhere = parse_atomic("kind=*e*").unwrap();
+    let nowhere_small = parse_atomic("kind=*lu*").unwrap();
     let expected = |base: &Dn, scope: Scope, filter: &AtomicFilter, broadly: bool| {
         let int = matches!(filter, AtomicFilter::IntCmp(..));
         match (broadly, scope) {
-            (true, Scope::Base | Scope::One) if *base == leaf => Some(Path::Scan),
-            (true, Scope::One | Scope::Sub) if *base == small => Some(Path::Scan),
+            (true, _) if *base == leaf => Some(Path::Scan),
+            (true, Scope::One) if base.is_root() => Some(Path::Scan),
+            (true, Scope::One | Scope::Sub) if *base == small && *filter != nowhere_small => {
+                Some(Path::Scan)
+            }
             // A zone's ~310 records cost more to decode than any
-            // interval's postings; a broad fragment occurs more often
-            // than the zone has records.
-            (_, Scope::Sub) if *base == zone => Some(if int || !broadly {
+            // interval's postings, or than a fragment's postings and
+            // candidates, unless every record is a candidate.
+            (_, Scope::Sub) if *base == zone => Some(if int || *filter != everywhere {
                 Path::Probe
             } else {
                 Path::Scan
@@ -518,19 +530,34 @@ pub fn priced_paths(entries: usize) -> PricedTally {
 
     let pager = Pager::new(4096, 64);
     let ctx = pager.ctx();
+    let shadowed: Vec<&Dn> = touched.iter().collect();
     let cases = [
-        (IndexedDirectory::build(&pager, &before).unwrap(), Delta::default(), &before),
-        (IndexedDirectory::build(&pager, &before).unwrap(), delta, &after),
-        (IndexedDirectory::build(&pager, &after).unwrap(), Delta::default(), &after),
+        (IndexedDirectory::build(&pager, &before).unwrap(), Delta::default(), &before, &before),
+        (IndexedDirectory::build(&pager, &before).unwrap(), delta, &before, &after),
+        (IndexedDirectory::build(&pager, &after).unwrap(), Delta::default(), &after, &after),
     ];
     let mut tally = PricedTally::default();
-    for (idx, delta, oracle_dir) in &cases {
+    for (idx, delta, stored, oracle_dir) in &cases {
         for base in &bases {
             for scope in SCOPES {
                 let in_scope: Vec<&Entry> = oracle_dir
                     .iter_sorted()
                     .filter(|e| scope.contains(base, e.dn()))
                     .collect();
+                // The table's range for the scope, and its records a scan
+                // decodes: those in scope the delta does not shadow.
+                let range = stored
+                    .iter_sorted()
+                    .filter(|e| match scope {
+                        Scope::Base => e.dn() == base,
+                        _ => Scope::Sub.contains(base, e.dn()),
+                    })
+                    .count() as u64;
+                let unshadowed = stored
+                    .iter_sorted()
+                    .filter(|e| scope.contains(base, e.dn()))
+                    .filter(|e| delta.is_empty() || !shadowed.contains(&e.dn()))
+                    .count() as u64;
                 let filters = broad.iter().map(|f| (f, true));
                 for (filter, broadly) in filters.chain(selective.iter().map(|f| (f, false))) {
                     let what = format!("{} delta ({base} ? {scope} ? {filter})", delta.len());
@@ -548,7 +575,13 @@ pub fn priced_paths(entries: usize) -> PricedTally {
                     .unwrap();
                     assert_eq!(shipped, oracle, "{what}");
                     tally.checked += 1;
-                    let path = Path::of(cost, idx.cost());
+                    let now = idx.cost();
+                    let spent = AtomicCost {
+                        examined: now.examined - cost.examined,
+                        postings: now.postings - cost.postings,
+                        decoded: now.decoded - cost.decoded,
+                    };
+                    let path = Path::of(spent, range, unshadowed);
                     if let AtomicFilter::IntCmp(..) = filter {
                         if path == Path::Probe {
                             assert_eq!(idx.cost().decoded, cost.decoded, "{what}");
