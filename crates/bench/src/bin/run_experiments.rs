@@ -3,7 +3,7 @@
 //! `BENCH_*.json` report (schema in `netdir_bench::report`).
 //!
 //! ```sh
-//! # Full run: all ten experiment binaries + the instrumented suite,
+//! # Full run: all nine experiment binaries + the instrumented suite,
 //! # report written to results/BENCH_full.json.
 //! cargo run --release -p netdir-bench --bin run_experiments
 //!
@@ -18,11 +18,11 @@
 //! ```
 
 use netdir_bench::report::{validate_bench_json, ExperimentResult};
-use netdir_bench::{load, par, smoke};
+use netdir_bench::{load, smoke, suite};
 use std::process::{exit, Command};
 use std::time::Instant;
 
-const EXPERIMENTS: [&str; 10] = [
+const EXPERIMENTS: [&str; 9] = [
     "exp_hs_linear",
     "exp_agg",
     "exp_er_nlogn",
@@ -32,7 +32,6 @@ const EXPERIMENTS: [&str; 10] = [
     "exp_distributed",
     "exp_apps",
     "exp_ablation",
-    "exp_parallel",
 ];
 
 fn usage() -> ! {
@@ -115,23 +114,17 @@ fn main() {
     };
 
     println!("\n════════════════════ instrumented suite ════════════════════\n");
-    // Full runs record the full-sized degree sweep (degrees 1/2/4/8);
-    // smoke keeps the seconds-scale one.
-    let sweep = if smoke_only { par::smoke_config() } else { par::full_config() };
+    // Full runs record the full-sized suite; smoke keeps the
+    // seconds-scale one.
+    let suite_cfg = if smoke_only { suite::smoke_config() } else { suite::full_config() };
     let load_cfg = if smoke_only { load::smoke_config() } else { load::full_config() };
-    let mut report = smoke::instrumented_suite_with(&sweep, &load_cfg);
+    let mut report = smoke::instrumented_suite_with(&suite_cfg, &load_cfg);
     report.mode = if smoke_only { "smoke" } else { "full" }.to_string();
     report.experiments = results;
     for q in &report.queries {
         println!(
             "{:>7}  entries={} spans={} predicted_io={:.1} observed_io={}",
             q.level, q.entries, q.spans, q.predicted_io, q.observed_io
-        );
-    }
-    for r in &report.parallel {
-        println!(
-            "{:>7}  degree={} wall={:.4}s speedup={:.2}x reads={} writes={} allocs={}",
-            r.suite, r.degree, r.wall_secs, r.speedup, r.io_reads, r.io_writes, r.io_allocs
         );
     }
     for m in &report.mutation {

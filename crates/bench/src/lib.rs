@@ -10,7 +10,8 @@
 //!   algorithms, by re-scanning `L2` once per `L1` entry.
 //! * [`measure`] — cold-cache I/O measurement around a closure.
 //! * [`report`] — machine-readable `BENCH_*.json` emission/validation.
-//! * [`par`] — the parallel-evaluation degree sweep (speedup vs I/O).
+//! * [`suite`] — the L0–L3 zone fan-out suite the planner and storage
+//!   sweeps evaluate.
 //! * [`mutation`] — the write-path suite (apply throughput, WAL replay).
 //! * [`load`] — the closed-loop overload sweep (admission vs unbounded).
 //! * [`planner`] — the cost-based planner sweep (chosen vs naive I/O).
@@ -22,11 +23,11 @@ use netdir_pager::{IoSnapshot, ListWriter, Operand, PagedList, Pager, PagerResul
 
 pub mod load;
 pub mod mutation;
-pub mod par;
 pub mod planner;
 pub mod report;
 pub mod smoke;
 pub mod storage;
+pub mod suite;
 
 /// Fixed-width table printing for experiment output.
 pub mod table {

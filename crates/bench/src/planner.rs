@@ -1,8 +1,8 @@
 //! The cost-based planner sweep (the `"planner"` section of
 //! `BENCH_*.json`, schema v5).
 //!
-//! Runs the E16 L0–L3 suite plus three planner-showcase queries over the
-//! same latency-bearing pager as the degree sweep, twice per cell:
+//! Runs the L0–L3 zone fan-out suite ([`crate::suite`]) plus three
+//! planner-showcase queries over a latency-bearing pager, twice per cell:
 //! naive (the query as written) and planned (what [`Planner::plan`]
 //! chose after a training pass fed the stats catalog through an
 //! [`ObservingSource`]). The sweep *enforces* the optimizer's contract
@@ -11,7 +11,7 @@
 //! shows where the cost model found money and where it correctly left
 //! the query alone. A repeated-shape cell demonstrates the plan cache.
 
-use crate::par::{bench_directory, suite_queries, SweepConfig};
+use crate::suite::{bench_directory, suite_queries, SuiteConfig};
 use netdir_index::IndexedDirectory;
 use netdir_model::Entry;
 use netdir_obs::MetricsRegistry;
@@ -21,20 +21,17 @@ use netdir_query::{parse_query, Evaluator, Planner, Query};
 use netdir_server::metrics as bridge;
 use std::time::{Duration, Instant};
 
-/// The degree sweep's pager carries a frame budget far beyond its
-/// working set, so its ledger is a pure function of what the evaluator
-/// asked for. The planner sweep wants the opposite: a *small* budget,
-/// so oversized intermediate lists (the ruinous rewrite's
+/// A *small* frame budget, so oversized intermediate lists (the ruinous rewrite's
 /// whole-directory scans) are evicted and cost real re-reads — the
 /// currency the cost model prices.
-fn planner_pager(cfg: &SweepConfig) -> Pager {
+fn planner_pager(cfg: &SuiteConfig) -> Pager {
     Pager::with_latency(512, 48, cfg.read_delay, Duration::ZERO)
 }
 
 /// One (query, naive-vs-chosen) cell of the planner sweep.
 #[derive(Debug, Clone)]
 pub struct PlannerRow {
-    /// Cell label (`L0`–`L3` from the E16 suite, or a showcase name).
+    /// Cell label (`L0`–`L3` from the L0–L3 suite, or a showcase name).
     pub label: String,
     /// Rewrite steps the chosen plan applied (0 = identity plan).
     pub steps: u64,
@@ -54,7 +51,7 @@ pub struct PlannerRow {
     pub chosen_wall_secs: f64,
 }
 
-/// The showcase cells: queries the E16 suite does not cover, each
+/// The showcase cells: queries the L0–L3 suite does not cover, each
 /// exercising one planner family. `repeat-shape` shares `and-chain`'s
 /// normalized shape (only the filter constant differs), so planning it
 /// second must hit the plan cache.
@@ -99,12 +96,12 @@ fn run_cold(pager: &Pager, idx: &IndexedDirectory, q: &Query) -> (Vec<Entry>, u6
     (out, pager.io().reads, wall)
 }
 
-/// Run the planner sweep over the E16 suite plus the showcase cells and
+/// Run the planner sweep over the L0–L3 suite plus the showcase cells and
 /// sync the planner's counters into `registry`.
 ///
 /// Panics if any cell violates the optimizer's contract — an optimizer
 /// that changes answers or reads more pages is a bug, not a data point.
-pub fn planner_sweep(cfg: &SweepConfig, registry: &MetricsRegistry) -> Vec<PlannerRow> {
+pub fn planner_sweep(cfg: &SuiteConfig, registry: &MetricsRegistry) -> Vec<PlannerRow> {
     let dir = bench_directory(cfg);
     let pager = planner_pager(cfg);
     let idx = IndexedDirectory::build(&pager, &dir).expect("build planner index");
@@ -178,7 +175,7 @@ pub fn planner_sweep(cfg: &SweepConfig, registry: &MetricsRegistry) -> Vec<Plann
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::smoke_config;
+    use crate::suite::smoke_config;
     use netdir_obs::names;
     use netdir_server::metrics::register_all;
 
@@ -187,7 +184,7 @@ mod tests {
         let registry = MetricsRegistry::default();
         register_all(&registry);
         let rows = planner_sweep(&smoke_config(), &registry);
-        // E16's four levels plus the three showcase cells.
+        // The suite's four levels plus the three showcase cells.
         assert_eq!(rows.len(), 7);
         for r in &rows {
             assert!(r.chosen_reads <= r.naive_reads, "{}", r.label);

@@ -6,15 +6,12 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 6,
+//!   "schema_version": 7,
 //!   "mode": "smoke",
 //!   "experiments": [{"name": "exp_hs_linear", "status": "ok",
 //!                    "wall_time_secs": 1.2}],
 //!   "queries": [{"level": "L0", "query": "(- ...)", "entries": 1,
 //!                "spans": 3, "predicted_io": 3.0, "observed_io": 5}],
-//!   "parallel": [{"suite": "eval", "degree": 4, "wall_secs": 0.02,
-//!                 "speedup": 3.1, "io_reads": 160, "io_writes": 0,
-//!                 "io_allocs": 40}],
 //!   "mutation": [{"phase": "apply", "batches": 10, "mutations": 237,
 //!                 "wall_secs": 0.01, "wal_fsyncs": 10,
 //!                 "wal_page_writes": 12}],
@@ -44,7 +41,6 @@
 
 use crate::load::LoadRow;
 use crate::mutation::MutationRow;
-use crate::par::DegreeRow;
 use crate::planner::PlannerRow;
 use crate::storage::StorageRow;
 use netdir_obs::{names, MetricsRegistry, QueryTrace};
@@ -100,8 +96,6 @@ pub struct BenchReport {
     pub experiments: Vec<ExperimentResult>,
     /// Instrumented per-level query reports.
     pub queries: Vec<QueryReport>,
-    /// Parallel-evaluation degree-sweep rows.
-    pub parallel: Vec<DegreeRow>,
     /// Write-path suite rows (apply throughput, WAL replay).
     pub mutation: Vec<MutationRow>,
     /// Closed-loop overload sweep rows (admission vs unbounded).
@@ -118,8 +112,10 @@ pub struct BenchReport {
 /// Version 2 added the `parallel` degree-sweep section; version 3
 /// added the `mutation` write-path section; version 4 added the `load`
 /// overload-sweep section; version 5 added the `planner` chosen-vs-naive
-/// section; version 6 added the `storage` compression/scan-mix section.
-pub const SCHEMA_VERSION: u64 = 6;
+/// section; version 6 added the `storage` compression/scan-mix section;
+/// version 7 dropped the `parallel` section with the evaluator it
+/// measured.
+pub const SCHEMA_VERSION: u64 = 7;
 
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -155,7 +151,6 @@ impl BenchReport {
             mode: mode.to_string(),
             experiments: Vec::new(),
             queries: Vec::new(),
-            parallel: Vec::new(),
             mutation: Vec::new(),
             load: Vec::new(),
             planner: Vec::new(),
@@ -193,23 +188,6 @@ impl BenchReport {
                 q.spans,
                 num(q.predicted_io),
                 q.observed_io,
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"parallel\": [\n");
-        for (i, r) in self.parallel.iter().enumerate() {
-            let comma = if i + 1 < self.parallel.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"suite\": \"{}\", \"degree\": {}, \"wall_secs\": {}, \
-                 \"speedup\": {}, \"io_reads\": {}, \"io_writes\": {}, \
-                 \"io_allocs\": {}}}{comma}\n",
-                escape(&r.suite),
-                r.degree,
-                num(r.wall_secs),
-                num(r.speedup),
-                r.io_reads,
-                r.io_writes,
-                r.io_allocs,
             ));
         }
         out.push_str("  ],\n");
@@ -560,18 +538,6 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
             q.get(key).and_then(Json::as_num).ok_or(format!("query without {key}"))?;
         }
     }
-    let parallel = doc
-        .get("parallel")
-        .and_then(Json::as_arr)
-        .ok_or("missing parallel array")?;
-    for r in parallel {
-        r.get("suite").and_then(Json::as_str).ok_or("parallel row without suite")?;
-        for key in ["degree", "wall_secs", "speedup", "io_reads", "io_writes", "io_allocs"] {
-            r.get(key)
-                .and_then(Json::as_num)
-                .ok_or(format!("parallel row without {key}"))?;
-        }
-    }
     let mutation = doc
         .get("mutation")
         .and_then(Json::as_arr)
@@ -726,15 +692,6 @@ mod tests {
             predicted_io: 3.0,
             observed_io: 5,
         });
-        report.parallel.push(DegreeRow {
-            suite: "eval".into(),
-            degree: 4,
-            wall_secs: 0.02,
-            speedup: 3.1,
-            io_reads: 160,
-            io_writes: 0,
-            io_allocs: 40,
-        });
         report.mutation.push(MutationRow {
             phase: "apply".into(),
             batches: 10,
@@ -814,31 +771,29 @@ mod tests {
         let text = sample_report().to_json();
         assert!(validate_bench_json(&text[..text.len() / 2]).is_err());
         // Wrong schema version.
-        let wrong = text.replace("\"schema_version\": 6", "\"schema_version\": 99");
+        let wrong = text.replace("\"schema_version\": 7", "\"schema_version\": 99");
         assert!(validate_bench_json(&wrong).is_err());
-        // A v1 document (no parallel section) no longer validates.
-        let v1 = text
-            .replace("\"schema_version\": 6", "\"schema_version\": 1")
-            .replace("\"parallel\"", "\"parallel_gone\"");
-        assert!(validate_bench_json(&v1).is_err());
+        // A v6 document (with its parallel section) no longer validates.
+        let v6 = text.replace("\"schema_version\": 7", "\"schema_version\": 6");
+        assert!(validate_bench_json(&v6).is_err());
         // A v2 document (no mutation section) no longer validates.
         let v2 = text
-            .replace("\"schema_version\": 6", "\"schema_version\": 2")
+            .replace("\"schema_version\": 7", "\"schema_version\": 2")
             .replace("\"mutation\"", "\"mutation_gone\"");
         assert!(validate_bench_json(&v2).is_err());
         // A v3 document (no load section) no longer validates.
         let v3 = text
-            .replace("\"schema_version\": 6", "\"schema_version\": 3")
+            .replace("\"schema_version\": 7", "\"schema_version\": 3")
             .replace("\"load\"", "\"load_gone\"");
         assert!(validate_bench_json(&v3).is_err());
         // A v4 document (no planner section) no longer validates.
         let v4 = text
-            .replace("\"schema_version\": 6", "\"schema_version\": 4")
+            .replace("\"schema_version\": 7", "\"schema_version\": 4")
             .replace("\"planner\"", "\"planner_gone\"");
         assert!(validate_bench_json(&v4).is_err());
         // A v5 document (no storage section) no longer validates.
         let v5 = text
-            .replace("\"schema_version\": 6", "\"schema_version\": 5")
+            .replace("\"schema_version\": 7", "\"schema_version\": 5")
             .replace("\"storage\"", "\"storage_gone\"");
         assert!(validate_bench_json(&v5).is_err());
         // A load row with a bogus mode is rejected.

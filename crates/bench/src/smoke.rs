@@ -11,10 +11,10 @@
 
 use crate::load::{self, LoadConfig};
 use crate::mutation;
-use crate::par::{self, SweepConfig};
 use crate::planner;
 use crate::report::{BenchReport, QueryReport};
 use crate::storage;
+use crate::suite::{self, SuiteConfig};
 use netdir_index::IndexedDirectory;
 use netdir_model::{Directory, Dn, Entry};
 use netdir_obs::{names, MetricsRegistry};
@@ -96,20 +96,20 @@ fn level_queries() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// Run the instrumented suite with the smoke-sized degree sweep and
-/// return its report (mode `"smoke"`; the caller may relabel it and
-/// append experiment results).
+/// Run the instrumented suite at smoke size and return its report
+/// (mode `"smoke"`; the caller may relabel it and append experiment
+/// results).
 ///
 /// Panics on any failure — a benchmark that cannot run its own smoke
 /// suite should fail loudly, not emit a hollow report.
 pub fn instrumented_suite() -> BenchReport {
-    instrumented_suite_with(&par::smoke_config(), &load::smoke_config())
+    instrumented_suite_with(&suite::smoke_config(), &load::smoke_config())
 }
 
-/// [`instrumented_suite`] with explicit degree-sweep and overload-sweep
-/// configurations (the full run swaps in [`par::full_config`] and
+/// [`instrumented_suite`] with explicit suite and overload-sweep
+/// configurations (the full run swaps in [`suite::full_config`] and
 /// [`load::full_config`]).
-pub fn instrumented_suite_with(sweep: &SweepConfig, load_cfg: &LoadConfig) -> BenchReport {
+pub fn instrumented_suite_with(suite_cfg: &SuiteConfig, load_cfg: &LoadConfig) -> BenchReport {
     let registry = MetricsRegistry::new();
     bridge::register_all(&registry);
     let dir = fixture();
@@ -168,10 +168,6 @@ pub fn instrumented_suite_with(sweep: &SweepConfig, load_cfg: &LoadConfig) -> Be
     bridge::sync_health(&registry, router.health().transitions());
     wire.shutdown();
 
-    // Parallel phase: the degree sweep, recording worker/wave series
-    // into the same registry the report flattens.
-    let parallel = par::degree_sweep(sweep, &registry);
-
     // Write-path phase: apply a burst of mutation batches through a
     // journal and replay its WAL, so the wal/mutation series carry
     // real work.
@@ -183,19 +179,18 @@ pub fn instrumented_suite_with(sweep: &SweepConfig, load_cfg: &LoadConfig) -> Be
     let load_rows = load::overload_sweep(load_cfg, &registry);
     load::assert_sweep_shape(&load_rows);
 
-    // Planner phase: the chosen-vs-naive sweep over the E16 suite plus
+    // Planner phase: the chosen-vs-naive sweep over the L0–L3 suite plus
     // the showcase cells, with the optimizer's byte-identity and
     // never-read-more contracts asserted per cell.
-    let planner_rows = planner::planner_sweep(sweep, &registry);
+    let planner_rows = planner::planner_sweep(suite_cfg, &registry);
 
     // Storage phase: the compression-footprint and scan-mix cells, with
     // the storage pass's byte-identity, ≥20% cold-read reduction, and
     // scan-resistance claims asserted per cell.
-    let storage_rows = storage::storage_sweep(sweep, &registry);
+    let storage_rows = storage::storage_sweep(suite_cfg, &registry);
 
     let mut report = BenchReport::new("smoke", &registry);
     report.queries = queries;
-    report.parallel = parallel;
     report.mutation = mutation;
     report.load = load_rows;
     report.planner = planner_rows;
@@ -226,9 +221,6 @@ mod tests {
                 .unwrap_or_else(|| panic!("metric {name} missing"))
         };
         assert!(get("netdir_queries_total") >= 5);
-        // The degree sweep ran and recorded its schedule series.
-        assert!(!report.parallel.is_empty());
-        assert!(get("netdir_par_workers_spawned_total") > 0);
         // The fixture fits in the buffer pool, so physical reads can be
         // zero — but the indexes and the leaves they stage allocate pages.
         assert!(get("netdir_io_allocs_total") > 0);

@@ -2,12 +2,11 @@
 //!
 //! Two cells, each pinning one claim of the storage speed pass:
 //!
-//! - **`e16-cold`** — the E16 suite (L0–L3 over the degree-sweep
-//!   forest) evaluated cold on a v1 pager and again on a v2
-//!   (prefix-compressed) pager. Compression packs more records per
-//!   page, so the same queries touch fewer pages: the cell asserts the
-//!   answers are identical and the cold read ledger shrinks by at least
-//!   20%.
+//! - **`e16-cold`** — the L0–L3 suite of [`crate::suite`] evaluated
+//!   cold on a v1 pager and again on a v2 (prefix-compressed) pager.
+//!   Compression packs more records per page, so the same queries
+//!   touch fewer pages: the cell asserts the answers are identical and
+//!   the cold read ledger shrinks by at least 20%.
 //! - **`scan-mix`** — the seeded scan-vs-point-query workload from the
 //!   pager's scan-resistance test, measured under the two-queue policy
 //!   and under plain LRU. The cell asserts the 2Q point-query hit rate
@@ -17,7 +16,7 @@
 //! replacement decisions, seeded access order), so their rows are
 //! trajectory-comparable across runs the same way the planner rows are.
 
-use crate::par::{bench_directory, suite_queries, SweepConfig};
+use crate::suite::{bench_directory, suite_queries, SuiteConfig};
 use netdir_index::IndexedDirectory;
 use netdir_model::Entry;
 use netdir_obs::MetricsRegistry;
@@ -44,10 +43,10 @@ pub struct StorageRow {
     pub compressed_bytes_saved: u64,
 }
 
-/// Evaluate the E16 suite cold on a pager of `format` and return the
+/// Evaluate the L0–L3 suite cold on a pager of `format` and return the
 /// materialized outputs, the total cold read count, and the bytes the
 /// page format saved.
-fn run_suite_cold(cfg: &SweepConfig, format: PageFormat) -> (Vec<Vec<Entry>>, u64, u64) {
+fn run_suite_cold(cfg: &SuiteConfig, format: PageFormat) -> (Vec<Vec<Entry>>, u64, u64) {
     let pager = Pager::custom(
         512,
         PoolConfig {
@@ -153,8 +152,8 @@ fn point_hit_rate(policy: ReplacementPolicy) -> f64 {
 /// Panics if either claim fails — a storage pass that changed answers,
 /// saved less than 20% of cold reads, or lost scan resistance is a bug,
 /// not a data point.
-pub fn storage_sweep(cfg: &SweepConfig, registry: &MetricsRegistry) -> Vec<StorageRow> {
-    // Cell 1: cold E16 footprint, v1 vs v2 page format.
+pub fn storage_sweep(cfg: &SuiteConfig, registry: &MetricsRegistry) -> Vec<StorageRow> {
+    // Cell 1: the suite's cold footprint, v1 vs v2 page format.
     let (v1_out, v1_reads, v1_saved) = run_suite_cold(cfg, PageFormat::V1);
     let (v2_out, v2_reads, v2_saved) = run_suite_cold(cfg, PageFormat::V2);
     assert_eq!(
@@ -167,7 +166,7 @@ pub fn storage_sweep(cfg: &SweepConfig, registry: &MetricsRegistry) -> Vec<Stora
     let reduction = 1.0 - v2_reads as f64 / v1_reads.max(1) as f64;
     assert!(
         reduction >= 0.2,
-        "prefix compression saved only {:.1}% of cold reads on E16 \
+        "prefix compression saved only {:.1}% of cold reads on the suite \
          ({v1_reads} v1 vs {v2_reads} v2) — the storage pass promises ≥20%",
         reduction * 100.0
     );
@@ -228,7 +227,7 @@ mod tests {
     #[test]
     fn storage_sweep_enforces_both_claims_and_feeds_metrics() {
         let reg = MetricsRegistry::default();
-        let rows = storage_sweep(&crate::par::smoke_config(), &reg);
+        let rows = storage_sweep(&crate::suite::smoke_config(), &reg);
         assert_eq!(rows.len(), 2);
         let cold = &rows[0];
         assert_eq!(cold.cell, "e16-cold");
@@ -247,8 +246,8 @@ mod tests {
     #[test]
     fn storage_sweep_is_deterministic() {
         let reg = MetricsRegistry::default();
-        let a = storage_sweep(&crate::par::smoke_config(), &reg);
-        let b = storage_sweep(&crate::par::smoke_config(), &reg);
+        let a = storage_sweep(&crate::suite::smoke_config(), &reg);
+        let b = storage_sweep(&crate::suite::smoke_config(), &reg);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.baseline_reads, y.baseline_reads);
             assert_eq!(x.engine_reads, y.engine_reads);

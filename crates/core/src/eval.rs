@@ -35,10 +35,9 @@ use crate::{agg_simple, boolean, er_join, hs_stack};
 use netdir_filter::{AtomicFilter, Scope};
 use netdir_index::IndexedDirectory;
 use netdir_model::{Dn, Entry};
-use netdir_pager::{parallel_map, IoSnapshot, Operand, Pager, PagerResult};
+use netdir_pager::{IoSnapshot, Operand, Pager, PagerResult};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
 
 /// A source of atomic-query results: sorted entries.
 pub trait AtomicSource {
@@ -85,60 +84,6 @@ pub struct NodeTrace {
     pub elapsed_nanos: u64,
 }
 
-/// Summary of one [`Evaluator::evaluate_parallel_report`] run.
-#[derive(Debug, Clone, Default)]
-pub struct ParReport {
-    /// Requested parallelism degree.
-    pub degree: usize,
-    /// Number of scheduling waves (tree depth of the ready-set walk).
-    pub waves: usize,
-    /// Ready-set width per wave — how much independent work each wave had.
-    pub ready_widths: Vec<usize>,
-    /// Total worker threads used across all waves.
-    pub workers_spawned: u64,
-    /// Per-worker I/O sub-ledgers, one per worker per wave. Their sum
-    /// equals the shared ledger's delta for the run.
-    pub worker_io: Vec<IoSnapshot>,
-}
-
-/// Memoized sub-query results, sharded by query hash so concurrent
-/// workers contend on different locks. Replaces the earlier `RefCell`
-/// map, which panicked on reentrant use and blocked `Sync`.
-struct Memo {
-    shards: [Mutex<HashMap<Query, Operand<Entry>>>; Memo::SHARDS],
-}
-
-impl Memo {
-    const SHARDS: usize = 8;
-
-    fn new() -> Self {
-        Memo {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
-
-    fn shard(&self, q: &Query) -> &Mutex<HashMap<Query, Operand<Entry>>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        q.hash(&mut h);
-        &self.shards[(h.finish() as usize) % Memo::SHARDS]
-    }
-
-    fn get(&self, q: &Query) -> Option<Operand<Entry>> {
-        self.shard(q)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(q)
-            .cloned()
-    }
-
-    fn insert(&self, q: &Query, out: &Operand<Entry>) {
-        self.shard(q)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(q.clone(), out.clone());
-    }
-}
-
 /// The query evaluator.
 pub struct Evaluator<'s, S: AtomicSource> {
     source: &'s S,
@@ -147,7 +92,7 @@ pub struct Evaluator<'s, S: AtomicSource> {
     /// sub-expression elimination). Off by default so cost experiments
     /// measure each node; applications with self-referential compositions
     /// (the QoS engine's `top` appears three times) switch it on.
-    memo: Option<Memo>,
+    memo: Option<RefCell<HashMap<Query, Operand<Entry>>>>,
 }
 
 impl<'s, S: AtomicSource> Evaluator<'s, S> {
@@ -162,7 +107,7 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
 
     /// Enable common-sub-expression caching for this evaluator.
     pub fn with_memo(mut self) -> Self {
-        self.memo = Some(Memo::new());
+        self.memo = Some(RefCell::default());
         self
     }
 
@@ -170,130 +115,6 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
     /// source's own answer when the root is an atomic leaf.
     pub fn evaluate(&self, q: &Query) -> QueryResult<Operand<Entry>> {
         self.eval_node(q, &mut None)
-    }
-
-    /// Evaluate `q` with up to `degree` concurrent workers.
-    ///
-    /// See [`Evaluator::evaluate_parallel_report`]; this discards the
-    /// scheduling report.
-    pub fn evaluate_parallel(&self, q: &Query, degree: usize) -> QueryResult<Operand<Entry>>
-    where
-        S: Sync,
-    {
-        Ok(self.evaluate_parallel_report(q, degree)?.0)
-    }
-
-    /// Evaluate `q` bottom-up with up to `degree` concurrent workers,
-    /// returning the result plus a [`ParReport`] of the schedule.
-    ///
-    /// The tree is walked in *waves*: each wave's ready set is every node
-    /// whose children are all resolved (wave 0 = the atomic leaves), and
-    /// the whole wave is handed to a scoped worker pool. Because each
-    /// node's evaluation is a pure function of its child lists, and
-    /// results are collected by node identity rather than completion
-    /// order, the output is byte-identical to sequential [`evaluate`]
-    /// (reverse-DN sorted, same entries, same order) at every degree.
-    /// `degree <= 1` takes the sequential path directly.
-    ///
-    /// [`evaluate`]: Evaluator::evaluate
-    pub fn evaluate_parallel_report(
-        &self,
-        q: &Query,
-        degree: usize,
-    ) -> QueryResult<(Operand<Entry>, ParReport)>
-    where
-        S: Sync,
-    {
-        if degree <= 1 {
-            let out = self.evaluate(q)?;
-            return Ok((
-                out,
-                ParReport {
-                    degree: 1,
-                    ..ParReport::default()
-                },
-            ));
-        }
-
-        // Flatten the tree into an arena (post-order, so the root is last).
-        fn build<'q>(
-            q: &'q Query,
-            nodes: &mut Vec<&'q Query>,
-            children: &mut Vec<Vec<usize>>,
-            parent: &mut Vec<Option<usize>>,
-        ) -> usize {
-            let kids: Vec<usize> = q
-                .children()
-                .into_iter()
-                .map(|c| build(c, nodes, children, parent))
-                .collect();
-            let idx = nodes.len();
-            nodes.push(q);
-            children.push(kids.clone());
-            parent.push(None);
-            for k in kids {
-                parent[k] = Some(idx);
-            }
-            idx
-        }
-        let mut nodes = Vec::new();
-        let mut children = Vec::new();
-        let mut parent = Vec::new();
-        let root = build(q, &mut nodes, &mut children, &mut parent);
-
-        let mut pending: Vec<usize> = children.iter().map(|c| c.len()).collect();
-        let mut results: Vec<Option<Operand<Entry>>> = vec![None; nodes.len()];
-        let mut ready: Vec<usize> = (0..nodes.len()).filter(|&i| pending[i] == 0).collect();
-        let mut report = ParReport {
-            degree,
-            ..ParReport::default()
-        };
-
-        while !ready.is_empty() {
-            report.waves += 1;
-            report.ready_widths.push(ready.len());
-            let wave = std::mem::take(&mut ready);
-            let (outs, workers) = parallel_map(degree, wave.clone(), |_, idx: usize| {
-                let kids: Vec<Operand<Entry>> = children[idx]
-                    .iter()
-                    .map(|&k| results[k].clone().expect("child resolved before parent"))
-                    .collect();
-                self.eval_ready(nodes[idx], &kids)
-            })?;
-            report.workers_spawned += workers.len() as u64;
-            report.worker_io.extend(workers.iter().map(|w| w.io));
-            for (idx, out) in wave.into_iter().zip(outs) {
-                results[idx] = Some(out);
-                if let Some(p) = parent[idx] {
-                    pending[p] -= 1;
-                    if pending[p] == 0 {
-                        ready.push(p);
-                    }
-                }
-            }
-        }
-
-        let out = results[root].take().expect("root evaluated last");
-        Ok((out, report))
-    }
-
-    /// Evaluate one node whose children are already resolved (memo-aware,
-    /// trace-free — per-node I/O attribution needs the sequential walk).
-    fn eval_ready(
-        &self,
-        q: &Query,
-        children: &[Operand<Entry>],
-    ) -> QueryResult<Operand<Entry>> {
-        if let Some(memo) = &self.memo {
-            if let Some(hit) = memo.get(q) {
-                return Ok(hit);
-            }
-        }
-        let out = self.apply(q, children, &mut None)?;
-        if let Some(memo) = &self.memo {
-            memo.insert(q, &out);
-        }
-        Ok(out)
     }
 
     /// Evaluate `q`, also collecting a per-node trace (post-order).
@@ -311,10 +132,8 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
         q: &Query,
         traces: &mut Option<Vec<NodeTrace>>,
     ) -> QueryResult<Operand<Entry>> {
-        if let Some(memo) = &self.memo {
-            if let Some(hit) = memo.get(q) {
-                return Ok(hit);
-            }
+        if let Some(hit) = self.memo.as_ref().and_then(|memo| memo.borrow().get(q).cloned()) {
+            return Ok(hit);
         }
         // Children first (their I/O is attributed to them).
         let children: Vec<Operand<Entry>> = q
@@ -324,14 +143,13 @@ impl<'s, S: AtomicSource> Evaluator<'s, S> {
             .collect::<QueryResult<_>>()?;
         let out = self.apply(q, &children, traces)?;
         if let Some(memo) = &self.memo {
-            memo.insert(q, &out);
+            memo.borrow_mut().insert(q.clone(), out.clone());
         }
         Ok(out)
     }
 
     /// Apply the operator at `q` to its already-evaluated child lists —
-    /// the single code path shared by sequential and parallel evaluation,
-    /// which is what makes their results identical by construction.
+    /// the one operator path every evaluation takes.
     fn apply(
         &self,
         q: &Query,
@@ -636,49 +454,6 @@ mod tests {
         pager.reset_io();
         Evaluator::new(&idx, &pager).with_memo().evaluate(&q).unwrap();
         assert!(pager.io().allocs < unmemo_allocs);
-    }
-
-    #[test]
-    fn parallel_evaluation_is_byte_identical_and_reports_schedule() {
-        let (idx, pager) = setup();
-        let q = parse_query(
-            "(- (| (dc=att, dc=com ? sub ? surName=jagadish) \
-                   (dc=att, dc=com ? sub ? objectClass=organizationalUnit)) \
-                (c (dc=att, dc=com ? sub ? objectClass=organizationalUnit) \
-                   (dc=research, dc=att, dc=com ? sub ? surName=jagadish)))",
-        )
-        .unwrap();
-        let ev = Evaluator::new(&idx, &pager);
-        let expect = ev.evaluate(&q).unwrap().to_vec().unwrap();
-        for degree in [1, 2, 4, 8] {
-            let (out, report) = ev.evaluate_parallel_report(&q, degree).unwrap();
-            assert_eq!(out.to_vec().unwrap(), expect, "degree {degree}");
-            if degree > 1 {
-                // 7 nodes in 3 waves: 4 leaves, then (|) and (c), then (-).
-                assert_eq!(report.waves, 3);
-                assert_eq!(report.ready_widths, vec![4, 2, 1]);
-                assert!(report.workers_spawned > 0);
-                let shard_io: u64 = report.worker_io.iter().map(|io| io.total()).sum();
-                let _ = shard_io; // pool may serve everything warm here
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_evaluation_surfaces_the_sequential_error() {
-        let (idx, pager) = setup();
-        // The bad agg filter is compiled at its node's evaluation; the
-        // parallel path must report it just like the sequential one.
-        let q = parse_query(
-            "(| (g (dc=com ? sub ? a=*) count($2) > 0) \
-                (dc=com ? sub ? objectClass=dcObject))",
-        )
-        .unwrap();
-        let ev = Evaluator::new(&idx, &pager);
-        let seq = ev.evaluate(&q).unwrap_err();
-        let par = ev.evaluate_parallel(&q, 4).unwrap_err();
-        assert!(matches!(seq, QueryError::BadAggFilter { .. }));
-        assert!(matches!(par, QueryError::BadAggFilter { .. }));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use ast::{
     AggAttribute, AggSelFilter, Aggregate, AttrRef, EntryAgg, HierOp, HierPathOp, Query, RefOp,
 };
 pub use error::{QueryError, QueryResult};
-pub use eval::{run_query, AtomicSource, Evaluator, NodeTrace, ParReport};
+pub use eval::{run_query, AtomicSource, Evaluator, NodeTrace};
 pub use cost::{predicted_io, predicted_node_io, CostInputs};
 pub use explain::{analyze, build_trace, explain, explain_traced};
 pub use lang::{classify, Language};

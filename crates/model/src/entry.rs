@@ -373,10 +373,10 @@ impl Record for Entry {
     // DN only when not reconstructible from the key, and attribute names
     // as fixed-width interned ids.
     //
-    // The id width is deliberately fixed at 4 bytes: parallel workers may
-    // intern names in different orders, and only encoded *sizes* must be
-    // identical across parallelism degrees for the page-I/O ledger to
-    // stay degree-independent.
+    // The id width is deliberately fixed at 4 bytes: threads writing
+    // through one pager may intern names in different orders, and only
+    // encoded *sizes* must stay the same whatever the order for page
+    // layouts, and so the page-I/O ledger, to be deterministic.
 
     fn page_key(&self) -> Option<Vec<u8>> {
         Some(self.dn.sort_key().as_bytes().to_vec())

@@ -64,16 +64,6 @@ pub const BREAKER_HALF_OPENED: &str = "netdir_breaker_half_opened_total";
 /// Breakers that recovered, HalfOpen→Closed.
 pub const BREAKER_CLOSED: &str = "netdir_breaker_closed_total";
 
-/// Worker threads spawned by parallel evaluation waves. From
-/// `ParReport`.
-pub const PAR_WORKERS_SPAWNED: &str = "netdir_par_workers_spawned_total";
-/// Ready-set width per scheduling wave (how much concurrency the query
-/// tree actually exposed), histogram. From `ParReport`.
-pub const PAR_READY_WIDTH: &str = "netdir_par_ready_width";
-/// Pages of I/O charged to one worker's sub-ledger, histogram. From
-/// `ParReport`.
-pub const PAR_WORKER_PAGES: &str = "netdir_par_worker_pages";
-
 /// WAL durability barriers (one per committed batch). From `JournalStats`.
 pub const WAL_FSYNCS: &str = "netdir_wal_fsyncs_total";
 /// Pages written through the WAL's disk. From `JournalStats`.
@@ -186,9 +176,6 @@ pub const TRACKED: &[&str] = &[
     BREAKER_OPENED,
     BREAKER_HALF_OPENED,
     BREAKER_CLOSED,
-    PAR_WORKERS_SPAWNED,
-    PAR_READY_WIDTH,
-    PAR_WORKER_PAGES,
     WAL_FSYNCS,
     WAL_PAGE_WRITES,
     WAL_REPLAY_US,

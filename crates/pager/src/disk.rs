@@ -129,10 +129,10 @@ impl Disk for MemDisk {
 /// inner device.
 ///
 /// The paper's cost model counts page transfers; `LatencyDisk` gives each
-/// transfer a (simulated) seek-and-transfer *duration* as well, so that
-/// overlap of independent I/Os — the thing parallel evaluation buys — shows
-/// up as measured wall-clock speedup even where transfer *counts* are
-/// identical. I/O accounting is delegated unchanged to the inner device.
+/// transfer a (simulated) seek-and-transfer *duration* as well, so a
+/// sweep can report wall time beside the counts and a test can widen the
+/// window in which threads race for one page. I/O accounting is
+/// delegated unchanged to the inner device.
 pub struct LatencyDisk {
     inner: Box<dyn Disk>,
     read_delay: std::time::Duration,

@@ -23,7 +23,6 @@
 
 use crate::error::PagerResult;
 use crate::list::{ListWriter, Operand, OperandWriter, PagedList};
-use crate::par::parallel_map;
 use crate::record::Record;
 use crate::Pager;
 use std::cmp::Ordering;
@@ -111,70 +110,6 @@ where
 
     // Phase 1: run formation.
     let runs = form_runs(pager, input.iter(), budget_bytes, cmp)?;
-    merge_all(pager, runs, fan_in, cmp)
-}
-
-/// Sort `input` like [`external_sort_by`], forming the initial runs on up
-/// to `degree` worker threads.
-///
-/// The input's pages are partitioned into `degree` contiguous chunks and
-/// each worker forms sorted runs over its chunk concurrently, within a
-/// per-worker buffer budget of `fan_in / degree` pages (clamped below at
-/// one page) so the *combined* run-formation memory stays within the same
-/// fan-in budget the sequential sort uses. Runs are then merged serially,
-/// exactly as in [`external_sort_by`].
-///
-/// Output is byte-identical to a stable sequential sort of the same input:
-/// a stable sort's output is fully determined by the input order and the
-/// comparator, runs are kept in input order, and the merge breaks ties by
-/// run index (= input position) — so per-worker run boundaries cannot leak
-/// into the result.
-pub fn external_sort_by_par<T, F>(
-    pager: &Pager,
-    input: &PagedList<T>,
-    config: ExtSortConfig,
-    degree: usize,
-    cmp: F,
-) -> PagerResult<PagedList<T>>
-where
-    T: Record + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Copy + Send + Sync,
-{
-    let frame_cap = pager.pool().capacity().saturating_sub(2).max(2);
-    let fan_in = config.fan_in.clamp(2, frame_cap);
-    let counts = input.page_record_counts();
-    let workers = degree.clamp(1, counts.len().max(1));
-    if workers <= 1 {
-        return sort_paged(pager, input, config, cmp);
-    }
-
-    // Contiguous page-range chunks, one per worker; (start page, records).
-    let pages_per_chunk = counts.len().div_ceil(workers);
-    let chunks: Vec<(usize, usize)> = counts
-        .chunks(pages_per_chunk)
-        .enumerate()
-        .map(|(i, chunk)| {
-            let start_page = i * pages_per_chunk;
-            let records: usize = chunk.iter().map(|&c| c as usize).sum();
-            (start_page, records)
-        })
-        .collect();
-
-    // Per-worker buffer budget: the same clamp discipline as the fan-in
-    // clamp above, applied to each worker's share of the budget.
-    let per_worker_pages = (fan_in / workers).max(1);
-    let budget_bytes = per_worker_pages * pager.payload_size();
-
-    let (chunk_runs, _reports) = parallel_map(workers, chunks, |_, (start_page, records)| {
-        form_runs(
-            pager,
-            input.iter_from_page(start_page).take(records),
-            budget_bytes,
-            cmp,
-        )
-    })?;
-
-    let runs: Vec<PagedList<T>> = chunk_runs.into_iter().flatten().collect();
     merge_all(pager, runs, fan_in, cmp)
 }
 
@@ -454,48 +389,6 @@ mod tests {
             (clamped.reads, clamped.writes),
             (explicit.reads, explicit.writes),
             "clamped oversize fan_in must behave exactly like fan_in = frames - 2"
-        );
-    }
-
-    #[test]
-    fn parallel_run_formation_matches_sequential_exactly() {
-        // A stable sort's output is a pure function of (input, comparator);
-        // the parallel path must reproduce it record for record at every
-        // degree, including on ties (the (key, index) pairs make any
-        // instability visible).
-        let pager = Pager::new(256, 64);
-        let mut rng = StdRng::seed_from_u64(19);
-        let items: Vec<(u64, u64)> = (0..8000).map(|i| (rng.gen_range(0..50), i)).collect();
-        let list = PagedList::from_iter(&pager, items).unwrap();
-        let cfg = ExtSortConfig { fan_in: 8 };
-        let expect = external_sort_by(&pager, &list, cfg, |a, b| a.0.cmp(&b.0))
-            .unwrap()
-            .to_vec()
-            .unwrap();
-        for degree in [1, 2, 4, 8] {
-            let got = external_sort_by_par(&pager, &list, cfg, degree, |a, b| a.0.cmp(&b.0))
-                .unwrap()
-                .to_vec()
-                .unwrap();
-            assert_eq!(got, expect, "degree {degree}");
-        }
-    }
-
-    #[test]
-    fn parallel_sort_handles_empty_and_tiny_inputs() {
-        let pager = tiny_pager();
-        let empty: PagedList<u64> = PagedList::empty(&pager);
-        let cfg = ExtSortConfig::default();
-        assert!(external_sort_by_par(&pager, &empty, cfg, 4, |a, b| a.cmp(b))
-            .unwrap()
-            .is_empty());
-        let one = PagedList::from_iter(&pager, [9u64, 3, 7]).unwrap();
-        assert_eq!(
-            external_sort_by_par(&pager, &one, cfg, 8, |a, b| a.cmp(b))
-                .unwrap()
-                .to_vec()
-                .unwrap(),
-            [3, 7, 9]
         );
     }
 

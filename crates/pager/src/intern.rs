@@ -6,11 +6,11 @@
 //! (shared by every list written through it) and is pure in-memory
 //! metadata — like the page tables, it is not charged to the I/O ledger.
 //!
-//! Ids are fixed-width `u32` on purpose: parallel workers may intern
-//! names in different orders, so the *values* of ids are not
-//! deterministic across runs — but page layouts, and therefore the
-//! page-I/O ledger, depend only on encoded *sizes*, which a fixed-width
-//! id keeps identical at every parallelism degree (the PR-5 discipline).
+//! Ids are fixed-width `u32` on purpose: threads writing through one
+//! pager may intern names in different orders, so the *values* of ids
+//! are not deterministic across runs — but page layouts, and therefore
+//! the page-I/O ledger, depend only on encoded *sizes*, which a
+//! fixed-width id keeps the same whatever the order.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;

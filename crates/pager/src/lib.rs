@@ -40,7 +40,6 @@ pub mod error;
 pub mod extsort;
 pub mod intern;
 pub mod list;
-pub mod par;
 pub mod pool;
 pub mod record;
 pub mod stack;
@@ -50,19 +49,18 @@ pub use budget::Reservation;
 pub use chain::{Chain, ChainArena};
 pub use disk::{Disk, LatencyDisk, MemDisk, PageId, PAGE_HEADER_BYTES};
 pub use error::{PagerError, PagerResult};
-pub use extsort::{external_sort, external_sort_by, external_sort_by_par, ExtSortConfig};
+pub use extsort::{external_sort, external_sort_by, ExtSortConfig};
 pub use intern::Interner;
 pub use list::{
     ListReader, ListWriter, Operand, OperandReader, OperandWriter, PagedList, RawListReader,
     RawOperandReader, RawRecord, Run,
 };
-pub use par::{parallel_map, WorkerReport};
 pub use pool::{
     BufferPool, FrameGuard, PoolConfig, PoolMetricsSnapshot, ReplacementPolicy,
 };
 pub use record::{PageCtx, Record};
 pub use stack::PagedStack;
-pub use stats::{IoShard, IoSnapshot, IoStats, ShardGuard};
+pub use stats::{IoSnapshot, IoStats};
 
 use budget::RunBudget;
 use std::sync::Arc;
@@ -145,9 +143,8 @@ impl Pager {
     /// Create a pager over an in-memory disk that additionally charges
     /// wall-clock latency per transfer (see [`LatencyDisk`]).
     ///
-    /// Used by the parallel-evaluation benchmarks: on such a device,
-    /// overlapping independent page reads across workers shows up as
-    /// measured speedup while the transfer *counts* stay identical.
+    /// Used by the planner sweep and the concurrent-pool tests, where a
+    /// page read must cost time as well as a count.
     pub fn with_latency(
         page_size: usize,
         frames: usize,

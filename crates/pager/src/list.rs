@@ -327,16 +327,9 @@ impl<T: Record> PagedList<T> {
     /// Sequential scan. Pins one frame at a time; each page is read at most
     /// once per scan.
     pub fn iter(&self) -> ListReader<T> {
-        self.iter_from_page(0)
-    }
-
-    /// Sequential scan starting at page `page_idx` (earlier pages are
-    /// neither read nor decoded). Useful when in-memory fence keys have
-    /// already located the relevant range.
-    pub fn iter_from_page(&self, page_idx: usize) -> ListReader<T> {
         ListReader {
             list: self.clone(),
-            page_idx,
+            page_idx: 0,
             in_page: Vec::new().into_iter(),
         }
     }

@@ -5,7 +5,6 @@
 //! records each transfer; experiments read a [`IoSnapshot`] before and after
 //! an operator to obtain its exact I/O cost.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -75,19 +74,16 @@ impl IoStats {
     /// Count one page read.
     pub fn record_read(&self) {
         self.inner.reads.fetch_add(1, Ordering::Relaxed);
-        IoShard::bump(|c| &c.reads);
     }
 
     /// Count one page write.
     pub fn record_write(&self) {
         self.inner.writes.fetch_add(1, Ordering::Relaxed);
-        IoShard::bump(|c| &c.writes);
     }
 
     /// Count one page allocation.
     pub fn record_alloc(&self) {
         self.inner.allocs.fetch_add(1, Ordering::Relaxed);
-        IoShard::bump(|c| &c.allocs);
     }
 
     /// Copy out the current counter values.
@@ -110,72 +106,6 @@ impl IoStats {
 impl std::fmt::Debug for IoStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "IoStats({:?})", self.snapshot())
-    }
-}
-
-thread_local! {
-    static ACTIVE_SHARD: RefCell<Option<IoShard>> = const { RefCell::new(None) };
-}
-
-/// A per-worker I/O sub-ledger.
-///
-/// The shared [`IoStats`] ledger stays the single source of truth: every
-/// transfer is always recorded there. A worker thread may additionally
-/// [`install`](IoShard::install) a shard, after which the same events are
-/// *also* mirrored into the shard for as long as the returned guard lives.
-/// Summing the shards of a worker pool therefore reproduces the ledger's
-/// delta exactly — EXPLAIN ANALYZE totals do not change when evaluation
-/// goes parallel, they merely gain a per-worker breakdown.
-#[derive(Clone, Default)]
-pub struct IoShard {
-    inner: Arc<Counters>,
-}
-
-impl IoShard {
-    /// Fresh sub-ledger with all counters at zero.
-    pub fn new() -> Self {
-        IoShard::default()
-    }
-
-    /// Mirror this thread's I/O events into the shard until the guard
-    /// drops. Nesting restores the previously installed shard on drop.
-    pub fn install(&self) -> ShardGuard {
-        let prev = ACTIVE_SHARD.with(|s| s.borrow_mut().replace(self.clone()));
-        ShardGuard { prev }
-    }
-
-    /// Copy out the shard's counters.
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            reads: self.inner.reads.load(Ordering::Relaxed),
-            writes: self.inner.writes.load(Ordering::Relaxed),
-            allocs: self.inner.allocs.load(Ordering::Relaxed),
-        }
-    }
-
-    fn bump(field: impl Fn(&Counters) -> &AtomicU64) {
-        ACTIVE_SHARD.with(|s| {
-            if let Some(shard) = s.borrow().as_ref() {
-                field(&shard.inner).fetch_add(1, Ordering::Relaxed);
-            }
-        });
-    }
-}
-
-impl std::fmt::Debug for IoShard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "IoShard({:?})", self.snapshot())
-    }
-}
-
-/// Uninstalls the shard installed by [`IoShard::install`] when dropped.
-pub struct ShardGuard {
-    prev: Option<IoShard>,
-}
-
-impl Drop for ShardGuard {
-    fn drop(&mut self) {
-        ACTIVE_SHARD.with(|s| *s.borrow_mut() = self.prev.take());
     }
 }
 
@@ -217,45 +147,5 @@ mod tests {
         let b = a.clone();
         a.record_write();
         assert_eq!(b.snapshot().writes, 1);
-    }
-
-    #[test]
-    fn installed_shard_mirrors_the_ledger() {
-        let stats = IoStats::new();
-        let shard = IoShard::new();
-        stats.record_read(); // before install: ledger only
-        {
-            let _g = shard.install();
-            stats.record_read();
-            stats.record_write();
-            stats.record_alloc();
-        }
-        stats.record_write(); // after uninstall: ledger only
-        assert_eq!(
-            shard.snapshot(),
-            IoSnapshot {
-                reads: 1,
-                writes: 1,
-                allocs: 1
-            }
-        );
-        let total = stats.snapshot();
-        assert_eq!((total.reads, total.writes, total.allocs), (2, 2, 1));
-    }
-
-    #[test]
-    fn nested_shards_restore_the_outer_one() {
-        let stats = IoStats::new();
-        let outer = IoShard::new();
-        let inner = IoShard::new();
-        let _og = outer.install();
-        {
-            let _ig = inner.install();
-            stats.record_read();
-        }
-        stats.record_read();
-        assert_eq!(inner.snapshot().reads, 1);
-        assert_eq!(outer.snapshot().reads, 1);
-        assert_eq!(stats.snapshot().reads, 2);
     }
 }

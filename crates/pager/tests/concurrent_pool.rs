@@ -1,28 +1,20 @@
-//! Concurrency hammer for the buffer pool (ISSUE 5 satellite).
+//! Concurrency hammer for the buffer pool.
 //!
-//! N scoped threads pin, unpin, allocate and sort against one shared
-//! `Pager` while the test asserts the two invariants parallel evaluation
-//! leans on: the frame budget is never exceeded, and the shared I/O
-//! ledger's delta equals the sum of the per-thread `IoShard` deltas.
+//! One pager is shared by a daemon's connection workers and by the
+//! threads a router fetches a query's zones on. Here N scoped threads
+//! pin, unpin, allocate and sort against one shared `Pager` while the
+//! test asserts that every scan and sort still returns the right
+//! records and that the frame budget is never exceeded; a second test
+//! checks that racing misses on one cold page cost one read.
 
-use netdir_pager::{
-    external_sort_by, ExtSortConfig, IoShard, IoSnapshot, PagedList, Pager,
-};
+use netdir_pager::{external_sort_by, ExtSortConfig, PagedList, Pager};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 const THREADS: usize = 8;
 
-fn add(a: IoSnapshot, b: IoSnapshot) -> IoSnapshot {
-    IoSnapshot {
-        reads: a.reads + b.reads,
-        writes: a.writes + b.writes,
-        allocs: a.allocs + b.allocs,
-    }
-}
-
 #[test]
-fn hammer_preserves_frame_budget_and_ledger_exactness() {
+fn hammer_preserves_frame_budget_and_answers() {
     let pager = Pager::new(256, 16);
     let frames = pager.pool().capacity();
 
@@ -33,7 +25,7 @@ fn hammer_preserves_frame_budget_and_ledger_exactness() {
     pager.reset_io();
 
     let stop = AtomicBool::new(false);
-    let shards: Vec<IoSnapshot> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // A watchdog samples the residency invariant while the workers run.
         let watchdog = scope.spawn(|| {
             let mut max_seen = 0;
@@ -49,8 +41,6 @@ fn hammer_preserves_frame_budget_and_ledger_exactness() {
                 let pager = &pager;
                 let shared = &shared;
                 scope.spawn(move || {
-                    let shard = IoShard::new();
-                    let _guard = shard.install();
                     for round in 0..3 {
                         // Pin/unpin traffic: scan the shared list (each
                         // page read at most once per scan, then churned
@@ -73,31 +63,22 @@ fn hammer_preserves_frame_budget_and_ledger_exactness() {
                         expect.sort();
                         assert_eq!(sorted.to_vec().unwrap(), expect);
                     }
-                    shard.snapshot()
                 })
             })
             .collect();
 
-        let shards: Vec<IoSnapshot> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        for w in workers {
+            w.join().unwrap();
+        }
         stop.store(true, Ordering::Release);
         let max_resident = watchdog.join().unwrap();
         assert!(
             max_resident <= frames,
             "pool held {max_resident} resident frames on a {frames}-frame budget"
         );
-        shards
     });
-
-    // Every worker I/O event was mirrored into exactly one shard, and the
-    // main thread did no I/O inside the measurement window — so the shard
-    // sum must reproduce the shared ledger's delta component for component.
-    let shard_sum = shards.into_iter().fold(IoSnapshot::default(), add);
-    assert_eq!(
-        shard_sum,
-        pager.io(),
-        "per-thread sub-ledgers disagree with the shared ledger"
-    );
-    assert!(shard_sum.reads > 0 && shard_sum.allocs > 0);
+    // The storm really went through the pool and the disk.
+    assert!(pager.io().reads > 0 && pager.io().allocs > 0);
 
     // After the storm: no pins left behind, the pool still works.
     assert!(pager.pool().resident() <= frames);

@@ -49,11 +49,11 @@ use netdir_filter::{AtomicFilter, Scope};
 use netdir_index::{AtomicCost, DeltaWrite};
 use netdir_model::{Directory, Dn, Entry};
 use netdir_obs::{Clock, MonotonicClock};
-use netdir_pager::{parallel_map, Operand, Pager, PagerError, PagerResult, RawRecord};
+use netdir_pager::{Operand, Pager, PagerError, PagerResult, RawRecord};
 use netdir_query::eval::{AtomicSource, Evaluator};
 use netdir_query::planner::{ObservingSource, Planner};
 use netdir_query::{Query, QueryError, QueryResult};
-use std::convert::Infallible;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// How a distributed query treats unreachable partitions.
@@ -122,7 +122,7 @@ pub struct ClusterBuilder {
     /// Indices of configs that are secondaries (replicas) of an earlier
     /// context registration.
     secondaries: Vec<bool>,
-    /// Intra-query parallelism degree for the built router (0 → 1).
+    /// Zone-fetch concurrency for the built router (0 → 1).
     eval_threads: usize,
     /// Cost-based planner for the built router, if any.
     planner: Option<Arc<Planner>>,
@@ -167,9 +167,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Set the intra-query parallelism degree of the built cluster's
-    /// router (see [`Router::with_eval_threads`]). Defaults to 1
-    /// (sequential).
+    /// Set the zone-fetch concurrency of the built cluster's router
+    /// (see [`Router::with_eval_threads`]). Defaults to 1 (one zone
+    /// after another).
     pub fn eval_threads(mut self, threads: usize) -> Self {
         self.eval_threads = threads;
         self
@@ -248,8 +248,8 @@ impl ClusterBuilder {
     /// Partition `dir` like [`ClusterBuilder::build`], but reach the
     /// zones through the router `route` makes from the delegation table
     /// and the zones (server `i` is element `i`): any transport, retry
-    /// policy and breaker configuration. The builder's evaluation degree
-    /// and planner are then attached to that router.
+    /// policy and breaker configuration. The builder's zone-fetch
+    /// concurrency and planner are then attached to that router.
     pub fn build_with(
         mut self,
         dir: &Directory,
@@ -358,7 +358,7 @@ pub const COMPACT_MIN: usize = 64;
 /// its base's entry count divided by this.
 pub const COMPACT_FRACTION: usize = 8;
 
-/// `router` with a shape's evaluation degree and planner attached.
+/// `router` with a shape's zone-fetch concurrency and planner attached.
 fn wired(router: Router, eval_threads: usize, planner: Option<Arc<Planner>>) -> Router {
     let router = router.with_eval_threads(eval_threads);
     match planner {
@@ -377,9 +377,9 @@ pub struct Router {
     health: HealthTracker,
     retry: RetryPolicy,
     retry_stats: RetryStats,
-    /// Intra-query parallelism degree: >1 evaluates independent query
-    /// subtrees concurrently and fans atomic sub-queries out to their
-    /// zones in parallel. 1 (the default) is the sequential path.
+    /// Zone-fetch concurrency: an atomic sub-query reaching several
+    /// zones fetches them on up to this many threads. 1 (the default)
+    /// fetches them one after another.
     eval_threads: usize,
     /// Time source for retry backoff and EXPLAIN ANALYZE timings.
     clock: Arc<dyn Clock>,
@@ -436,23 +436,24 @@ impl Router {
         self
     }
 
-    /// Set the intra-query parallelism degree (builder-style).
+    /// Set the zone-fetch concurrency (builder-style).
     ///
-    /// With `threads > 1`, [`Router::query_with`] evaluates independent
-    /// query subtrees concurrently and each atomic sub-query fans out to
-    /// its zones in parallel. Results are byte-identical to the
-    /// sequential path (zone responses merge in delegation order, subtree
-    /// results join by node identity); under Strict mode the first error
+    /// With `threads > 1`, an atomic sub-query whose scope spans several
+    /// zones fetches them on up to `threads` threads, which hides the
+    /// round trips of remote zones behind one another. The query tree
+    /// itself is still evaluated one node at a time. Results are
+    /// byte-identical to the sequential fetch (zone responses are
+    /// collected in delegation order); under Strict mode the first error
     /// in zone order is reported, exactly as sequentially. The default of
-    /// 1 keeps the sequential path — fault-injection harnesses that seed
-    /// per-call fault schedules rely on the deterministic call order that
-    /// only sequential evaluation provides, so parallelism is opt-in.
+    /// 1 fetches zones one after another — fault-injection harnesses that
+    /// seed per-call fault schedules rely on the deterministic call order
+    /// only that provides, so concurrency is opt-in.
     pub fn with_eval_threads(mut self, threads: usize) -> Router {
         self.eval_threads = threads.max(1);
         self
     }
 
-    /// The configured intra-query parallelism degree.
+    /// The configured zone-fetch concurrency.
     pub fn eval_threads(&self) -> usize {
         self.eval_threads
     }
@@ -549,21 +550,9 @@ impl Router {
         let out = match &self.planner {
             Some(p) => {
                 let observing = ObservingSource::new(&source, p.catalog(), pager);
-                let evaluator = Evaluator::new(&observing, pager);
-                if self.eval_threads > 1 {
-                    evaluator.evaluate_parallel(query, self.eval_threads)?
-                } else {
-                    evaluator.evaluate(query)?
-                }
+                Evaluator::new(&observing, pager).evaluate(query)?
             }
-            None => {
-                let evaluator = Evaluator::new(&source, pager);
-                if self.eval_threads > 1 {
-                    evaluator.evaluate_parallel(query, self.eval_threads)?
-                } else {
-                    evaluator.evaluate(query)?
-                }
-            }
+            None => Evaluator::new(&source, pager).evaluate(query)?,
         };
         Ok(QueryOutcome {
             entries: out.into_encoded()?,
@@ -584,9 +573,9 @@ impl Router {
         mode: ConsistencyMode,
     ) -> QueryResult<(QueryOutcome, netdir_obs::QueryTrace)> {
         let source = RoutingSource::new(self, home, mode);
-        // Traced evaluation stays sequential regardless of `eval_threads`:
-        // per-node I/O attribution snapshots the shared ledger around each
-        // node, which is only meaningful when nodes run one at a time.
+        // Evaluation walks the tree one node at a time, so each node's
+        // span can snapshot the shared ledger around itself; only a
+        // leaf's zone fetches may overlap (`eval_threads`).
         let planned = self.planner.as_ref().map(|p| p.plan(query));
         let query = planned.as_ref().map_or(query, |p| &p.query);
         let started = self.clock.now();
@@ -832,8 +821,8 @@ struct RoutingSource<'r> {
     home: ServerId,
     mode: ConsistencyMode,
     /// Zones skipped so far (Partial mode), deduplicated by context.
-    /// A `Mutex` (not `RefCell`) so the source is `Sync` — parallel
-    /// evaluation drives one source from several scoped workers at once.
+    /// A `Mutex` (not `RefCell`) so the source is `Sync`: a leaf's
+    /// zones may be fetched on several threads at once.
     partial: Mutex<Vec<PartitionError>>,
 }
 
@@ -879,25 +868,42 @@ impl AtomicSource for RoutingSource<'_> {
         // outcomes are *collected in zone (delegation) order*, so the
         // merged bytes, the Strict-mode first error, and the Partial-mode
         // skip accounting are identical to the sequential loop.
-        let degree = self.router.eval_threads;
-        let outcomes: Vec<Result<Vec<RawRecord<Entry>>, PartitionError>> =
-            if degree > 1 && zones.len() > 1 {
-                let Ok((outcomes, _reports)) =
-                    parallel_map(degree, zones, |_, (zone, group)| {
-                        Ok::<_, Infallible>(self.router.fetch_zone(
-                            zone, group, self.home, base, scope, filter,
-                        ))
-                    });
-                outcomes
-            } else {
-                zones
-                    .into_iter()
-                    .map(|(zone, group)| {
-                        self.router
-                            .fetch_zone(zone, group, self.home, base, scope, filter)
-                    })
-                    .collect()
+        let fetch = |(zone, group): (&Dn, &[ServerId])| {
+            self.router
+                .fetch_zone(zone, group, self.home, base, scope, filter)
+        };
+        let threads = self.router.eval_threads.min(zones.len());
+        let outcomes: Vec<Result<Vec<RawRecord<Entry>>, PartitionError>> = if threads > 1 {
+            // Each thread claims the next unfetched zone in delegation
+            // order; the calling thread fetches alongside the ones it
+            // spawns.
+            let next = AtomicUsize::new(0);
+            let claim = || {
+                let mut fetched = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&zone) = zones.get(i) else {
+                        return fetched;
+                    };
+                    fetched.push((i, fetch(zone)));
+                }
             };
+            let mut fetched = std::thread::scope(|s| {
+                let helpers: Vec<_> = (1..threads).map(|_| s.spawn(claim)).collect();
+                let mut fetched = claim();
+                for helper in helpers {
+                    match helper.join() {
+                        Ok(more) => fetched.extend(more),
+                        Err(panic) => std::panic::resume_unwind(panic),
+                    }
+                }
+                fetched
+            });
+            fetched.sort_unstable_by_key(|&(i, _)| i);
+            fetched.into_iter().map(|(_, outcome)| outcome).collect()
+        } else {
+            zones.into_iter().map(fetch).collect()
+        };
         let (mut run, mut answering) = (Vec::new(), 0);
         for outcome in outcomes {
             match outcome {
@@ -1015,7 +1021,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_eval_threads_pin_strict_bytes_and_partial_accounts() {
+    fn concurrent_zone_fetch_pins_strict_bytes_and_partial_accounts() {
         let seq = cluster();
         let par = ClusterBuilder::new()
             .server("root", dn("dc=com"))

@@ -27,8 +27,6 @@ pub fn register_all(reg: &MetricsRegistry) {
         match name {
             names::QUERY_DURATION_US
             | names::QUERY_PAGES
-            | names::PAR_READY_WIDTH
-            | names::PAR_WORKER_PAGES
             | names::WAL_REPLAY_US
             | names::DEADLINE_USED_US => {
                 reg.histogram(name);
@@ -145,19 +143,6 @@ pub fn record_query(reg: &MetricsRegistry, elapsed_nanos: u64, pages: u64) {
     reg.histogram(names::QUERY_PAGES).observe(pages);
 }
 
-/// Record one parallel evaluation's schedule: how many workers ran,
-/// how wide each ready-set wave was, and how many pages each worker's
-/// sub-ledger absorbed.
-pub fn record_par(reg: &MetricsRegistry, par: &netdir_query::ParReport) {
-    reg.counter(names::PAR_WORKERS_SPAWNED).add(par.workers_spawned);
-    for &width in &par.ready_widths {
-        reg.histogram(names::PAR_READY_WIDTH).observe(width as u64);
-    }
-    for io in &par.worker_io {
-        reg.histogram(names::PAR_WORKER_PAGES).observe(io.total());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,28 +198,6 @@ mod tests {
         absorb_pool(&reg, snap); // delta path adds
         assert_eq!(reg.counter(names::POOL_HITS).get(), 20);
         assert_eq!(reg.counter(names::POOL_COMPRESSED_BYTES_SAVED).get(), 1024);
-    }
-
-    #[test]
-    fn record_par_feeds_schedule_series() {
-        let reg = MetricsRegistry::default();
-        let par = netdir_query::ParReport {
-            degree: 4,
-            waves: 2,
-            ready_widths: vec![3, 1],
-            workers_spawned: 4,
-            worker_io: vec![
-                netdir_pager::IoSnapshot { reads: 2, writes: 1, allocs: 3 },
-                netdir_pager::IoSnapshot { reads: 4, writes: 0, allocs: 0 },
-            ],
-        };
-        record_par(&reg, &par);
-        assert_eq!(reg.counter(names::PAR_WORKERS_SPAWNED).get(), 4);
-        let w = reg.histogram(names::PAR_READY_WIDTH).snapshot();
-        assert_eq!((w.count, w.sum), (2, 4));
-        let p = reg.histogram(names::PAR_WORKER_PAGES).snapshot();
-        // `total()` counts physical page I/O: reads + writes.
-        assert_eq!((p.count, p.sum), (2, 7));
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! ```
 //!
 //! With no `--context`, a single server named `root` owning the whole
-//! namespace is assumed. The daemon runs until killed or until a client
+//! namespace is assumed. `--eval-threads N` fetches the zones one atomic
+//! sub-query reaches on up to N threads (default 1); the query tree is
+//! evaluated one operator at a time either way. The daemon runs until killed or until a client
 //! sends a Shutdown frame (`ndquery ADDR --shutdown`).
 
 use netdir_journal::JournalStore;
@@ -48,6 +50,9 @@ fn usage() -> ! {
          empty directory is served. With --wal, committed mutation batches\n\
          persist to FILE and replay over the seed LDIF on the next start\n\
          (keep the same --ldif across restarts).\n\
+         \n\
+         --eval-threads N fetches the zones a query's atomic sub-query\n\
+         reaches on up to N threads (default 1: one after another).\n\
          \n\
          --planner enables the cost-based plan optimizer: queries are\n\
          rewritten to cheaper byte-identical plans using list-size\n\

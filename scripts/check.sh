@@ -20,12 +20,6 @@
 #                                   its own: manifest equality, seeded
 #                                   inputs, a quick run of every
 #                                   workload against a real netdird)
-#   scripts/check.sh --par-smoke    gate + the parallel-evaluation
-#                                   guards run explicitly: determinism
-#                                   property tests, the buffer-pool
-#                                   concurrency hammer, and a degree
-#                                   sweep landing in target/
-#                                   BENCH_smoke.json (schema validated)
 #   scripts/check.sh --wal-smoke    gate + the write-path guards run
 #                                   explicitly: the crash-recovery
 #                                   torture suite (WAL truncated at
@@ -78,7 +72,6 @@ cd "$(dirname "$0")/.."
 
 chaos=0
 bench_smoke=0
-par_smoke=0
 wal_smoke=0
 load_smoke=0
 planner_smoke=0
@@ -89,7 +82,6 @@ for arg in "$@"; do
   case "$arg" in
     --chaos) chaos=1 ;;
     --bench-smoke) bench_smoke=1 ;;
-    --par-smoke) par_smoke=1 ;;
     --wal-smoke) wal_smoke=1 ;;
     --load-smoke) load_smoke=1 ;;
     --planner-smoke) planner_smoke=1 ;;
@@ -134,18 +126,6 @@ if [ "$bench_smoke" = 1 ]; then
   # Into the root's target directory, where run.sh builds too.
   (cd benchmark && CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/../target}" \
     cargo test --release --offline)
-fi
-
-if [ "$par_smoke" = 1 ]; then
-  echo "check.sh: running parallel-evaluation guards"
-  cargo test -q -p netdir-query --test parallel_prop
-  cargo test -q -p netdir-pager --test concurrent_pool
-  cargo test -q -p netdir-pager par
-  cargo test -q -p netdir-bench smoke_sweep
-  cargo run --release -q -p netdir-bench --bin run_experiments -- \
-    --smoke --json target/BENCH_smoke.json
-  cargo run --release -q -p netdir-bench --bin run_experiments -- \
-    --validate target/BENCH_smoke.json
 fi
 
 if [ "$wal_smoke" = 1 ]; then

@@ -1,7 +1,7 @@
 //! Section 8.3 integration: distributed evaluation equals single-server
 //! evaluation on every language level, across partitionings — and both
-//! equal the naive oracle byte for byte, at every evaluation degree,
-//! with and without the planner, traced or not, query or routed atomic
+//! equal the naive oracle byte for byte, at every zone-fetch
+//! concurrency (`eval_threads`), with and without the planner, traced or not, query or routed atomic
 //! leaf, with every entry carrying the directory's own id. Plus the cost
 //! of the seam itself, counted: building a cluster starts no thread,
 //! generations published on one base build it once, on first read, a
@@ -254,6 +254,8 @@ fn every_configuration_answers_the_naive_oracle_byte_for_byte() {
             })
             .collect();
         for shape in [single, zoned] {
+            // The degree is the zone-fetch concurrency: at 4 a leaf over
+            // several zones fetches them on up to four threads.
             for degree in [1, 4] {
                 for planner in [false, true] {
                     let mut b = shape.clone().eval_threads(degree);

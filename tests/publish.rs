@@ -65,7 +65,8 @@ fn pair_batch(i: usize) -> MutationBatch {
     ])
 }
 
-/// One server owning the whole namespace, evaluating at `degree`.
+/// One server owning the whole namespace, fetching a leaf's zones on
+/// up to `degree` threads (the zone-fetch concurrency).
 fn shape(degree: usize) -> ClusterBuilder {
     ClusterBuilder::new()
         .server("root", Dn::root())
@@ -360,6 +361,8 @@ fn every_published_generation_answers_like_a_rebuild_byte_for_byte() {
         let history = random_history(&mut rng, &mut mirror, &dns, 10);
         let single = ClusterBuilder::new().server("root", Dn::root());
         for zones in [single, three_zones(&dns)] {
+            // The degree is the zone-fetch concurrency: at 4 a leaf over
+            // the three zones fetches them on up to four threads.
             for degree in [1, 4] {
                 for planner in [false, true] {
                     let shape = || {
