@@ -149,21 +149,6 @@ fn main() {
             l.p999_us
         );
     }
-    for p in &report.planner {
-        println!(
-            "{:>12}  steps={} cache_hit={} reads naive={} chosen={} \
-             predicted naive={:.1} chosen={:.1} wall naive={:.4}s chosen={:.4}s",
-            p.label,
-            p.steps,
-            p.cache_hit,
-            p.naive_reads,
-            p.chosen_reads,
-            p.predicted_naive,
-            p.predicted_chosen,
-            p.naive_wall_secs,
-            p.chosen_wall_secs
-        );
-    }
     for s in &report.storage {
         println!(
             "{:>9}  baseline_reads={} engine_reads={} reduction={:.1}% \

@@ -10,11 +10,10 @@
 //!   algorithms, by re-scanning `L2` once per `L1` entry.
 //! * [`measure`] — cold-cache I/O measurement around a closure.
 //! * [`report`] — machine-readable `BENCH_*.json` emission/validation.
-//! * [`suite`] — the L0–L3 zone fan-out suite the planner and storage
-//!   sweeps evaluate.
+//! * [`suite`] — the L0–L3 zone fan-out suite the storage sweep
+//!   evaluates.
 //! * [`mutation`] — the write-path suite (apply throughput, WAL replay).
 //! * [`load`] — the closed-loop overload sweep (admission vs unbounded).
-//! * [`planner`] — the cost-based planner sweep (chosen vs naive I/O).
 //! * [`smoke`] — the instrumented observability suite behind
 //!   `run_experiments --smoke`.
 
@@ -23,7 +22,6 @@ use netdir_pager::{IoSnapshot, ListWriter, Operand, PagedList, Pager, PagerResul
 
 pub mod load;
 pub mod mutation;
-pub mod planner;
 pub mod report;
 pub mod smoke;
 pub mod storage;

@@ -6,7 +6,7 @@
 //!
 //! ```json
 //! {
-//!   "schema_version": 7,
+//!   "schema_version": 8,
 //!   "mode": "smoke",
 //!   "experiments": [{"name": "exp_hs_linear", "status": "ok",
 //!                    "wall_time_secs": 1.2}],
@@ -19,10 +19,6 @@
 //!             "completed": 120, "busy": 200, "deadline": 0, "errors": 0,
 //!             "wall_secs": 0.4, "throughput_rps": 300.0, "p50_us": 900,
 //!             "p99_us": 2400, "p999_us": 3100}],
-//!   "planner": [{"label": "and-chain", "steps": 2, "cache_hit": false,
-//!                "predicted_naive": 40.0, "predicted_chosen": 12.0,
-//!                "naive_reads": 38, "chosen_reads": 11,
-//!                "naive_wall_secs": 0.02, "chosen_wall_secs": 0.008}],
 //!   "storage": [{"cell": "e16-cold", "baseline_reads": 160,
 //!                "engine_reads": 110, "read_reduction": 0.31,
 //!                "hit_rate_baseline": 0, "hit_rate_engine": 0,
@@ -41,7 +37,6 @@
 
 use crate::load::LoadRow;
 use crate::mutation::MutationRow;
-use crate::planner::PlannerRow;
 use crate::storage::StorageRow;
 use netdir_obs::{names, MetricsRegistry, QueryTrace};
 
@@ -100,8 +95,6 @@ pub struct BenchReport {
     pub mutation: Vec<MutationRow>,
     /// Closed-loop overload sweep rows (admission vs unbounded).
     pub load: Vec<LoadRow>,
-    /// Cost-based planner sweep rows (chosen vs naive I/O).
-    pub planner: Vec<PlannerRow>,
     /// Storage-engine sweep rows (compression footprint, scan-mix).
     pub storage: Vec<StorageRow>,
     /// Flattened metrics registry.
@@ -114,8 +107,8 @@ pub struct BenchReport {
 /// overload-sweep section; version 5 added the `planner` chosen-vs-naive
 /// section; version 6 added the `storage` compression/scan-mix section;
 /// version 7 dropped the `parallel` section with the evaluator it
-/// measured.
-pub const SCHEMA_VERSION: u64 = 7;
+/// measured; version 8 dropped the `planner` section with the planner.
+pub const SCHEMA_VERSION: u64 = 8;
 
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -153,7 +146,6 @@ impl BenchReport {
             queries: Vec::new(),
             mutation: Vec::new(),
             load: Vec::new(),
-            planner: Vec::new(),
             storage: Vec::new(),
             metrics: registry.flatten(),
         }
@@ -227,26 +219,6 @@ impl BenchReport {
                 l.p50_us,
                 l.p99_us,
                 l.p999_us,
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"planner\": [\n");
-        for (i, p) in self.planner.iter().enumerate() {
-            let comma = if i + 1 < self.planner.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"steps\": {}, \"cache_hit\": {}, \
-                 \"predicted_naive\": {}, \"predicted_chosen\": {}, \
-                 \"naive_reads\": {}, \"chosen_reads\": {}, \
-                 \"naive_wall_secs\": {}, \"chosen_wall_secs\": {}}}{comma}\n",
-                escape(&p.label),
-                p.steps,
-                p.cache_hit,
-                num(p.predicted_naive),
-                num(p.predicted_chosen),
-                p.naive_reads,
-                p.chosen_reads,
-                num(p.naive_wall_secs),
-                num(p.chosen_wall_secs),
             ));
         }
         out.push_str("  ],\n");
@@ -575,38 +547,6 @@ pub fn validate_bench_json(text: &str) -> Result<(), String> {
             l.get(key).and_then(Json::as_num).ok_or(format!("load row without {key}"))?;
         }
     }
-    let planner = doc
-        .get("planner")
-        .and_then(Json::as_arr)
-        .ok_or("missing planner array")?;
-    for p in planner {
-        p.get("label").and_then(Json::as_str).ok_or("planner row without label")?;
-        match p.get("cache_hit") {
-            Some(Json::Bool(_)) => {}
-            _ => return Err("planner row cache_hit must be a boolean".into()),
-        }
-        for key in [
-            "steps",
-            "predicted_naive",
-            "predicted_chosen",
-            "naive_reads",
-            "chosen_reads",
-            "naive_wall_secs",
-            "chosen_wall_secs",
-        ] {
-            p.get(key).and_then(Json::as_num).ok_or(format!("planner row without {key}"))?;
-        }
-        // The optimizer's contract is part of the schema: a report whose
-        // chosen plan read more pages than naive records a broken run.
-        let naive = p.get("naive_reads").and_then(Json::as_num).unwrap_or(0.0);
-        let chosen = p.get("chosen_reads").and_then(Json::as_num).unwrap_or(0.0);
-        if chosen > naive {
-            return Err(format!(
-                "planner row {:?}: chosen_reads {chosen} exceeds naive_reads {naive}",
-                p.get("label").and_then(Json::as_str).unwrap_or("?")
-            ));
-        }
-    }
     let storage = doc
         .get("storage")
         .and_then(Json::as_arr)
@@ -714,17 +654,6 @@ mod tests {
             p99_us: 2_400,
             p999_us: 3_100,
         });
-        report.planner.push(PlannerRow {
-            label: "and-chain".into(),
-            steps: 2,
-            cache_hit: false,
-            predicted_naive: 40.0,
-            predicted_chosen: 12.0,
-            naive_reads: 38,
-            chosen_reads: 11,
-            naive_wall_secs: 0.02,
-            chosen_wall_secs: 0.008,
-        });
         report.storage.push(StorageRow {
             cell: "e16-cold".into(),
             baseline_reads: 160,
@@ -771,42 +700,35 @@ mod tests {
         let text = sample_report().to_json();
         assert!(validate_bench_json(&text[..text.len() / 2]).is_err());
         // Wrong schema version.
-        let wrong = text.replace("\"schema_version\": 7", "\"schema_version\": 99");
+        let wrong = text.replace("\"schema_version\": 8", "\"schema_version\": 99");
         assert!(validate_bench_json(&wrong).is_err());
-        // A v6 document (with its parallel section) no longer validates.
-        let v6 = text.replace("\"schema_version\": 7", "\"schema_version\": 6");
-        assert!(validate_bench_json(&v6).is_err());
+        // A v7 document (with its planner section) no longer validates,
+        // nor a v6 one (with its parallel section).
+        for old in ["7", "6"] {
+            let doc = text.replace(
+                "\"schema_version\": 8",
+                &format!("\"schema_version\": {old}"),
+            );
+            assert!(validate_bench_json(&doc).is_err());
+        }
         // A v2 document (no mutation section) no longer validates.
         let v2 = text
-            .replace("\"schema_version\": 7", "\"schema_version\": 2")
+            .replace("\"schema_version\": 8", "\"schema_version\": 2")
             .replace("\"mutation\"", "\"mutation_gone\"");
         assert!(validate_bench_json(&v2).is_err());
         // A v3 document (no load section) no longer validates.
         let v3 = text
-            .replace("\"schema_version\": 7", "\"schema_version\": 3")
+            .replace("\"schema_version\": 8", "\"schema_version\": 3")
             .replace("\"load\"", "\"load_gone\"");
         assert!(validate_bench_json(&v3).is_err());
-        // A v4 document (no planner section) no longer validates.
-        let v4 = text
-            .replace("\"schema_version\": 7", "\"schema_version\": 4")
-            .replace("\"planner\"", "\"planner_gone\"");
-        assert!(validate_bench_json(&v4).is_err());
         // A v5 document (no storage section) no longer validates.
         let v5 = text
-            .replace("\"schema_version\": 7", "\"schema_version\": 5")
+            .replace("\"schema_version\": 8", "\"schema_version\": 5")
             .replace("\"storage\"", "\"storage_gone\"");
         assert!(validate_bench_json(&v5).is_err());
         // A load row with a bogus mode is rejected.
         let bad_mode = text.replace("\"mode\": \"admission\"", "\"mode\": \"yolo\"");
         assert!(validate_bench_json(&bad_mode).is_err());
-        // A planner row where the chosen plan read more than naive
-        // records a broken optimizer and must not validate.
-        let regressed = text.replace("\"chosen_reads\": 11", "\"chosen_reads\": 99");
-        let err = validate_bench_json(&regressed).unwrap_err();
-        assert!(err.contains("chosen_reads"), "{err}");
-        // cache_hit must be a boolean, not a number.
-        let bad_hit = text.replace("\"cache_hit\": false", "\"cache_hit\": 0");
-        assert!(validate_bench_json(&bad_hit).is_err());
         // A storage row whose compression win fell under the promised
         // 20% records a broken engine and must not validate.
         let weak = text.replace("\"read_reduction\": 0.3125", "\"read_reduction\": 0.05");

@@ -11,7 +11,6 @@
 
 use crate::load::{self, LoadConfig};
 use crate::mutation;
-use crate::planner;
 use crate::report::{BenchReport, QueryReport};
 use crate::storage;
 use crate::suite::{self, SuiteConfig};
@@ -179,11 +178,6 @@ pub fn instrumented_suite_with(suite_cfg: &SuiteConfig, load_cfg: &LoadConfig) -
     let load_rows = load::overload_sweep(load_cfg, &registry);
     load::assert_sweep_shape(&load_rows);
 
-    // Planner phase: the chosen-vs-naive sweep over the L0–L3 suite plus
-    // the showcase cells, with the optimizer's byte-identity and
-    // never-read-more contracts asserted per cell.
-    let planner_rows = planner::planner_sweep(suite_cfg, &registry);
-
     // Storage phase: the compression-footprint and scan-mix cells, with
     // the storage pass's byte-identity, ≥20% cold-read reduction, and
     // scan-resistance claims asserted per cell.
@@ -193,7 +187,6 @@ pub fn instrumented_suite_with(suite_cfg: &SuiteConfig, load_cfg: &LoadConfig) -
     report.queries = queries;
     report.mutation = mutation;
     report.load = load_rows;
-    report.planner = planner_rows;
     report.storage = storage_rows;
     report
 }
@@ -238,16 +231,6 @@ mod tests {
         );
         assert!(get("netdir_admission_admitted_total") > 0);
         assert!(get("netdir_busy_rejections_total") > 0);
-        // The planner sweep ran: every cell honored the contract, at
-        // least one plan was transformed, one replayed from cache, and
-        // the counters landed in the registry.
-        assert!(!report.planner.is_empty());
-        assert!(report.planner.iter().all(|p| p.chosen_reads <= p.naive_reads));
-        assert!(report.planner.iter().any(|p| p.steps > 0));
-        assert!(report.planner.iter().any(|p| p.cache_hit));
-        assert!(get("netdir_planner_planned_total") >= report.planner.len() as u64);
-        assert!(get("netdir_planner_cache_hits_total") > 0);
-        assert!(get("netdir_planner_catalog_observations_total") > 0);
         // The storage sweep ran both cells, its claims held, and the
         // engine replay fed the pool series.
         assert_eq!(report.storage.len(), 2);

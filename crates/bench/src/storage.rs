@@ -14,7 +14,7 @@
 //!
 //! Both cells are deterministic (fixed fixtures, logical-clock
 //! replacement decisions, seeded access order), so their rows are
-//! trajectory-comparable across runs the same way the planner rows are.
+//! trajectory-comparable across runs.
 
 use crate::suite::{bench_directory, suite_queries, SuiteConfig};
 use netdir_index::IndexedDirectory;

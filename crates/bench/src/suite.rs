@@ -1,22 +1,19 @@
-//! The L0–L3 zone fan-out suite the planner and storage sweeps
-//! evaluate (`"planner"` and `"storage"` sections of `BENCH_*.json`).
+//! The L0–L3 zone fan-out suite the storage sweep evaluates (the
+//! `"storage"` section of `BENCH_*.json`).
 //!
 //! A deterministic forest of `zones` zones under `dc=bench`, and one
 //! query per language level whose operands are unions of one leaf atom
 //! per zone, so every operator family has real work.
 
 use netdir_model::{Directory, Dn, Entry};
-use std::time::Duration;
 
-/// The suite's size and its pager's read latency.
+/// The suite's size.
 #[derive(Debug, Clone)]
 pub struct SuiteConfig {
     /// Directory zones (one per leaf atom of the widest query).
     pub zones: usize,
     /// Entries per zone.
     pub per_zone: usize,
-    /// Synthetic per-page read latency of the planner sweep's pager.
-    pub read_delay: Duration,
 }
 
 /// The seconds-scale configuration behind `--smoke` and the unit test.
@@ -24,7 +21,6 @@ pub fn smoke_config() -> SuiteConfig {
     SuiteConfig {
         zones: 8,
         per_zone: 12,
-        read_delay: Duration::from_micros(100),
     }
 }
 
@@ -33,7 +29,6 @@ pub fn full_config() -> SuiteConfig {
     SuiteConfig {
         zones: 8,
         per_zone: 48,
-        read_delay: Duration::from_micros(250),
     }
 }
 

@@ -30,9 +30,9 @@ pub struct CostInputs {
 ///
 /// Genuinely empty inputs predict 0: only the `log` argument is clamped
 /// (a `log2` of sub-page inputs must not go negative or undefined), not
-/// the page count itself, so EXPLAIN ANALYZE's predictions and the
-/// planner's feedback loop aren't calibrated against a ≥1-page floor
-/// artifact when a sub-query provably produces nothing.
+/// the page count itself, so EXPLAIN ANALYZE's predictions aren't
+/// calibrated against a ≥1-page floor artifact when a sub-query provably
+/// produces nothing.
 pub fn predicted_io(q: &Query, inputs: CostInputs) -> f64 {
     let nodes = q.num_nodes() as f64;
     let pages = inputs.atomic_pages as f64;

@@ -14,8 +14,7 @@
 //! | [`er_join`] | Figure 3's `ComputeERAggDV`/`VD` (Theorem 7.1) |
 //! | [`eval`] | §8.2's bottom-up pipelined evaluator (Theorems 8.3/8.4) |
 //! | [`cost`] | the I/O cost formulas of Theorems 8.3/8.4 |
-//! | [`rewrite`] | Theorem 8.2(d)'s `ac`/`dc` rewrites and their cost |
-//! | [`planner`] | cost-based plan choice over §8's formulas, fed by observed I/O |
+//! | [`rewrite`] | Theorem 8.2(d)'s `ac`/`dc` rewrites, their cost, and the repair of its `a`/`d` half |
 //! | [`naive`] | quadratic reference oracles/baselines (§5.3's strawman) |
 //!
 //! Quick start:
@@ -50,7 +49,6 @@ pub mod hs_stack;
 pub mod lang;
 pub mod naive;
 pub mod parser;
-pub mod planner;
 pub mod rewrite;
 
 pub use ast::{
@@ -62,7 +60,4 @@ pub use cost::{predicted_io, predicted_node_io, CostInputs};
 pub use explain::{analyze, build_trace, explain, explain_traced};
 pub use lang::{classify, Language};
 pub use parser::{parse_agg_filter, parse_query};
-pub use planner::{
-    query_shape, ObservingSource, PlanCache, PlannedQuery, Planner, PlannerSnapshot, StatsCatalog,
-    Step,
-};
+pub use rewrite::Planner;

@@ -19,6 +19,9 @@
 //! maintained by real servers, which require parents to exist); in a
 //! sparse forest a grandchild with an absent parent is `ac`-adjacent but
 //! not a `p`-parent. Tests exercise both regimes.
+//!
+//! [`repair`] undoes the `a`/`d` direction wherever a query arrives
+//! carrying it, and never introduces it.
 
 use crate::ast::{HierOp, HierPathOp, Query};
 use netdir_filter::{AtomicFilter, Scope};
@@ -67,6 +70,108 @@ pub fn rewrite_via_constrained(op: HierOp, q1: Query, q2: Query) -> Query {
         HierOp::Descendants => {
             Query::hier_path(HierPathOp::DescendantsConstrained, q1, q2, empty_query())
         }
+    }
+}
+
+/// True iff `q` provably evaluates to the empty list by structure alone:
+/// the constant-false atomic, or a difference of identical operands.
+pub fn is_statically_empty(q: &Query) -> bool {
+    match q {
+        Query::Atomic {
+            filter: AtomicFilter::False,
+            ..
+        } => true,
+        Query::Diff(a, b) => a == b,
+        _ => false,
+    }
+}
+
+/// Undo the ruinous half of Theorem 8.2(d), bottom-up: every `(- X X)`
+/// becomes the constant-false atomic [`empty_query`] (no scan instead of
+/// two), and every `ac`/`dc` whose blocker [`is_statically_empty`]
+/// becomes the plain `a`/`d` it equals (nothing can block). Answers are
+/// byte-identical. The `p`/`c` direction is left alone: it coincides
+/// with its rewrite only where every ancestor is present.
+pub fn repair(q: &Query) -> Query {
+    let boxed = |q: &Query| Box::new(repair(q));
+    match q {
+        Query::Atomic { .. } => q.clone(),
+        Query::And(a, b) => Query::and(repair(a), repair(b)),
+        Query::Or(a, b) => Query::or(repair(a), repair(b)),
+        Query::Diff(a, b) => {
+            let (a, b) = (repair(a), repair(b));
+            if a == b {
+                empty_query()
+            } else {
+                Query::diff(a, b)
+            }
+        }
+        Query::Hier { op, q1, q2, agg } => Query::Hier {
+            op: *op,
+            q1: boxed(q1),
+            q2: boxed(q2),
+            agg: agg.clone(),
+        },
+        Query::HierPath {
+            op,
+            q1,
+            q2,
+            q3,
+            agg,
+        } => {
+            let q3 = repair(q3);
+            if is_statically_empty(&q3) {
+                Query::Hier {
+                    op: match op {
+                        HierPathOp::AncestorsConstrained => HierOp::Ancestors,
+                        HierPathOp::DescendantsConstrained => HierOp::Descendants,
+                    },
+                    q1: boxed(q1),
+                    q2: boxed(q2),
+                    agg: agg.clone(),
+                }
+            } else {
+                Query::HierPath {
+                    op: *op,
+                    q1: boxed(q1),
+                    q2: boxed(q2),
+                    q3: Box::new(q3),
+                    agg: agg.clone(),
+                }
+            }
+        }
+        Query::AggSelect { query, filter } => Query::agg_select(repair(query), filter.clone()),
+        Query::EmbedRef {
+            op,
+            q1,
+            q2,
+            attr,
+            agg,
+        } => Query::EmbedRef {
+            op: *op,
+            q1: boxed(q1),
+            q2: boxed(q2),
+            attr: attr.clone(),
+            agg: agg.clone(),
+        },
+    }
+}
+
+/// The query planner: queries are evaluated as written, so planning is
+/// [`repair`] alone. Its one caller is the benchmark's traced replay
+/// (`benchmark/src/trace.rs`), which times `plan` as `core.plan`.
+#[derive(Debug, Default)]
+pub struct Planner;
+
+impl Planner {
+    /// The planner.
+    pub fn new() -> Planner {
+        Planner
+    }
+
+    /// `q` with the Theorem 8.2(d) repair applied ([`repair`]).
+    pub fn plan(&self, q: &Query) -> Query {
+        repair(q)
     }
 }
 
@@ -175,12 +280,9 @@ mod tests {
         )));
     }
 
-    /// The `a`/`d` rewrites' guaranteed-empty operand must cost nothing:
-    /// the old `(- X X)` form paid two whole-directory scans per rewrite
-    /// (the I/O blow-up E11 measures for `p`/`c` leaked into `a`/`d`,
-    /// where it buys no semantics at all).
-    #[test]
-    fn empty_operand_costs_no_directory_scans() {
+    /// A forest under `dc=test` whose entries alternate `kind=red` and
+    /// `kind=blue`, indexed on a pager small enough to read pages.
+    fn indexed_forest() -> (IndexedDirectory, Pager) {
         let mut d = Directory::new();
         let root = Dn::parse("dc=test").unwrap();
         d.insert(Entry::builder(root.clone()).class("thing").build().unwrap())
@@ -200,45 +302,61 @@ mod tests {
         }
         let pager = Pager::new(512, 64);
         let idx = IndexedDirectory::build(&pager, &d).unwrap();
-        let cold = |q: &Query| {
-            pager.flush().unwrap();
-            pager.pool().clear_cache().unwrap();
-            pager.reset_io();
-            let out = Evaluator::new(&idx, &pager)
-                .evaluate(q)
-                .unwrap()
-                .to_vec()
-                .unwrap();
-            (out, pager.io().reads)
-        };
+        (idx, pager)
+    }
 
+    /// `q`'s answer and the pages its evaluation reads from a cold cache.
+    fn cold(idx: &IndexedDirectory, pager: &Pager, q: &Query) -> (Vec<Entry>, u64) {
+        pager.flush().unwrap();
+        pager.pool().clear_cache().unwrap();
+        pager.reset_io();
+        let out = Evaluator::new(idx, pager)
+            .evaluate(q)
+            .unwrap()
+            .to_vec()
+            .unwrap();
+        (out, pager.io().reads)
+    }
+
+    fn red() -> Query {
+        Query::atomic(
+            Dn::parse("dc=test").unwrap(),
+            Scope::Sub,
+            AtomicFilter::eq("kind", "red"),
+        )
+    }
+
+    /// `op`'s constrained rewrite carrying the paper's `(- X X)` blocker
+    /// over the whole directory.
+    fn legacy_rewrite(op: HierOp) -> Query {
+        match rewrite_via_constrained(op, red(), red()) {
+            Query::HierPath { op, q1, q2, agg, .. } => Query::HierPath {
+                op,
+                q1,
+                q2,
+                q3: Box::new(Query::diff(whole_directory(), whole_directory())),
+                agg,
+            },
+            _ => unreachable!("rewrite_via_constrained returns HierPath"),
+        }
+    }
+
+    /// The `a`/`d` rewrites' guaranteed-empty operand must cost nothing:
+    /// the old `(- X X)` form paid two whole-directory scans per rewrite
+    /// (the I/O blow-up E11 measures for `p`/`c` leaked into `a`/`d`,
+    /// where it buys no semantics at all).
+    #[test]
+    fn empty_operand_costs_no_directory_scans() {
+        let (idx, pager) = indexed_forest();
         // The empty operand itself touches no pages at all.
-        let (out, reads) = cold(&empty_query());
+        let (out, reads) = cold(&idx, &pager, &empty_query());
         assert!(out.is_empty());
         assert_eq!(reads, 0, "constant-false operand must not read pages");
 
-        let atom = || {
-            Query::atomic(
-                Dn::parse("dc=test").unwrap(),
-                Scope::Sub,
-                AtomicFilter::eq("kind", "red"),
-            )
-        };
         for op in [HierOp::Ancestors, HierOp::Descendants] {
-            let rewritten = rewrite_via_constrained(op, atom(), atom());
-            let legacy_empty = Query::diff(whole_directory(), whole_directory());
-            let legacy = match rewrite_via_constrained(op, atom(), atom()) {
-                Query::HierPath { op, q1, q2, agg, .. } => Query::HierPath {
-                    op,
-                    q1,
-                    q2,
-                    q3: Box::new(legacy_empty),
-                    agg,
-                },
-                _ => unreachable!("rewrite_via_constrained returns HierPath"),
-            };
-            let (out_new, io_new) = cold(&rewritten);
-            let (out_old, io_old) = cold(&legacy);
+            let rewritten = rewrite_via_constrained(op, red(), red());
+            let (out_new, io_new) = cold(&idx, &pager, &rewritten);
+            let (out_old, io_old) = cold(&idx, &pager, &legacy_rewrite(op));
             assert_eq!(out_new, out_old, "the two empty operands must agree");
             assert!(
                 io_new < io_old,
@@ -246,6 +364,93 @@ mod tests {
                  ({io_new} vs {io_old} reads)"
             );
         }
+    }
+
+    /// The repair turns the legacy `(- X X)` operand into the
+    /// constant-false atomic, and a rewrite carrying it back into the
+    /// plain operator, which reads fewer pages for the same answer.
+    #[test]
+    fn legacy_empty_diff_costs_more_than_constant_false() {
+        let (idx, pager) = indexed_forest();
+        let legacy = Query::diff(whole_directory(), whole_directory());
+        assert!(is_statically_empty(&legacy));
+        assert_eq!(repair(&legacy), empty_query());
+        let (out, reads) = cold(&idx, &pager, &legacy);
+        assert!(out.is_empty());
+        assert!(reads > 0, "(- X X) scans the directory twice");
+
+        for op in [HierOp::Ancestors, HierOp::Descendants] {
+            let ruinous = legacy_rewrite(op);
+            let repaired = repair(&ruinous);
+            assert_eq!(repaired, Query::hier(op, red(), red()));
+            let (out_ruinous, io_ruinous) = cold(&idx, &pager, &ruinous);
+            let (out_repaired, io_repaired) = cold(&idx, &pager, &repaired);
+            assert_eq!(out_ruinous, out_repaired, "{op:?}: repair changed the answer");
+            assert!(
+                io_repaired < io_ruinous,
+                "{op:?}: {io_repaired} vs {io_ruinous} reads"
+            );
+        }
+    }
+
+    #[test]
+    fn repair_de_rewrites_only_an_empty_blocker() {
+        let x = Query::atomic(
+            Dn::parse("dc=test").unwrap(),
+            Scope::Sub,
+            AtomicFilter::eq("kind", "x"),
+        );
+        for (op, plain) in [
+            (HierPathOp::AncestorsConstrained, HierOp::Ancestors),
+            (HierPathOp::DescendantsConstrained, HierOp::Descendants),
+        ] {
+            for blocker in [empty_query(), Query::diff(x.clone(), x.clone())] {
+                let q = Query::hier_path(op, atom(), red(), blocker);
+                assert_eq!(repair(&q), Query::hier(plain, atom(), red()));
+            }
+            // A blocker that may hold entries stays: `p`/`c`'s rewrite too.
+            let q = Query::hier_path(op, atom(), red(), whole_directory());
+            assert_eq!(repair(&q), q);
+        }
+        // The aggregate moves back onto the plain operator.
+        let agg = crate::ast::AggSelFilter::exists_witness();
+        let q = match rewrite_via_constrained(HierOp::Descendants, atom(), red()) {
+            Query::HierPath { op, q1, q2, q3, .. } => Query::HierPath {
+                op,
+                q1,
+                q2,
+                q3,
+                agg: Some(agg.clone()),
+            },
+            _ => unreachable!("rewrite_via_constrained returns HierPath"),
+        };
+        assert!(matches!(
+            repair(&q),
+            Query::Hier { op: HierOp::Descendants, agg: Some(f), .. } if f == agg
+        ));
+    }
+
+    #[test]
+    fn repair_reaches_deep_nodes_and_keeps_the_rest() {
+        let diff = Query::diff(red(), red());
+        let q = Query::hier(
+            HierOp::Children,
+            atom(),
+            Query::and(atom(), Query::agg_select(diff, crate::ast::AggSelFilter::exists_witness())),
+        );
+        let want = Query::hier(
+            HierOp::Children,
+            atom(),
+            Query::and(
+                atom(),
+                Query::agg_select(empty_query(), crate::ast::AggSelFilter::exists_witness()),
+            ),
+        );
+        assert_eq!(repair(&q), want);
+        // Nothing to repair: the query comes back as it was.
+        let plain = Query::diff(atom(), red());
+        assert_eq!(repair(&plain), plain);
+        assert_eq!(Planner::new().plan(&q), want);
     }
 
     #[test]

@@ -118,28 +118,6 @@ pub const DEADLINE_ABANDONED: &str = "netdir_deadline_abandoned";
 /// budget, microseconds, histogram.
 pub const DEADLINE_USED_US: &str = "netdir_deadline_used_us";
 
-/// Queries planned by the cost-based planner. From `PlannerSnapshot`.
-pub const PLANNER_PLANNED: &str = "netdir_planner_planned_total";
-/// Plans replayed from the shape-keyed plan cache. From
-/// `PlannerSnapshot`.
-pub const PLANNER_CACHE_HITS: &str = "netdir_planner_cache_hits_total";
-/// Plans enumerated afresh (cache miss or stale epoch). From
-/// `PlannerSnapshot`.
-pub const PLANNER_CACHE_MISSES: &str = "netdir_planner_cache_misses_total";
-/// Rewrite steps applied across all chosen plans. From
-/// `PlannerSnapshot`.
-pub const PLANNER_STEPS_APPLIED: &str = "netdir_planner_steps_applied_total";
-/// Candidate steps the chooser ranked. From `PlannerSnapshot`.
-pub const PLANNER_CANDIDATES: &str = "netdir_planner_candidates_considered_total";
-/// Distinct atomic shapes in the stats catalog, gauge. From
-/// `PlannerSnapshot`.
-pub const PLANNER_CATALOG_SHAPES: &str = "netdir_planner_catalog_shapes";
-/// Observed atomic evaluations absorbed by the stats catalog. From
-/// `PlannerSnapshot`.
-pub const PLANNER_CATALOG_OBSERVATIONS: &str = "netdir_planner_catalog_observations_total";
-/// Current plan-cache invalidation epoch, gauge. From `PlannerSnapshot`.
-pub const PLANNER_EPOCH: &str = "netdir_planner_epoch";
-
 /// Queries evaluated end to end.
 pub const QUERIES: &str = "netdir_queries_total";
 /// End-to-end query latency histogram, microseconds.
@@ -195,14 +173,6 @@ pub const TRACKED: &[&str] = &[
     DEADLINE_EXCEEDED,
     DEADLINE_ABANDONED,
     DEADLINE_USED_US,
-    PLANNER_PLANNED,
-    PLANNER_CACHE_HITS,
-    PLANNER_CACHE_MISSES,
-    PLANNER_STEPS_APPLIED,
-    PLANNER_CANDIDATES,
-    PLANNER_CATALOG_SHAPES,
-    PLANNER_CATALOG_OBSERVATIONS,
-    PLANNER_EPOCH,
     QUERIES,
     QUERY_DURATION_US,
     QUERY_PAGES,

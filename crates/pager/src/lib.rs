@@ -143,8 +143,8 @@ impl Pager {
     /// Create a pager over an in-memory disk that additionally charges
     /// wall-clock latency per transfer (see [`LatencyDisk`]).
     ///
-    /// Used by the planner sweep and the concurrent-pool tests, where a
-    /// page read must cost time as well as a count.
+    /// Used by the concurrent-pool tests, where a page read must cost
+    /// time as well as a count.
     pub fn with_latency(
         page_size: usize,
         frames: usize,

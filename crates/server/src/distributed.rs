@@ -51,7 +51,6 @@ use netdir_model::{Directory, Dn, Entry};
 use netdir_obs::{Clock, MonotonicClock};
 use netdir_pager::{Operand, Pager, PagerError, PagerResult, RawRecord};
 use netdir_query::eval::{AtomicSource, Evaluator};
-use netdir_query::planner::{ObservingSource, Planner};
 use netdir_query::{Query, QueryError, QueryResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -124,8 +123,6 @@ pub struct ClusterBuilder {
     secondaries: Vec<bool>,
     /// Zone-fetch concurrency for the built router (0 → 1).
     eval_threads: usize,
-    /// Cost-based planner for the built router, if any.
-    planner: Option<Arc<Planner>>,
 }
 
 /// The outcome of partitioning a directory across declared contexts,
@@ -172,16 +169,6 @@ impl ClusterBuilder {
     /// after another).
     pub fn eval_threads(mut self, threads: usize) -> Self {
         self.eval_threads = threads;
-        self
-    }
-
-    /// Attach a cost-based planner to the built cluster's router (see
-    /// [`Router::with_planner`]). Keep one shape, and so one planner,
-    /// across generations so the stats catalog persists;
-    /// [`ClusterBuilder::publish`] drops stale cached plans
-    /// ([`Planner::bump_epoch`]) at each publish.
-    pub fn planner(mut self, planner: Arc<Planner>) -> Self {
-        self.planner = Some(planner);
         self
     }
 
@@ -249,14 +236,13 @@ impl ClusterBuilder {
     /// zones through the router `route` makes from the delegation table
     /// and the zones (server `i` is element `i`): any transport, retry
     /// policy and breaker configuration. The builder's zone-fetch
-    /// concurrency and planner are then attached to that router.
+    /// concurrency is then set on that router.
     pub fn build_with(
-        mut self,
+        self,
         dir: &Directory,
         route: impl FnOnce(Delegation, Arc<[ZoneStore]>) -> Router,
     ) -> Cluster {
         let eval_threads = self.eval_threads;
-        let planner = self.planner.take();
         let parts = self.into_parts(dir);
         let stores: Arc<[ZoneStore]> = parts
             .configs
@@ -267,7 +253,7 @@ impl ClusterBuilder {
         let router = route(parts.delegation, stores.clone());
         Cluster {
             stores,
-            router: wired(router, eval_threads, planner),
+            router: router.with_eval_threads(eval_threads),
             orphaned: parts.orphaned,
             compactions: 0,
         }
@@ -286,8 +272,7 @@ impl ClusterBuilder {
     /// than [`COMPACT_MIN`] records and more than 1/[`COMPACT_FRACTION`]
     /// of its base, the generation is instead rebuilt from `dir` (a
     /// **compaction**, counted in [`Cluster::compactions`]), whose cost
-    /// the batches since the last one amortise. Either way the planner's
-    /// cached plans are dropped ([`Planner::bump_epoch`]).
+    /// the batches since the last one amortise.
     pub fn publish(self, prev: &Cluster, dir: &Directory, touched: &[(Dn, bool)]) -> Cluster {
         let delegation = self.delegation();
         let mut touched: Vec<&(Dn, bool)> = touched.iter().collect();
@@ -328,7 +313,7 @@ impl ClusterBuilder {
             || stores
                 .iter()
                 .any(|z| z.delta().len() > COMPACT_MIN.max(z.base_len() / COMPACT_FRACTION));
-        let next = if compact {
+        if compact {
             Cluster {
                 compactions: prev.compactions + 1,
                 ..self.build(dir)
@@ -338,15 +323,11 @@ impl ClusterBuilder {
             let router = Router::new(delegation, Box::new(LocalTransport::new(stores.clone())));
             Cluster {
                 stores,
-                router: wired(router, self.eval_threads, self.planner),
+                router: router.with_eval_threads(self.eval_threads),
                 orphaned,
                 compactions: prev.compactions,
             }
-        };
-        if let Some(p) = next.router.planner() {
-            p.bump_epoch();
         }
-        next
     }
 }
 
@@ -357,15 +338,6 @@ pub const COMPACT_MIN: usize = 64;
 /// A zone compacts once its delta (past [`COMPACT_MIN`] records) exceeds
 /// its base's entry count divided by this.
 pub const COMPACT_FRACTION: usize = 8;
-
-/// `router` with a shape's zone-fetch concurrency and planner attached.
-fn wired(router: Router, eval_threads: usize, planner: Option<Arc<Planner>>) -> Router {
-    let router = router.with_eval_threads(eval_threads);
-    match planner {
-        Some(p) => router.with_planner(p),
-        None => router,
-    }
-}
 
 /// The transport-agnostic distributed evaluator: a [`Delegation`] table
 /// plus a [`Transport`], with per-server circuit breakers
@@ -383,10 +355,6 @@ pub struct Router {
     eval_threads: usize,
     /// Time source for retry backoff and EXPLAIN ANALYZE timings.
     clock: Arc<dyn Clock>,
-    /// Cost-based planner (opt-in). When set, queries are planned before
-    /// evaluation — byte-identical output, fewer pages — atomic results
-    /// feed its stats catalog, and EXPLAIN ANALYZE traces are harvested.
-    planner: Option<Arc<Planner>>,
 }
 
 impl Router {
@@ -402,24 +370,7 @@ impl Router {
             retry_stats: RetryStats::new(),
             eval_threads: 1,
             clock: Arc::new(MonotonicClock::new()),
-            planner: None,
         }
-    }
-
-    /// Attach a cost-based [`Planner`] (builder-style): every query is
-    /// planned before evaluation, atomic results feed the planner's
-    /// stats catalog, and cached plans replay for repeated query shapes.
-    /// Output is byte-identical to unplanned evaluation. Share one
-    /// planner across generations of a rebuilt cluster so its catalog
-    /// survives mutations.
-    pub fn with_planner(mut self, planner: Arc<Planner>) -> Router {
-        self.planner = Some(planner);
-        self
-    }
-
-    /// The attached planner, if any.
-    pub fn planner(&self) -> Option<&Arc<Planner>> {
-        self.planner.as_ref()
     }
 
     /// Replace the time source driving retry backoff and traced-query
@@ -543,17 +494,7 @@ impl Router {
         mode: ConsistencyMode,
     ) -> QueryResult<QueryOutcome> {
         let source = RoutingSource::new(self, home, mode);
-        // With a planner attached, evaluate the chosen (byte-identical)
-        // plan and feed every atomic result back into the stats catalog.
-        let planned = self.planner.as_ref().map(|p| p.plan(query));
-        let query = planned.as_ref().map_or(query, |p| &p.query);
-        let out = match &self.planner {
-            Some(p) => {
-                let observing = ObservingSource::new(&source, p.catalog(), pager);
-                Evaluator::new(&observing, pager).evaluate(query)?
-            }
-            None => Evaluator::new(&source, pager).evaluate(query)?,
-        };
+        let out = Evaluator::new(&source, pager).evaluate(query)?;
         Ok(QueryOutcome {
             entries: out.into_encoded()?,
             partial: source.into_partial(),
@@ -576,17 +517,8 @@ impl Router {
         // Evaluation walks the tree one node at a time, so each node's
         // span can snapshot the shared ledger around itself; only a
         // leaf's zone fetches may overlap (`eval_threads`).
-        let planned = self.planner.as_ref().map(|p| p.plan(query));
-        let query = planned.as_ref().map_or(query, |p| &p.query);
         let started = self.clock.now();
-        // Observed feedback as in `query_with`: the leaves' cardinalities
-        // and sizes calibrate the planner's estimates. (The trace cannot:
-        // it reports a routed leaf at the 0 pages it occupies.)
-        let (out, traces) = match &self.planner {
-            Some(p) => Evaluator::new(&ObservingSource::new(&source, p.catalog(), pager), pager)
-                .evaluate_traced(query)?,
-            None => Evaluator::new(&source, pager).evaluate_traced(query)?,
-        };
+        let (out, traces) = Evaluator::new(&source, pager).evaluate_traced(query)?;
         let elapsed =
             u64::try_from(self.clock.now().saturating_sub(started).as_nanos()).unwrap_or(u64::MAX);
         let trace = netdir_query::build_trace(query, &traces, pager, elapsed);
@@ -1229,118 +1161,6 @@ mod tests {
         assert_eq!(trace.spans[1].pages_out, 1);
         assert_eq!(trace.spans[0].predicted_io, 1.0);
         assert_eq!(trace.predicted_io, 1.0);
-    }
-
-    #[test]
-    fn planned_cluster_matches_unplanned_and_learns() {
-        let planner = Arc::new(Planner::new());
-        let planned = ClusterBuilder::new()
-            .server("root", dn("dc=com"))
-            .server("att", dn("dc=att, dc=com"))
-            .server("research", dn("dc=research, dc=att, dc=com"))
-            .server("org", dn("dc=org"))
-            .planner(planner.clone())
-            .build(&dir());
-        let plain = cluster();
-        let pager = netdir_pager::default_pager();
-        let queries = [
-            "(& (null-dn ? sub ? objectClass=thing) \
-                (dc=att, dc=com ? sub ? surName=jagadish))",
-            "(a (null-dn ? sub ? surName=jagadish) \
-                (dc=com ? sub ? objectClass=thing))",
-            "(- (dc=att, dc=com ? sub ? surName=jagadish) \
-               (dc=att, dc=com ? sub ? surName=jagadish))",
-        ];
-        for text in queries {
-            let q = parse_query(text).unwrap();
-            let a = plain.query_from("att", &pager, &q).unwrap();
-            let b = planned.query_from("att", &pager, &q).unwrap();
-            assert_eq!(a, b, "planned results diverged for {text}");
-        }
-        let snap = planner.snapshot();
-        assert_eq!(snap.planned, queries.len() as u64);
-        assert!(snap.catalog_observations > 0, "atomic results must feed the catalog");
-        // Repeating a shape (different constant) hits the plan cache.
-        let again = parse_query(
-            "(& (null-dn ? sub ? objectClass=thing) \
-                (dc=att, dc=com ? sub ? surName=someoneelse))",
-        )
-        .unwrap();
-        planned.query_from("att", &pager, &again).unwrap();
-        assert!(planner.snapshot().cache_hits >= 1);
-        // ANALYZE feeds the catalog through the trace path too.
-        let before = planner.snapshot().catalog_observations;
-        let q = parse_query("(dc=org ? sub ? objectClass=thing)").unwrap();
-        planned
-            .router()
-            .query_analyzed(1, &pager, &q, ConsistencyMode::Strict)
-            .unwrap();
-        assert!(planner.snapshot().catalog_observations > before);
-    }
-
-    #[test]
-    fn a_planner_sizes_routed_leaves_by_the_pages_they_would_fill() {
-        // A routed leaf is a run and occupies no page, but the outputs
-        // above it are written in proportion to its size: the catalog
-        // must see that size for an and-chain to merge its small operand
-        // first, on the plain and the ANALYZE path alike.
-        let mut d = Directory::new();
-        d.insert(Entry::builder(dn("dc=test")).class("thing").build().unwrap())
-            .unwrap();
-        for i in 0..80 {
-            let e = Entry::builder(dn(&format!("n=e{i}, dc=test")))
-                .class("thing")
-                .attr("kind", if i % 4 == 0 { "rare" } else { "common" })
-                .attr("weight", i % 7)
-                .build()
-                .unwrap();
-            d.insert(e).unwrap();
-        }
-        let (rare, all, weighted) = (
-            "(dc=test ? sub ? kind=rare)",
-            "(dc=test ? sub ? objectClass=thing)",
-            "(dc=test ? sub ? weight=*)",
-        );
-        let chain = parse_query(&format!("(& (& {all} {weighted}) {rare})")).unwrap();
-        let plain = ClusterBuilder::new().server("all", dn("dc=test")).build(&d);
-        let pager = Pager::new(512, 128);
-        let want = plain.query_from("all", &pager, &chain).unwrap();
-        for analyzed in [false, true] {
-            let planner = Arc::new(Planner::new());
-            let c = ClusterBuilder::new()
-                .server("all", dn("dc=test"))
-                .planner(planner.clone())
-                .build(&d);
-            for text in [rare, all, weighted] {
-                let q = parse_query(text).unwrap();
-                if analyzed {
-                    let (_, trace) = c
-                        .router()
-                        .query_analyzed(0, &pager, &q, ConsistencyMode::Strict)
-                        .unwrap();
-                    assert_eq!(trace.spans[0].pages_out, 0, "a routed leaf is a run");
-                } else {
-                    c.query_from("all", &pager, &q).unwrap();
-                }
-            }
-            let sized = |filter: AtomicFilter| {
-                planner.catalog().lookup(&dn("dc=test"), Scope::Sub, &filter).unwrap().pages
-            };
-            let small = sized(AtomicFilter::eq("kind", "rare"));
-            let large = sized(AtomicFilter::eq("objectClass", "thing"));
-            assert!(small >= 1.0 && large > small, "analyzed {analyzed}: {small} vs {large}");
-            let planned = planner.plan(&chain);
-            assert!(
-                planned
-                    .steps
-                    .iter()
-                    .any(|s| matches!(s, netdir_query::planner::Step::ReorderBool { .. })),
-                "analyzed {analyzed}: {:?}",
-                planned.steps
-            );
-            assert!(planned.predicted_chosen < planned.predicted_naive);
-            assert_eq!(c.query_from("all", &pager, &chain).unwrap(), want);
-        }
     }
 
     #[test]

@@ -34,9 +34,7 @@ pub fn register_all(reg: &MetricsRegistry) {
             names::ADMISSION_INFLIGHT
             | names::ADMISSION_QUEUE_DEPTH
             | names::DELTA_ENTRIES
-            | names::DEADLINE_ABANDONED
-            | names::PLANNER_CATALOG_SHAPES
-            | names::PLANNER_EPOCH => {
+            | names::DEADLINE_ABANDONED => {
                 reg.gauge(name);
             }
             _ => {
@@ -118,20 +116,6 @@ pub fn sync_health(reg: &MetricsRegistry, t: BreakerTransitions) {
     reg.counter(names::BREAKER_OPENED).set(t.opened);
     reg.counter(names::BREAKER_HALF_OPENED).set(t.half_opened);
     reg.counter(names::BREAKER_CLOSED).set(t.closed);
-}
-
-/// Project a cumulative planner snapshot onto the registry.
-pub fn sync_planner(reg: &MetricsRegistry, p: netdir_query::PlannerSnapshot) {
-    reg.counter(names::PLANNER_PLANNED).set(p.planned);
-    reg.counter(names::PLANNER_CACHE_HITS).set(p.cache_hits);
-    reg.counter(names::PLANNER_CACHE_MISSES).set(p.cache_misses);
-    reg.counter(names::PLANNER_STEPS_APPLIED).set(p.steps_applied);
-    reg.counter(names::PLANNER_CANDIDATES)
-        .set(p.candidates_considered);
-    reg.gauge(names::PLANNER_CATALOG_SHAPES).set(p.catalog_shapes);
-    reg.counter(names::PLANNER_CATALOG_OBSERVATIONS)
-        .set(p.catalog_observations);
-    reg.gauge(names::PLANNER_EPOCH).set(p.epoch);
 }
 
 /// Record one completed query: bumps the query counter and feeds the

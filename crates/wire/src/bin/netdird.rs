@@ -30,7 +30,6 @@
 use netdir_journal::JournalStore;
 use netdir_model::{ldif, Directory, Dn};
 use netdir_obs::MetricsRegistry;
-use netdir_query::Planner;
 use netdir_server::{AdmissionConfig, AdmissionController, ClusterBuilder, EnumCap, RateLimit};
 use netdir_wire::{DirectoryService, ServerOptions, WireServer};
 use std::process::exit;
@@ -41,7 +40,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: netdird --listen ADDR [--ldif FILE] [--wal FILE] [--context NAME=DN]... \\\n\
          \x20              [--secondary NAME=DN]... [--workers N] \\\n\
-         \x20              [--eval-threads N] [--planner] [--max-frame BYTES] [--timeout-ms MS] \\\n\
+         \x20              [--eval-threads N] [--max-frame BYTES] [--timeout-ms MS] \\\n\
          \x20              [--max-inflight N] [--max-pending N] [--request-deadline-ms MS] \\\n\
          \x20              [--rate-limit PER_SEC[:BURST]] [--enum-cap ENTRIES[:WINDOW_MS]]\n\
          \n\
@@ -53,11 +52,6 @@ fn usage() -> ! {
          \n\
          --eval-threads N fetches the zones a query's atomic sub-query\n\
          reaches on up to N threads (default 1: one after another).\n\
-         \n\
-         --planner enables the cost-based plan optimizer: queries are\n\
-         rewritten to cheaper byte-identical plans using list-size\n\
-         statistics observed from earlier queries, and repeated query\n\
-         shapes replay cached plans (the planner series in --stats).\n\
          \n\
          Overload policy (all off by default): --max-inflight caps requests\n\
          executing at once, --max-pending caps connections queued for a\n\
@@ -103,7 +97,6 @@ fn main() {
     let mut contexts: Vec<(String, Dn, bool)> = Vec::new();
     let mut opts = ServerOptions::default();
     let mut eval_threads: usize = 1;
-    let mut use_planner = false;
     let mut admission = AdmissionConfig::default();
     let mut any_admission_flag = false;
 
@@ -133,7 +126,6 @@ fn main() {
             "--eval-threads" => {
                 eval_threads = value("--eval-threads").parse().unwrap_or_else(|_| usage())
             }
-            "--planner" => use_planner = true,
             "--max-frame" => {
                 opts.max_frame = value("--max-frame").parse().unwrap_or_else(|_| usage())
             }
@@ -245,9 +237,6 @@ fn main() {
     };
 
     let mut shape = ClusterBuilder::new().eval_threads(eval_threads);
-    if use_planner {
-        shape = shape.planner(Arc::new(Planner::new()));
-    }
     for (name, dn, secondary) in contexts {
         shape = if secondary {
             shape.secondary(name, dn)

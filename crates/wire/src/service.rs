@@ -34,9 +34,8 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// The write side of a daemon that owns one.
 struct Writer {
-    /// The shape every generation is built to: contexts, evaluation
-    /// degree, and the planner, shared across generations so its stats
-    /// catalog survives mutations.
+    /// The shape every generation is built to: contexts and zone-fetch
+    /// concurrency.
     shape: ClusterBuilder,
     /// Validation, the WAL, and the directory mirror every generation is
     /// published from. It answers no query.
@@ -258,9 +257,6 @@ impl DirectoryService {
         bridge::sync_net(&self.metrics, router.net().snapshot());
         bridge::sync_retry(&self.metrics, router.retry_stats().snapshot());
         bridge::sync_health(&self.metrics, router.health().transitions());
-        if let Some(p) = router.planner() {
-            bridge::sync_planner(&self.metrics, p.snapshot());
-        }
         if let Some(faults) = router.transport().faults() {
             bridge::sync_fault(&self.metrics, faults.snapshot());
         }

@@ -33,13 +33,6 @@
 #                                   loop load sweep landing in target/
 #                                   BENCH_smoke.json (schema validated,
 #                                   shedding invariants asserted)
-#   scripts/check.sh --planner-smoke  gate + the cost-based planner
-#                                   guards run explicitly: the planner
-#                                   unit tests, the randomized
-#                                   byte-identity/ledger property suite,
-#                                   and the chosen-vs-naive sweep landing
-#                                   in target/BENCH_smoke.json (schema
-#                                   validated, planner section included)
 #   scripts/check.sh --storage-smoke  gate + the storage-engine guards
 #                                   run explicitly: the buffer-pool unit
 #                                   tests (two-queue policy, the
@@ -74,7 +67,6 @@ chaos=0
 bench_smoke=0
 wal_smoke=0
 load_smoke=0
-planner_smoke=0
 storage_smoke=0
 analysis=0
 sanitize=0
@@ -84,7 +76,6 @@ for arg in "$@"; do
     --bench-smoke) bench_smoke=1 ;;
     --wal-smoke) wal_smoke=1 ;;
     --load-smoke) load_smoke=1 ;;
-    --planner-smoke) planner_smoke=1 ;;
     --storage-smoke) storage_smoke=1 ;;
     --analysis) analysis=1 ;;
     --sanitize) sanitize=1 ;;
@@ -142,17 +133,6 @@ if [ "$load_smoke" = 1 ]; then
   cargo test -q -p netdir-wire --lib
   cargo test -q -p netdir-wire --test chaos admission_under_chaos
   cargo test -q --release -p netdir-bench --lib load
-  cargo run --release -q -p netdir-bench --bin run_experiments -- \
-    --smoke --json target/BENCH_smoke.json
-  cargo run --release -q -p netdir-bench --bin run_experiments -- \
-    --validate target/BENCH_smoke.json
-fi
-
-if [ "$planner_smoke" = 1 ]; then
-  echo "check.sh: running cost-based planner guards"
-  cargo test -q -p netdir-query planner
-  cargo test -q -p netdir-query --test planner_prop
-  cargo test -q --release -p netdir-bench --lib planner
   cargo run --release -q -p netdir-bench --bin run_experiments -- \
     --smoke --json target/BENCH_smoke.json
   cargo run --release -q -p netdir-bench --bin run_experiments -- \

@@ -1,7 +1,7 @@
 //! Section 8.3 integration: distributed evaluation equals single-server
 //! evaluation on every language level, across partitionings — and both
 //! equal the naive oracle byte for byte, at every zone-fetch
-//! concurrency (`eval_threads`), with and without the planner, traced or not, query or routed atomic
+//! concurrency (`eval_threads`), traced or not, query or routed atomic
 //! leaf, with every entry carrying the directory's own id. Plus the cost
 //! of the seam itself, counted: building a cluster starts no thread,
 //! generations published on one base build it once, on first read, a
@@ -16,14 +16,13 @@ use netdir::pager::{PagedList, Pager};
 use netdir::query::agg::CompiledAggFilter;
 use netdir::query::boolean::BoolOp;
 use netdir::query::hs_stack::HsOp;
-use netdir::query::{naive, parse_query, AggSelFilter, Planner, Query};
+use netdir::query::{naive, parse_query, AggSelFilter, Query};
 use netdir::server::{Cluster, ClusterBuilder, ConsistencyMode};
 use netdir::workloads::qos::QOS_BASE;
 use netdir::workloads::{qos_fig12, synth_forest, tops_fig11, SynthParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 mod common;
 
@@ -257,43 +256,34 @@ fn every_configuration_answers_the_naive_oracle_byte_for_byte() {
             // The degree is the zone-fetch concurrency: at 4 a leaf over
             // several zones fetches them on up to four threads.
             for degree in [1, 4] {
-                for planner in [false, true] {
-                    let mut b = shape.clone().eval_threads(degree);
-                    if planner {
-                        b = b.planner(Arc::new(Planner::new()));
-                    }
-                    let cluster = b.build(&dir);
-                    for (q, want) in queries.iter().zip(&expected) {
-                        let pager = Pager::new(512, 32);
-                        let got = cluster
-                            .query_from_with("root", &pager, q, ConsistencyMode::Strict)
-                            .unwrap_or_else(|e| panic!("{q}: {e}"));
-                        assert!(got.is_complete());
-                        let what = format!(
-                            "{q} on {} servers, degree {degree}, planner {planner}",
-                            cluster.num_servers()
-                        );
-                        assert_eq!(&got.entries, want, "{what}");
-                        // The traced path reads the same operands.
-                        let (traced, trace) = cluster
-                            .router()
-                            .query_analyzed(0, &pager, q, ConsistencyMode::Strict)
-                            .unwrap_or_else(|e| panic!("analyzed {what}: {e}"));
-                        assert_eq!(&traced.entries, want, "analyzed {what}");
-                        assert_eq!(trace.spans.len(), q.num_nodes(), "{what}");
-                        checked += 1;
-                    }
-                    // Routed atomic answers, merged across zones.
-                    for (&(base, scope, filter), want) in leaves.iter().zip(&leaf_answers) {
-                        let pager = Pager::new(512, 32);
-                        let got = cluster.router().atomic(0, &pager, base, scope, filter).unwrap();
-                        assert_eq!(&got, want, "({base} ? {scope} ? {filter})");
-                    }
+                let cluster = shape.clone().eval_threads(degree).build(&dir);
+                for (q, want) in queries.iter().zip(&expected) {
+                    let pager = Pager::new(512, 32);
+                    let got = cluster
+                        .query_from_with("root", &pager, q, ConsistencyMode::Strict)
+                        .unwrap_or_else(|e| panic!("{q}: {e}"));
+                    assert!(got.is_complete());
+                    let what = format!("{q} on {} servers, degree {degree}", cluster.num_servers());
+                    assert_eq!(&got.entries, want, "{what}");
+                    // The traced path reads the same operands.
+                    let (traced, trace) = cluster
+                        .router()
+                        .query_analyzed(0, &pager, q, ConsistencyMode::Strict)
+                        .unwrap_or_else(|e| panic!("analyzed {what}: {e}"));
+                    assert_eq!(&traced.entries, want, "analyzed {what}");
+                    assert_eq!(trace.spans.len(), q.num_nodes(), "{what}");
+                    checked += 1;
+                }
+                // Routed atomic answers, merged across zones.
+                for (&(base, scope, filter), want) in leaves.iter().zip(&leaf_answers) {
+                    let pager = Pager::new(512, 32);
+                    let got = cluster.router().atomic(0, &pager, base, scope, filter).unwrap();
+                    assert_eq!(&got, want, "({base} ? {scope} ? {filter})");
                 }
             }
         }
     }
-    assert_eq!(checked, 3 * 2 * 2 * 2 * 12);
+    assert_eq!(checked, 3 * 2 * 2 * 12);
     assert!(nonempty * 2 > 3 * 12, "{nonempty}: most answers have entries to compare");
 }
 

@@ -1,14 +1,15 @@
 //! Theorems 8.1 and 8.2 exercised: the language hierarchy's witnesses run
 //! and behave as the separation arguments say; the `ac`/`dc` rewrites of
 //! Theorem 8.2(d) compute the same answers as the plain operators (on
-//! instances where every ancestor is present — see `rewrite.rs` docs).
+//! instances where every ancestor is present — see `rewrite.rs` docs),
+//! and repairing a rewritten tree gives back its `a`/`d` operators.
 
 use netdir::index::IndexedDirectory;
 use netdir::model::{Directory, Dn, Entry};
 use netdir::pager::Pager;
 use netdir::query::ast::HierOp;
-use netdir::query::rewrite::{rewrite_tree, rewrite_via_constrained};
-use netdir::query::{classify, Evaluator, Language, Query};
+use netdir::query::rewrite::{repair, rewrite_tree, rewrite_via_constrained};
+use netdir::query::{classify, parse_query, Evaluator, Language, Query};
 use netdir::filter::{AtomicFilter, Scope};
 use netdir::workloads::{synth_forest, SynthParams};
 
@@ -138,6 +139,36 @@ fn rewrite_tree_preserves_semantics_but_grows_cost() {
         rewrite_io > plain_io,
         "rewrite I/O {rewrite_io} not above plain {plain_io}"
     );
+}
+
+#[test]
+fn repairing_the_rewrite_gives_back_a_and_d_byte_for_byte() {
+    let dir = synth_forest(SynthParams::default(), 7);
+    let (idx, pager) = indexed(&dir);
+    let ev = Evaluator::new(&idx, &pager);
+    let (red, blue) = ("(dc=synth ? sub ? kind=red)", "(dc=synth ? sub ? kind=blue)");
+    let q = parse_query(&format!(
+        "(& (a {red} {blue}) (| (d {blue} {red} count($2) > 1) (p {red} {blue})))"
+    ))
+    .unwrap();
+    let rewritten = rewrite_tree(&q);
+    let repaired = repair(&rewritten);
+    // The `a` and `d` nodes come back as written; `p` keeps its `ac`
+    // form, whose whole-directory blocker may hold entries.
+    let (Query::And(a, rest), Query::And(ra, rrest)) = (&q, &repaired) else {
+        panic!("repair changed the root: {repaired}");
+    };
+    let (Query::Or(d, p), Query::Or(rd, rp)) = (rest.as_ref(), rrest.as_ref()) else {
+        panic!("repair changed the union: {repaired}");
+    };
+    assert_eq!(ra, a);
+    assert_eq!(rd, d);
+    assert_eq!(rp.as_ref(), &rewrite_tree(p));
+    let answer = |q: &Query| ev.evaluate(q).unwrap().to_vec().unwrap();
+    let want = answer(&q);
+    assert!(!want.is_empty(), "the check compares real answers");
+    assert_eq!(answer(&rewritten), want);
+    assert_eq!(answer(&repaired), want);
 }
 
 #[test]
