@@ -140,7 +140,7 @@ clock-discipline crates/bench/ * measurement harness reads wall time by design
         // fn must match when not `*`.
         assert!(!al.allows("panic-path", "crates/wire/src/cluster.rs", Some("other")));
         // Directory prefix.
-        assert!(al.allows("clock-discipline", "crates/bench/src/report.rs", Some("x")));
+        assert!(al.allows("clock-discipline", "crates/bench/src/lib.rs", Some("x")));
     }
 
     #[test]

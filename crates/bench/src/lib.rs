@@ -1,7 +1,8 @@
 //! # netdir-bench — the experiment harness
 //!
-//! One binary per experiment of DESIGN.md §4 (E4–E13); each prints the
-//! table recorded in `EXPERIMENTS.md`. Shared machinery lives here:
+//! One binary per experiment of DESIGN.md §4 (E4–E13), plus
+//! `exp_overload`; each prints the table recorded in `EXPERIMENTS.md`.
+//! Shared machinery lives here:
 //!
 //! * [`table`] — fixed-width table printing.
 //! * [`setup`] — sorted paged operand lists from the workload generators.
@@ -9,23 +10,9 @@
 //!   Section 5.3 measured in the same currency (page I/Os) as the real
 //!   algorithms, by re-scanning `L2` once per `L1` entry.
 //! * [`measure`] — cold-cache I/O measurement around a closure.
-//! * [`report`] — machine-readable `BENCH_*.json` emission/validation.
-//! * [`suite`] — the L0–L3 zone fan-out suite the storage sweep
-//!   evaluates.
-//! * [`mutation`] — the write-path suite (apply throughput, WAL replay).
-//! * [`load`] — the closed-loop overload sweep (admission vs unbounded).
-//! * [`smoke`] — the instrumented observability suite behind
-//!   `run_experiments --smoke`.
 
 use netdir_model::Entry;
 use netdir_pager::{IoSnapshot, ListWriter, Operand, PagedList, Pager, PagerResult};
-
-pub mod load;
-pub mod mutation;
-pub mod report;
-pub mod smoke;
-pub mod storage;
-pub mod suite;
 
 /// Fixed-width table printing for experiment output.
 pub mod table {

@@ -551,9 +551,36 @@ mod tests {
         store.apply(&add_batch(0..2)).unwrap();
         let m = MetricsRegistry::new();
         store.sync_metrics(&m);
-        let flat: std::collections::BTreeMap<String, u64> = m.flatten().into_iter().collect();
-        assert_eq!(flat[names::MUTATION_BATCHES], 1);
-        assert_eq!(flat[names::MUTATIONS_APPLIED], 2);
-        assert!(flat[names::WAL_FSYNCS] >= 1);
+        assert_eq!(m.counter(names::MUTATION_BATCHES).get(), 1);
+        assert_eq!(m.counter(names::MUTATIONS_APPLIED).get(), 2);
+        assert!(m.counter(names::WAL_FSYNCS).get() >= 1);
+    }
+
+    /// A clock that moves 250 µs at every reading.
+    struct Stepping(netdir_obs::ManualClock);
+
+    impl Clock for Stepping {
+        fn now(&self) -> std::time::Duration {
+            self.0.advance(std::time::Duration::from_micros(250));
+            self.0.now()
+        }
+    }
+
+    #[test]
+    fn replay_time_is_exported_once_and_replay_is_not_applied_work() {
+        let pager = tiny_pager();
+        let store = JournalStore::create(&pager, seed()).unwrap();
+        store.apply(&add_batch(0..3)).unwrap();
+        let disk = Wal::disk_from_bytes(&store.wal_bytes().unwrap(), pager.page_size()).unwrap();
+        let clock = Stepping(netdir_obs::ManualClock::new());
+        let (re, report) = JournalStore::open_with_clock(&pager, seed(), disk, &clock).unwrap();
+        assert_eq!(report.replay_us, 250);
+        let m = MetricsRegistry::new();
+        re.sync_metrics(&m);
+        re.sync_metrics(&m);
+        let replay = m.histogram(names::WAL_REPLAY_US).snapshot();
+        assert_eq!((replay.count, replay.sum), (1, 250));
+        assert_eq!(m.counter(names::MUTATION_BATCHES).get(), 0);
+        assert_eq!(m.counter(names::MUTATIONS_APPLIED).get(), 0);
     }
 }

@@ -18,9 +18,9 @@
 //!   operator (elapsed time, pages, entries in/out,
 //!   predicted-vs-observed I/O) collected into a [`QueryTrace`] — the
 //!   structured form behind `EXPLAIN ANALYZE`.
-//! * [`names`] — the single source of truth for metric names. CI's
-//!   bench-smoke gate fails if a tracked name disappears, so dashboards
-//!   and the `BENCH_*.json` trajectory never silently lose a series.
+//! * [`names`] — the single source of truth for metric names. The
+//!   default gate fails if a tracked name disappears from a daemon's
+//!   `Stats` exposition, so dashboards never silently lose a series.
 //!
 //! The crate is a leaf: it depends only on the `parking_lot` compat shim
 //! and std, so every layer (pager, core, server, wire, bench) can record

@@ -209,25 +209,6 @@ impl MetricsRegistry {
         names
     }
 
-    /// All counter and gauge values plus histogram `_sum`/`_count`
-    /// series, as `(name, value)` pairs sorted by name — the flat form
-    /// `BENCH_*.json` persists.
-    pub fn flatten(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = Vec::new();
-        for (name, cell) in self.inner.counters.lock().iter() {
-            out.push((name.clone(), cell.load(Ordering::Relaxed)));
-        }
-        for (name, cell) in self.inner.gauges.lock().iter() {
-            out.push((name.clone(), cell.load(Ordering::Relaxed)));
-        }
-        for (name, core) in self.inner.histograms.lock().iter() {
-            out.push((format!("{name}_count"), core.count.load(Ordering::Relaxed)));
-            out.push((format!("{name}_sum"), core.sum.load(Ordering::Relaxed)));
-        }
-        out.sort();
-        out
-    }
-
     /// Prometheus text exposition (`# TYPE` lines, cumulative
     /// `_bucket{le=…}` series, `_sum`, `_count`).
     ///
@@ -362,16 +343,5 @@ mod tests {
         assert!(text.contains("pages_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("pages_sum 3"));
         assert!(text.contains("pages_count 1"));
-    }
-
-    #[test]
-    fn flatten_lists_every_series_sorted() {
-        let reg = MetricsRegistry::new();
-        reg.counter("b_total").add(1);
-        reg.gauge("a").set(9);
-        reg.histogram("lat").observe(4);
-        let flat = reg.flatten();
-        let names: Vec<&str> = flat.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["a", "b_total", "lat_count", "lat_sum"]);
     }
 }

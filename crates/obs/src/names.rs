@@ -1,7 +1,8 @@
 //! Stable metric names — the single source of truth.
 //!
-//! Dashboards, `BENCH_*.json` trajectories, and the `check.sh
-//! --bench-smoke` rename gate all key on these strings. Renaming one
+//! Dashboards and the rename gate (ndlint's metric-name rule and the
+//! wire loopback test that scrapes every [`TRACKED`] name from a live
+//! daemon) all key on these strings. Renaming one
 //! silently breaks every historical comparison, so: add names freely,
 //! never repurpose or delete one without updating [`TRACKED`] *and*
 //! the documented migration note in EXPERIMENTS.md.
@@ -125,10 +126,10 @@ pub const QUERY_DURATION_US: &str = "netdir_query_duration_us";
 /// Pages read per query, histogram.
 pub const QUERY_PAGES: &str = "netdir_query_pages";
 
-/// Every name the bench-smoke gate protects against renames.
+/// Every name the rename gate protects.
 ///
-/// `BENCH_*.json` must contain each of these (histograms appear via
-/// their `_count`/`_sum` series, which embed the base name).
+/// A daemon's `Stats` exposition must contain each of these (histograms
+/// appear via their `_count`/`_sum` series, which embed the base name).
 pub const TRACKED: &[&str] = &[
     IO_READS,
     IO_WRITES,

@@ -18,10 +18,6 @@
 //! * [`list`] — append-only paged sequential lists, the currency of the
 //!   query-evaluation operators ("each of L1 and L2 are sorted lists of
 //!   directory entries").
-//! * [`stack`] — a paged stack whose cold pages spill to disk, exactly the
-//!   structure whose "entries may be swapped out (and eventually re-fetched)
-//!   from the memory multiple times when the stack repeatedly grows and
-//!   shrinks" (Section 5.3).
 //! * [`extsort`] — multiway external merge sort, used by the embedded-
 //!   reference operators of L3 (Algorithm `ComputeERAggDV`, Figure 3) and
 //!   responsible for their `N log N` I/O term (Theorem 7.1); input that
@@ -42,7 +38,6 @@ pub mod intern;
 pub mod list;
 pub mod pool;
 pub mod record;
-pub mod stack;
 pub mod stats;
 
 pub use budget::Reservation;
@@ -59,7 +54,6 @@ pub use pool::{
     BufferPool, FrameGuard, PoolConfig, PoolMetricsSnapshot, ReplacementPolicy,
 };
 pub use record::{PageCtx, Record};
-pub use stack::PagedStack;
 pub use stats::{IoSnapshot, IoStats};
 
 use budget::RunBudget;
@@ -151,22 +145,11 @@ impl Pager {
         read_delay: std::time::Duration,
         write_delay: std::time::Duration,
     ) -> Self {
-        Pager::with_latency_format(page_size, frames, read_delay, write_delay, PageFormat::V1)
-    }
-
-    /// [`Pager::with_latency`] with an explicit page format.
-    pub fn with_latency_format(
-        page_size: usize,
-        frames: usize,
-        read_delay: std::time::Duration,
-        write_delay: std::time::Duration,
-        format: PageFormat,
-    ) -> Self {
         let stats = IoStats::new();
         let disk = MemDisk::new(page_size, stats.clone());
         let disk = LatencyDisk::new(Box::new(disk), read_delay, write_delay);
         let pool = BufferPool::new(Box::new(disk), PoolConfig::new(frames), stats);
-        Pager::over(pool, page_size, format)
+        Pager::over(pool, page_size, PageFormat::V1)
     }
 
     /// The page format new list/chain pages are written in.

@@ -44,37 +44,19 @@ pub fn register_all(reg: &MetricsRegistry) {
     }
 }
 
-/// Project a cumulative pager I/O snapshot onto the registry.
-pub fn sync_io(reg: &MetricsRegistry, io: IoSnapshot) {
-    reg.counter(names::IO_READS).set(io.reads);
-    reg.counter(names::IO_WRITES).set(io.writes);
-    reg.counter(names::IO_ALLOCS).set(io.allocs);
-}
-
 /// Accumulate a per-query I/O *delta* into the cumulative counters.
 ///
 /// For callers that evaluate each query on a fresh scratch pager (wire
-/// daemons): there is no long-lived cumulative `IoStats` to [`sync_io`]
-/// from, so each query's ledger is added instead.
+/// daemons): there is no long-lived cumulative `IoStats` to project,
+/// so each query's ledger is added instead.
 pub fn absorb_io(reg: &MetricsRegistry, io: IoSnapshot) {
     reg.counter(names::IO_READS).add(io.reads);
     reg.counter(names::IO_WRITES).add(io.writes);
     reg.counter(names::IO_ALLOCS).add(io.allocs);
 }
 
-/// Project a cumulative buffer-pool behavior snapshot onto the registry.
-pub fn sync_pool(reg: &MetricsRegistry, pool: PoolMetricsSnapshot) {
-    reg.counter(names::POOL_HITS).set(pool.hits);
-    reg.counter(names::POOL_MISSES).set(pool.misses);
-    reg.counter(names::POOL_EVICTIONS).set(pool.evictions);
-    reg.counter(names::POOL_GHOST_READMISSIONS)
-        .set(pool.ghost_readmissions);
-    reg.counter(names::POOL_COMPRESSED_BYTES_SAVED)
-        .set(pool.compressed_bytes_saved);
-}
-
 /// Accumulate a per-query pool-behavior *delta* into the cumulative
-/// counters — the scratch-pager counterpart of [`absorb_io`].
+/// counters — the buffer-pool counterpart of [`absorb_io`].
 pub fn absorb_pool(reg: &MetricsRegistry, pool: PoolMetricsSnapshot) {
     reg.counter(names::POOL_HITS).add(pool.hits);
     reg.counter(names::POOL_MISSES).add(pool.misses);
@@ -166,7 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_sync_sets_and_absorb_accumulates() {
+    fn absorb_pool_accumulates() {
         let reg = MetricsRegistry::default();
         let snap = PoolMetricsSnapshot {
             hits: 10,
@@ -175,11 +157,10 @@ mod tests {
             ghost_readmissions: 1,
             compressed_bytes_saved: 512,
         };
-        sync_pool(&reg, snap);
-        sync_pool(&reg, snap); // idempotent
+        absorb_pool(&reg, snap);
         assert_eq!(reg.counter(names::POOL_HITS).get(), 10);
         assert_eq!(reg.counter(names::POOL_GHOST_READMISSIONS).get(), 1);
-        absorb_pool(&reg, snap); // delta path adds
+        absorb_pool(&reg, snap); // each delta adds
         assert_eq!(reg.counter(names::POOL_HITS).get(), 20);
         assert_eq!(reg.counter(names::POOL_COMPRESSED_BYTES_SAVED).get(), 1024);
     }

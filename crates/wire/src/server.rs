@@ -789,6 +789,149 @@ mod tests {
         srv.shutdown();
     }
 
+    /// Holds every request until the test releases them. Each request
+    /// draws a ticket as it starts executing: the number of requests
+    /// that began before it, which is how many it waited behind.
+    #[derive(Default)]
+    struct Gate {
+        /// (tickets drawn, gate open).
+        state: Mutex<(u64, bool)>,
+        moved: Condvar,
+    }
+
+    impl Gate {
+        /// Block until `n` requests are executing or done.
+        fn wait_entered(&self, n: u64) {
+            let state = self.state.lock().unwrap();
+            let _state = self.moved.wait_while(state, |s| s.0 < n).unwrap();
+        }
+
+        /// Let every held and future request through.
+        fn release_all(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.moved.notify_all();
+        }
+    }
+
+    struct ReleaseOnDrop(Arc<Gate>);
+
+    impl Drop for ReleaseOnDrop {
+        fn drop(&mut self) {
+            self.0.release_all();
+        }
+    }
+
+    impl WireService for Gate {
+        fn handle(&self, _req: WireRequest) -> WireResponse {
+            let mut state = self.state.lock().unwrap();
+            let ticket = state.0;
+            state.0 += 1;
+            self.moved.notify_all();
+            let _state = self.moved.wait_while(state, |s| !s.1).unwrap();
+            WireResponse::Stats(ticket.to_string())
+        }
+    }
+
+    /// Offer `offered` connections, each with one request, to a server
+    /// of `workers` workers whose service holds every request, and
+    /// return the tickets of the requests it accepted (the order they
+    /// began executing in) and the number answered `Busy` at the door.
+    fn offer_to_gated_server(workers: usize, max_pending: usize, offered: usize) -> (Vec<u64>, u64) {
+        use netdir_obs::{names, ManualClock, MetricsRegistry};
+        use netdir_server::AdmissionConfig;
+        let registry = MetricsRegistry::new();
+        let controller = Arc::new(AdmissionController::new(
+            AdmissionConfig::default(),
+            Arc::new(ManualClock::new()),
+            &registry,
+        ));
+        let queue_depth = registry.gauge(names::ADMISSION_QUEUE_DEPTH);
+        let gate = Arc::new(Gate::default());
+        let opts = ServerOptions {
+            workers,
+            max_pending,
+            admission: Some(controller.clone()),
+            ..ServerOptions::default()
+        };
+        let mut srv = WireServer::bind("127.0.0.1:0", gate.clone(), opts).unwrap();
+        // Dropped before `srv`, so a failing assertion releases the held
+        // workers instead of leaving shutdown to wait on them forever.
+        let _release = ReleaseOnDrop(gate.clone());
+        let addr = srv.local_addr();
+        let open = || {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            write_frame(&mut conn, &WireRequest::Stats.encode(), DEFAULT_MAX_FRAME).unwrap();
+            conn
+        };
+        // Every worker takes one request and holds it at the gate.
+        let mut accepted: Vec<TcpStream> = (0..workers).map(|_| open()).collect();
+        gate.wait_entered(workers as u64);
+        // The queue fills to its bound (the whole offer when unbounded);
+        // no worker is free, so nothing leaves it meanwhile.
+        let queued = if max_pending == 0 { offered - workers } else { max_pending };
+        accepted.extend((0..queued).map(|_| open()));
+        for _ in 0..10_000 {
+            if queue_depth.get() == queued as u64 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(queue_depth.get(), queued as u64, "accept queue never filled");
+        // Everything past workers + queue is shed at the door.
+        let mut busy = 0;
+        for _ in workers + queued..offered {
+            let mut conn = open();
+            let payload = read_frame(&mut conn, DEFAULT_MAX_FRAME).unwrap().unwrap();
+            match WireResponse::decode(&payload).unwrap() {
+                WireResponse::Busy { retry_after_ms } => assert!(retry_after_ms > 0),
+                other => panic!("expected Busy at the door, got {other:?}"),
+            }
+            busy += 1;
+        }
+        assert_eq!(controller.snapshot().busy_rejections, busy);
+        gate.release_all();
+        // Each connection is closed once answered, freeing its worker
+        // for the next queued one.
+        let tickets = accepted
+            .into_iter()
+            .map(|mut conn| {
+                let payload = read_frame(&mut conn, DEFAULT_MAX_FRAME).unwrap().unwrap();
+                match WireResponse::decode(&payload).unwrap() {
+                    WireResponse::Stats(ticket) => ticket.parse().unwrap(),
+                    other => panic!("expected an answer, got {other:?}"),
+                }
+            })
+            .collect();
+        srv.shutdown();
+        (tickets, busy)
+    }
+
+    #[test]
+    fn accepted_requests_wait_behind_at_most_workers_plus_queue() {
+        // Why admission keeps accepted latency bounded, counted in
+        // requests instead of microseconds: with 2 workers and a queue
+        // of 2, an offer of 8 connections sheds the 4 past the queue
+        // with `Busy`, and no accepted request waits behind more than
+        // workers + queue others, whatever the offer.
+        let (workers, max_pending, offered) = (2, 2, 8);
+        let (mut tickets, busy) = offer_to_gated_server(workers, max_pending, offered);
+        assert_eq!(busy, (offered - workers - max_pending) as u64);
+        tickets.sort_unstable();
+        assert_eq!(tickets, (0..(workers + max_pending) as u64).collect::<Vec<_>>());
+        // A ticket counts the requests that began before it.
+        let bound = (workers + max_pending) as u64;
+        assert!(tickets.iter().all(|&ahead| ahead < bound));
+
+        // Unbounded, the same offer is queued in full: nothing is shed,
+        // and the last request waits behind every other one.
+        let (mut tickets, busy) = offer_to_gated_server(workers, 0, offered);
+        assert_eq!(busy, 0);
+        tickets.sort_unstable();
+        assert_eq!(tickets, (0..offered as u64).collect::<Vec<_>>());
+        assert!(tickets.iter().any(|&ahead| ahead >= bound));
+    }
+
     #[test]
     fn blown_deadline_frees_the_worker_and_reports_it() {
         let opts = ServerOptions {

@@ -20,7 +20,7 @@
 pub use netdir_obs as obs;
 
 /// External-memory substrate: pages, buffer pool, I/O ledger, lists,
-/// stacks, external sort.
+/// chains, external sort.
 pub use netdir_pager as pager;
 
 /// The directory data model: DNs, schemas, entries, the directory forest.
